@@ -391,7 +391,6 @@ def bb(
     *,
     prune: bool = True,
     literal_order=(True, False),
-    heuristic: str = "static",
 ) -> SolveResult:
     """Maximize the objective over total branch assignments (Fig.-8 style).
 
@@ -421,11 +420,7 @@ def bb(
             consider(objective.evaluate_conditioned(handles, partial), partial)
             return
         stats.interior += 1
-        if heuristic == "gap" and len(remaining) > 1:
-            var = _widest_gap_var(objective, bbir, handles, remaining, partial, stats)
-            rest = [r for r in remaining if r != var]
-        else:
-            var, rest = remaining[0], remaining[1:]
+        var, rest = remaining[0], remaining[1:]
         for value in literal_order:
             child = _condition_handles(mgr, handles, {var: value})
             valid = child[-1]
@@ -456,23 +451,3 @@ def bb(
         semiring_name=sr.name,
     )
 
-
-def _widest_gap_var(objective, bbir, handles, remaining, partial, stats):
-    """Pick the branch variable whose two literal bounds differ the most."""
-    sr = objective.semiring
-    best_var, best_gap = remaining[0], -1.0
-    for var in remaining:
-        scores = []
-        for value in (True, False):
-            child = _condition_handles(bbir.mgr, handles, {var: value})
-            if child[-1] == FALSE:
-                continue
-            partial[var] = value
-            stats.bound_calls += 1
-            scores.append(sr.scalar_of(objective.bound_conditioned(child, partial)))
-            del partial[var]
-        if len(scores) == 2:
-            gap = abs(scores[0] - scores[1])
-            if gap > best_gap:
-                best_var, best_gap = var, gap
-    return best_var

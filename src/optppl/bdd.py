@@ -16,6 +16,7 @@ two literal weights do not sum to the multiplicative unit.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from typing import Iterable, Iterator
 
@@ -23,6 +24,9 @@ FALSE = 0
 TRUE = 1
 
 _OPS = ("and", "or", "xor", "iff")
+
+# Serials of weight-map contents; never reused, unlike ``id()`` of a freed map.
+_WEIGHT_SERIALS = itertools.count()
 
 
 class BddError(Exception):
@@ -39,14 +43,14 @@ class WeightMap:
 
     def __init__(self, entries=None):
         self._w = {}
-        self.version = 0
+        self.serial = next(_WEIGHT_SERIALS)
         if entries:
             for var, (pos, neg) in entries.items():
                 self.set(var, pos, neg)
 
     def set(self, var: int, pos, neg):
         self._w[var] = (pos, neg)
-        self.version += 1
+        self.serial = next(_WEIGHT_SERIALS)
 
     def get(self, var: int):
         return self._w[var]
@@ -80,7 +84,7 @@ class WeightMap:
         return sub
 
     def key(self):
-        return (id(self), self.version)
+        return self.serial
 
 
 class BddManager:

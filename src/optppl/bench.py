@@ -133,16 +133,3 @@ def run_bench(
         writer.writerows(rows)
     return rows
 
-
-def fit_quadratic(xs, ys):
-    """Least-squares degree-2 fit; returns (coefficients, r_squared)."""
-    import numpy as np
-
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    coeffs = np.polyfit(xs, ys, deg=2)
-    pred = np.polyval(coeffs, xs)
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return coeffs.tolist(), r2

@@ -83,7 +83,7 @@ def cmd_solve(args) -> int:
 
 
 def _solve_dappl(args, source, mgr) -> int:
-    out = dappl.solve_meu(source, prune=not args.no_prune, heuristic=args.heuristic, mgr=mgr)
+    out = dappl.solve_meu(source, prune=not args.no_prune, mgr=mgr)
     internal = out.pop("_internal")
     if not args.stats:
         out.pop("stats", None)
@@ -137,7 +137,6 @@ def cmd_dot(args) -> int:
     args.oracle = False
     args.stats = False
     args.no_prune = False
-    args.heuristic = "static"
     args.dot = args.out
     return cmd_solve(args)
 
@@ -214,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--order", metavar="FILE", help="explicit variable order")
     solve.add_argument("--no-prune", action="store_true", help="disable pruning")
     solve.add_argument("--stats", action="store_true", help="include statistics")
-    solve.add_argument("--heuristic", choices=["static", "gap"], default="static")
     solve.set_defaults(run=cmd_solve)
 
     dot = sub.add_parser("dot", help="compile a program and write GraphViz text")

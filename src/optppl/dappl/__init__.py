@@ -37,7 +37,6 @@ def solve_meu(
     source: str,
     *,
     prune: bool = True,
-    heuristic: str = "static",
     mgr: BddManager | None = None,
 ) -> dict:
     """Solve a program for its maximum expected utility.
@@ -48,7 +47,7 @@ def solve_meu(
     core, sites, compiled = prepare(source, mgr)
     problem = compiled.finalize()
     objective = B.MeuObjective(problem)
-    result = B.bb(objective, problem, prune=prune, heuristic=heuristic)
+    result = B.bb(objective, problem, prune=prune)
     policy = _policy_names(compiled, result.witness)
     out = {
         "meu": result.scalar,

@@ -5,17 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-
-@dataclass(frozen=True)
-class Span:
-    line: int = 0
-    col: int = 0
-
-    def __str__(self):
-        return f"line {self.line}, column {self.col}"
-
-
-NO_SPAN = Span()
+from ..frontend import NO_SPAN, Span
 
 
 # -- pure (Boolean) terms ---------------------------------------------------

@@ -7,6 +7,7 @@ choose on a bound choice variable.
 
 from __future__ import annotations
 
+from ..frontend import chain_biases
 from . import ast as A
 
 
@@ -27,17 +28,13 @@ class _Desugarer:
 
     def chain_probs(self, pairs):
         """Conditional biases for a one-hot flip chain over a categorical."""
-        total = sum(p for _, p in pairs)
+        probs = [p for _, p in pairs]
+        total = sum(probs)
         if abs(total - 1.0) > 1e-9:
             raise DapplDesugarError(f"categorical probabilities sum to {total}, not 1")
-        if any(p < 0 for _, p in pairs):
+        if any(p < 0 for p in probs):
             raise DapplDesugarError("categorical probabilities must be nonnegative")
-        biases = []
-        remaining = 1.0
-        for _, p in pairs[:-1]:
-            biases.append(0.0 if remaining <= 0 else min(1.0, p / remaining))
-            remaining -= p
-        return biases
+        return chain_biases(probs)
 
     def expand_cat_choose(self, flips, names, arms_by_name):
         """Nested conditionals over chain flips selecting the matching arm."""

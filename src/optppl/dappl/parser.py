@@ -18,134 +18,21 @@ binary decision.  Nested ``choose`` inside an arm must be parenthesized.
 
 from __future__ import annotations
 
+from ..frontend import SourceSyntaxError, TokenParser
 from . import ast as A
 
 
-class DapplSyntaxError(Exception):
-    def __init__(self, message, line=0, col=0):
-        super().__init__(f"{message} (line {line}, column {col})")
-        self.line = line
-        self.col = col
+class DapplSyntaxError(SourceSyntaxError):
+    pass
 
 
-KEYWORDS = {
-    "if", "then", "else", "choose", "observe", "reward", "return",
-    "flip", "loop", "disc", "tt", "ff", "true", "false", "with",
-}
-
-_SYMBOLS = ["<-", "->", "&&", "||", ";", "|", "[", "]", "(", ")", "{", "}", ":", ",", "!", "-"]
-
-
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r})"
-
-
-def tokenize(source: str):
-    tokens = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            tokens.append(Token("num", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise DapplSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
-
-
-class Parser:
-    def __init__(self, source: str):
-        self.tokens = tokenize(source)
-        self.pos = 0
-
-    # -- token helpers ------------------------------------------------------
-
-    def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def at(self, kind, text=None, ahead=0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind == kind and (text is None or tok.text == text)
-
-    def expect(self, kind, text=None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
-            want = text or kind
-            raise DapplSyntaxError(f"expected {want!r}, found {tok.text!r}", tok.line, tok.col)
-        return self.next()
-
-    def span(self) -> A.Span:
-        tok = self.peek()
-        return A.Span(tok.line, tok.col)
-
-    def error(self, message):
-        tok = self.peek()
-        raise DapplSyntaxError(message, tok.line, tok.col)
-
-    # -- numbers -------------------------------------------------------------
-
-    def number(self, allow_negative=True) -> float:
-        neg = False
-        if allow_negative and self.at("sym", "-"):
-            self.next()
-            neg = True
-        tok = self.expect("num")
-        try:
-            value = float(tok.text)
-        except ValueError:
-            raise DapplSyntaxError(f"bad number {tok.text!r}", tok.line, tok.col)
-        return -value if neg else value
+class Parser(TokenParser):
+    KEYWORDS = frozenset({
+        "if", "then", "else", "choose", "observe", "reward", "return",
+        "flip", "loop", "disc", "tt", "ff", "true", "false", "with",
+    })
+    SYMBOLS = ("<-", "->", "&&", "||", ";", "|", "[", "]", "(", ")", "{", "}", ":", ",", "!", "-")
+    Error = DapplSyntaxError
 
     # -- expressions -----------------------------------------------------------
 
@@ -187,20 +74,18 @@ class Parser:
             self.next()
             theta = self.number(allow_negative=False)
             if not 0.0 <= theta <= 1.0:
-                raise DapplSyntaxError(f"flip bias {theta} outside [0, 1]", sp.line, sp.col)
+                self.error(f"flip bias {theta} outside [0, 1]", sp)
             return A.Flip(span=sp, theta=theta)
         if self.at("kw", "return"):
             self.next()
             return A.Return(span=sp, pure=self.parse_pure())
         if self.at("kw", "loop"):
             self.next()
-            count_tok = self.expect("num")
-            if "." in count_tok.text:
-                raise DapplSyntaxError("loop bound must be an integer", count_tok.line, count_tok.col)
+            count = self.loop_count()
             self.expect("sym", "{")
             body = self.parse_expr()
             self.expect("sym", "}")
-            return A.Loop(span=sp, count=int(count_tok.text), body=body)
+            return A.Loop(span=sp, count=count, body=body)
         if self.at("sym", "["):
             return self.parse_choice_intro()
         if self.at("kw", "disc"):
@@ -245,10 +130,7 @@ class Parser:
             # decision guard: a one-alternative choice introduction
             intro = self.parse_choice_intro()
             if len(intro.names) != 1:
-                raise DapplSyntaxError(
-                    "an if-guard decision must have exactly one alternative",
-                    sp.line, sp.col,
-                )
+                self.error("an if-guard decision must have exactly one alternative", sp)
             guard = intro
         else:
             guard = self.parse_pure()
@@ -282,33 +164,15 @@ class Parser:
     def parse_choice_intro(self) -> A.ChoiceIntro:
         sp = self.span()
         self.expect("sym", "[")
-        names = [self.expect("ident").text]
-        while self.at("sym", ","):
-            self.next()
-            names.append(self.expect("ident").text)
+        names = self.names()
         self.expect("sym", "]")
         if len(set(names)) != len(names):
-            raise DapplSyntaxError("duplicate alternative names", sp.line, sp.col)
-        return A.ChoiceIntro(span=sp, names=tuple(names))
+            self.error("duplicate alternative names", sp)
+        return A.ChoiceIntro(span=sp, names=names)
 
     def parse_disc(self) -> A.Disc:
         sp = self.span()
-        self.expect("kw", "disc")
-        self.expect("sym", "[")
-        pairs = []
-        while True:
-            name = self.expect("ident").text
-            self.expect("sym", ":")
-            pairs.append((name, self.number(allow_negative=False)))
-            if self.at("sym", ","):
-                self.next()
-                continue
-            break
-        self.expect("sym", "]")
-        names = [n for n, _ in pairs]
-        if len(set(names)) != len(names):
-            raise DapplSyntaxError("duplicate outcome names", sp.line, sp.col)
-        return A.Disc(span=sp, pairs=tuple(pairs))
+        return A.Disc(span=sp, pairs=self.disc_pairs(sp, allow_negative=False))
 
     # -- pure terms ---------------------------------------------------------------
 

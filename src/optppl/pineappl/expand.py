@@ -16,6 +16,7 @@ version, and statements are flips, assignments, flat ifs, and mmaps only.
 
 from __future__ import annotations
 
+from ..frontend import chain_biases
 from . import ast as A
 
 
@@ -184,17 +185,14 @@ def _desugar_disc(stmts: list) -> list:
     out = []
     for stmt in stmts:
         if isinstance(stmt, A.SDisc):
-            total = sum(p for _, p in stmt.pairs)
-            if abs(total - 1.0) > 1e-9 or any(p < 0 for _, p in stmt.pairs):
+            probs = [p for _, p in stmt.pairs]
+            if abs(sum(probs) - 1.0) > 1e-9 or any(p < 0 for p in probs):
                 raise PineapplExpandError(
                     f"categorical probabilities of {stmt.name!r} must be nonnegative and sum to 1",
                     stmt.span,
                 )
-            remaining = 1.0
             chain = []
-            for outcome, p in stmt.pairs[:-1]:
-                theta = 0.0 if remaining <= 0 else min(1.0, p / remaining)
-                remaining -= p
+            for (outcome, _), theta in zip(stmt.pairs, chain_biases(probs)):
                 flip_name = f"{stmt.name}${outcome}$flip"
                 out.append(A.SFlip(span=stmt.span, name=flip_name, theta=theta))
                 chain.append((outcome, flip_name))

@@ -19,125 +19,25 @@ accepted and optional after braces)::
 
 from __future__ import annotations
 
+from ..frontend import SourceSyntaxError, TokenParser
 from . import ast as A
 
 
-class PineapplSyntaxError(Exception):
-    def __init__(self, message, line=0, col=0):
-        super().__init__(f"{message} (line {line}, column {col})")
-        self.line = line
-        self.col = col
+class PineapplSyntaxError(SourceSyntaxError):
+    pass
 
 
-KEYWORDS = {
-    "if", "else", "flip", "mmap", "with", "pr", "loop", "disc", "is",
-    "tt", "ff", "true", "false",
-}
-
-_SYMBOLS = ["&&", "||", "=", ";", "(", ")", "{", "}", "[", "]", ":", ",", "!", "-"]
-
-
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def tokenize(source: str):
-    tokens = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            tokens.append(Token("num", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            tokens.append(Token("kw" if word in KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise PineapplSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
-
-
-class Parser:
-    def __init__(self, source):
-        self.tokens = tokenize(source)
-        self.pos = 0
-
-    def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def at(self, kind, text=None, ahead=0):
-        tok = self.peek(ahead)
-        return tok.kind == kind and (text is None or tok.text == text)
-
-    def expect(self, kind, text=None):
-        tok = self.peek()
-        if not self.at(kind, text):
-            want = text or kind
-            raise PineapplSyntaxError(
-                f"expected {want!r}, found {tok.text!r}", tok.line, tok.col
-            )
-        return self.next()
+class Parser(TokenParser):
+    KEYWORDS = frozenset({
+        "if", "else", "flip", "mmap", "with", "pr", "loop", "disc", "is",
+        "tt", "ff", "true", "false",
+    })
+    SYMBOLS = ("&&", "||", "=", ";", "(", ")", "{", "}", "[", "]", ":", ",", "!", "-")
+    Error = PineapplSyntaxError
 
     def skip_semis(self):
         while self.at("sym", ";"):
             self.next()
-
-    def span(self):
-        tok = self.peek()
-        return A.Span(tok.line, tok.col)
-
-    def number(self):
-        neg = False
-        if self.at("sym", "-"):
-            self.next()
-            neg = True
-        tok = self.expect("num")
-        value = float(tok.text)
-        return -value if neg else value
 
     # -- program ------------------------------------------------------------
 
@@ -151,16 +51,12 @@ class Parser:
                 # always starts with its binding target
                 queries.append(self.parse_query())
             elif queries:
-                tok = self.peek()
-                raise PineapplSyntaxError(
-                    "statements cannot follow a query", tok.line, tok.col
-                )
+                self.error("statements cannot follow a query")
             else:
                 statements.append(self.parse_stmt())
             self.skip_semis()
         if not queries:
-            tok = self.peek()
-            raise PineapplSyntaxError("a program needs at least one query", tok.line, tok.col)
+            self.error("a program needs at least one query")
         return A.Program(statements=statements, queries=queries)
 
     # -- statements -----------------------------------------------------------
@@ -171,51 +67,40 @@ class Parser:
             return self.parse_if()
         if self.at("kw", "loop"):
             self.next()
-            tok = self.expect("num")
-            if "." in tok.text:
-                raise PineapplSyntaxError("loop bound must be an integer", tok.line, tok.col)
-            body = self.parse_block()
-            return A.SLoop(span=sp, count=int(tok.text), body=body)
+            return A.SLoop(span=sp, count=self.loop_count(), body=self.parse_block())
         if self.at("sym", "("):
             self.next()
-            outs = [self.expect("ident").text]
-            while self.at("sym", ","):
-                self.next()
-                outs.append(self.expect("ident").text)
+            outs = self.names()
             self.expect("sym", ")")
             self.expect("sym", "=")
-            return self.parse_mmap_rhs(sp, tuple(outs))
+            return self.parse_mmap_rhs(sp, outs)
         name_tok = self.expect("ident")
         self.expect("sym", "=")
         if self.at("kw", "flip"):
             self.next()
             theta = self.number()
             if not 0.0 <= theta <= 1.0:
-                raise PineapplSyntaxError(
-                    f"flip bias {theta} outside [0, 1]", name_tok.line, name_tok.col
-                )
+                self.error(f"flip bias {theta} outside [0, 1]", name_tok)
             return A.SFlip(span=sp, name=name_tok.text, theta=theta)
         if self.at("kw", "disc"):
-            return self.parse_disc(sp, name_tok.text)
+            return A.SDisc(span=sp, name=name_tok.text, pairs=self.disc_pairs(sp))
         if self.at("kw", "mmap"):
             return self.parse_mmap_rhs(sp, (name_tok.text,))
         return A.SAssign(span=sp, name=name_tok.text, value=self.parse_expr())
 
     def parse_mmap_rhs(self, sp, outs) -> A.SMmap:
+        queried, evidence = self.parse_mmap_call()
+        if len(outs) != len(queried):
+            self.error(f"mmap binds {len(outs)} names to {len(queried)} variables", sp)
+        return A.SMmap(span=sp, outputs=outs, queried=queried, evidence=evidence)
+
+    def parse_mmap_call(self):
+        """``'mmap' '(' IDENT, ... ')' ('with' '{' expr '}')?`` as ``(queried, evidence)``."""
         self.expect("kw", "mmap")
         self.expect("sym", "(")
-        queried = [self.expect("ident").text]
-        while self.at("sym", ","):
-            self.next()
-            queried.append(self.expect("ident").text)
+        queried = self.names()
         self.expect("sym", ")")
-        evidence = self.parse_with()
-        if len(outs) != len(queried):
-            raise PineapplSyntaxError(
-                f"mmap binds {len(outs)} names to {len(queried)} variables",
-                sp.line, sp.col,
-            )
-        return A.SMmap(span=sp, outputs=tuple(outs), queried=tuple(queried), evidence=evidence)
+        return queried, self.parse_with()
 
     def parse_with(self):
         if not self.at("kw", "with"):
@@ -250,24 +135,6 @@ class Parser:
         self.expect("sym", "}")
         return stmts
 
-    def parse_disc(self, sp, name) -> A.SDisc:
-        self.expect("kw", "disc")
-        self.expect("sym", "[")
-        pairs = []
-        while True:
-            outcome = self.expect("ident").text
-            self.expect("sym", ":")
-            pairs.append((outcome, self.number()))
-            if self.at("sym", ","):
-                self.next()
-                continue
-            break
-        self.expect("sym", "]")
-        names = [n for n, _ in pairs]
-        if len(set(names)) != len(names):
-            raise PineapplSyntaxError("duplicate outcome names", sp.line, sp.col)
-        return A.SDisc(span=sp, name=name, pairs=tuple(pairs))
-
     # -- queries ---------------------------------------------------------------
 
     def parse_query(self):
@@ -279,15 +146,8 @@ class Parser:
             self.expect("sym", ")")
             evidence = self.parse_with()
             return A.QPr(expr=expr, evidence=evidence, text=self._slice(start))
-        self.expect("kw", "mmap")
-        self.expect("sym", "(")
-        queried = [self.expect("ident").text]
-        while self.at("sym", ","):
-            self.next()
-            queried.append(self.expect("ident").text)
-        self.expect("sym", ")")
-        evidence = self.parse_with()
-        return A.QMmap(queried=tuple(queried), evidence=evidence, text=self._slice(start))
+        queried, evidence = self.parse_mmap_call()
+        return A.QMmap(queried=queried, evidence=evidence, text=self._slice(start))
 
     def _slice(self, start):
         return " ".join(tok.text for tok in self.tokens[start:self.pos])
@@ -333,10 +193,7 @@ class Parser:
             inner = self.parse_expr()
             self.expect("sym", ")")
             return inner
-        tok = self.peek()
-        raise PineapplSyntaxError(
-            f"expected an expression, found {tok.text!r}", tok.line, tok.col
-        )
+        self.error(f"expected an expression, found {self.peek().text!r}")
 
 
 def parse(source: str) -> A.Program:

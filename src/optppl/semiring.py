@@ -45,7 +45,7 @@ class ExpectationSemiring:
     one = EV(1.0, 0.0)
     #: <=-least element, used to seed branch-and-bound incumbents.
     bottom = EV(0.0, NEG_INF)
-    #: Conservative "prune nothing" bound (see ub_f on zero denominators).
+    #: Conservative "prune nothing" bound (see bbir._div_bound on zero denominators).
     top = EV(POS_INF, POS_INF)
 
     @staticmethod
@@ -84,10 +84,6 @@ class ExpectationSemiring:
     @staticmethod
     def prob_of(a: EV) -> float:
         return a.prob
-
-    @staticmethod
-    def scalar_of(a: EV) -> float:
-        return a.util
 
     @staticmethod
     def isclose(a: EV, b: EV, tol: float = 1e-9) -> bool:
@@ -135,10 +131,6 @@ class RealSemiring:
 
     @staticmethod
     def prob_of(a):
-        return a
-
-    @staticmethod
-    def scalar_of(a):
         return a
 
     @staticmethod

@@ -1,4 +1,5 @@
-"""Shared builders: random tuple formulas mirrored into BDDs, random search problems."""
+"""Shared builders: random tuple formulas mirrored into BDDs, random search problems,
+and a quadratic least-squares fit for scaling-shape checks."""
 
 from __future__ import annotations
 
@@ -181,3 +182,17 @@ def rename_formula(formula, mapping: dict):
     if tag == "not":
         return ("not", rename_formula(formula[1], mapping))
     return (tag, rename_formula(formula[1], mapping), rename_formula(formula[2], mapping))
+
+
+def fit_quadratic(xs, ys):
+    """Least-squares degree-2 fit; returns (coefficients, r_squared)."""
+    import numpy as np
+
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    coeffs = np.polyfit(xs, ys, deg=2)
+    pred = np.polyval(coeffs, xs)
+    ss_res = float(np.sum((ys - pred) ** 2))
+    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return coeffs.tolist(), r2

@@ -36,6 +36,7 @@ from optppl.pineappl.compile import PineapplRunError
 from corpus import random_dappl_program, random_pineappl_program
 from helpers import (
     all_assignments,
+    fit_quadratic,
     random_bbir,
     random_meu_instance,
     rename_formula,
@@ -374,8 +375,6 @@ def test_criterion_9_loop_sugar_soundness():
 
 
 def test_criterion_10_nested_query_scaling_shape():
-    from optppl.bench import fit_quadratic
-
     t0 = time.perf_counter()
     times = {}
     for n in range(2, 41):

@@ -284,17 +284,6 @@ class TestSearch:
                 assert stats.prunes + stats.invalid + children == 2 * stats.interior
             assert stats.elapsed_ms >= 0.0
 
-    def test_gap_heuristic_returns_same_optimum(self):
-        rng = random.Random(31)
-        for _ in range(10):
-            inst = random_meu_instance(rng)
-            if inst is None:
-                continue
-            objective = MeuObjective(inst)
-            a = bb(objective, inst, heuristic="static")
-            b = bb(objective, inst, heuristic="gap")
-            assert EXPECTATION.isclose(a.value, b.value, TOL)
-
     def test_result_serializes(self):
         rng = random.Random(12)
         inst = random_meu_instance(rng)

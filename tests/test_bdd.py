@@ -267,6 +267,18 @@ class TestAmc:
         assert mgr.amc_visits == 0
 
 
+    def test_fresh_weight_maps_never_hit_a_stale_cache(self, mgr):
+        # restricted maps die young, so a new map can reuse a freed map's id
+        x = mgr.new_var("x")
+        node = mgr.mk_var(x)
+        rng = random.Random(5)
+        for _ in range(200):
+            p = rng.random()
+            w = WeightMap()
+            w.set(x, p, 1 - p)
+            assert abs(mgr.amc(node, w.restrict([x]), REAL) - p) < 1e-12
+
+
 class TestEnumerationAndDot:
     def test_enumerate_true_over_one_var(self, mgr):
         x = mgr.new_var("x")

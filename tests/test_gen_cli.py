@@ -161,6 +161,13 @@ class TestCli:
         assert proc.returncode == 2
         assert "error" in json.loads(proc.stdout)
 
+    def test_malformed_number_exit_code(self, tmp_path):
+        path = tmp_path / "bad.pineappl"
+        path.write_text("x = flip 1.2.3; pr(x)")
+        proc = run_cli("solve", str(path))
+        assert proc.returncode == 2
+        assert "line 1, column 10" in json.loads(proc.stdout)["error"]["message"]
+
     def test_usage_error_exit_code(self):
         proc = run_cli("solve")  # missing file argument
         assert proc.returncode == 1
@@ -221,7 +228,7 @@ class TestBench:
             assert ra["policy_hash"] == rb["policy_hash"]
 
     def test_quadratic_fit_helper(self):
-        from optppl.bench import fit_quadratic
+        from helpers import fit_quadratic
 
         xs = list(range(2, 20))
         ys = [3 * x * x + 2 * x + 1 for x in xs]

@@ -70,6 +70,15 @@ class TestParser:
         with pytest.raises(PineapplSyntaxError):
             parse("a = flip 0.6; pr(a) b = flip 0.5; pr(b)")
 
+    @pytest.mark.parametrize("source", [
+        "x = flip 1.2.3; pr(x)",
+        "x = disc[a: 0.5.1, b: 0.5]; pr(x is a)",
+    ])
+    def test_malformed_number_is_a_syntax_error(self, source):
+        with pytest.raises(PineapplSyntaxError) as err:
+            parse(source)
+        assert "line 1" in str(err.value)
+
 
 class TestExpansion:
     def test_simple_loop_unrolls_with_renaming(self):
