@@ -16,7 +16,6 @@ which case everything reduces to the plain algorithm.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -51,6 +50,10 @@ class Bbir:
             names = ", ".join(self.mgr.var_label(v) for v in sorted(unweighted))
             raise BbirError(f"unweighted variable(s): {names}")
         self.branch_set = frozenset(self.branch_vars)
+        if len(self.branch_set) != len(self.branch_vars):
+            repeated = sorted(v for v in self.branch_set if self.branch_vars.count(v) > 1)
+            names = ", ".join(self.mgr.var_label(v) for v in repeated)
+            raise BbirError(f"duplicate branch variable(s): {names}")
 
     def universe_for(self, handle: int):
         """Sorted bound/count universe of a formula: its support plus X."""
@@ -255,30 +258,23 @@ def _div_bound(t, r):
 class MmapObjective:
     """Marginal MAP: maximize the conditioned model mass of phi ^ gamma.
 
-    ``prior`` fixes the prior variables E before the search; the reported
-    value is the posterior probability of the maximizing assignment.
+    The reported value is the posterior probability of the maximizing
+    assignment given gamma.
     """
 
     kind = "mmap"
     semiring = REAL
 
-    def __init__(self, bbir: Bbir, prior: dict | None = None):
+    def __init__(self, bbir: Bbir):
         if bbir.semiring is not REAL:
             raise BbirError("MMAP requires the real semiring")
         if len(bbir.formulas) != 2:
             raise BbirError("MMAP expects [model formula, evidence formula]")
         self.bbir = bbir
-        self.prior = dict(prior or {})
         mgr = bbir.mgr
         self.phi, self.gamma = bbir.formulas
-        overlap = set(self.prior) & bbir.branch_set
-        if overlap:
-            raise BbirError("prior variables must be disjoint from the branch variables")
-        joint = mgr.apply("and", self.phi, self.gamma)
-        self.num_root = mgr.condition_all(joint, self.prior)
-        self.num_universe = sorted(
-            (mgr.support(joint) | bbir.branch_set) - set(self.prior)
-        )
+        self.num_root = mgr.apply("and", self.phi, self.gamma)
+        self.num_universe = sorted(mgr.support(self.num_root) | bbir.branch_set)
         self.num_weights = bbir.weights.restrict(
             set(self.num_universe) - bbir.branch_set
         )
@@ -364,25 +360,6 @@ class SolveResult:
     scalar: float
     witness: dict
     stats: SearchStats
-    semiring_name: str = "expectation"
-
-    def policy_by_label(self, mgr: BddManager):
-        return {mgr.var_label(v): val for v, val in sorted(self.witness.items())}
-
-    def to_json_dict(self, mgr: BddManager):
-        if self.semiring_name == "expectation":
-            value = {"prob": self.value.prob, "util": self.value.util}
-        else:
-            value = self.value
-        return {
-            "value": value,
-            "scalar": self.scalar,
-            "policy": self.policy_by_label(mgr),
-            "stats": self.stats.to_dict(),
-        }
-
-    def to_json(self, mgr: BddManager) -> str:
-        return json.dumps(self.to_json_dict(mgr))
 
 
 def bb(
@@ -448,6 +425,5 @@ def bb(
         scalar=objective.scalar(state["best"]),
         witness=state["witness"],
         stats=stats,
-        semiring_name=sr.name,
     )
 

@@ -37,8 +37,7 @@ class WeightMap:
     """Map from variables to a (positive literal, negative literal) weight pair.
 
     Weighting one literal of a variable always weights the other, so entries
-    are stored per variable.  Unions are non-aliased: merging two maps that
-    disagree on a shared variable is an error.
+    are stored per variable.
     """
 
     def __init__(self, entries=None):
@@ -64,19 +63,6 @@ class WeightMap:
     @property
     def vars(self):
         return self._w.keys()
-
-    def items(self):
-        return self._w.items()
-
-    def union(self, other: "WeightMap") -> "WeightMap":
-        """Non-aliased union; a conflicting shared entry is an error."""
-        merged = WeightMap()
-        merged._w = dict(self._w)
-        for var, wt in other._w.items():
-            if var in merged._w and merged._w[var] != wt:
-                raise BddError(f"aliased weight-map union on variable {var}")
-            merged._w[var] = wt
-        return merged
 
     def restrict(self, keep: Iterable[int]) -> "WeightMap":
         sub = WeightMap()
@@ -129,13 +115,6 @@ class BddManager:
     def var_label(self, var: int) -> str:
         return self._labels[var]
 
-    def var_by_label(self, label: str) -> int:
-        return self._by_label[label]
-
-    @property
-    def num_vars(self) -> int:
-        return len(self._labels)
-
     @property
     def num_nodes(self) -> int:
         return len(self._var)
@@ -175,9 +154,6 @@ class BddManager:
 
     def children(self, node: int):
         return self._lo[node], self._hi[node]
-
-    def is_terminal(self, node: int) -> bool:
-        return node <= TRUE
 
     # -- boolean combinators -------------------------------------------------
 

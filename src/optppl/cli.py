@@ -32,7 +32,7 @@ _INPUT_ERRORS = (
 
 
 def _emit(payload):
-    json.dump(payload, sys.stdout, indent=2, default=str)
+    json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 
@@ -83,19 +83,19 @@ def cmd_solve(args) -> int:
 
 
 def _solve_dappl(args, source, mgr) -> int:
-    out = dappl.solve_meu(source, prune=not args.no_prune, mgr=mgr)
-    internal = out.pop("_internal")
+    core, sites, compiled = dappl.prepare(source, mgr)
+    out = dappl.solve_compiled(compiled, prune=not args.no_prune)
     if not args.stats:
         out.pop("stats", None)
     if args.oracle:
         from .oracle import dappl_meu_enum
 
-        eu, policy = dappl_meu_enum(internal["core"], internal["sites"])
+        eu, policy = dappl_meu_enum(core, sites)
         out["oracle"] = {"meu": eu, "policy": {f"c{s}": n for s, n in policy.items()}}
         out["delta"] = abs(out["meu"] - eu) if eu != float("-inf") else 0.0
     if args.dot:
-        compiled = internal["compiled"]
-        problem = internal["bbir"]
+        # finalizing again yields the same hash-consed handles the search used
+        problem = compiled.finalize()
         text = mgr.to_dot(problem.formulas, names=["phi", "gamma"])
         with open(args.dot, "w") as fh:
             fh.write(text)
@@ -105,14 +105,14 @@ def _solve_dappl(args, source, mgr) -> int:
 
 
 def _solve_pineappl(args, source, mgr) -> int:
-    out = pineappl.run_program(source, mgr=mgr)
-    internal = out.pop("_internal")
+    program, compiler = pineappl.compile_source(source, mgr)
+    out = pineappl.run_compiled(program, compiler)
     if not args.stats:
         out.pop("stats", None)
     if args.oracle:
         from .oracle import pineappl_interp
 
-        vals, decisions = pineappl_interp(internal["program"])
+        vals, decisions = pineappl_interp(program)
         oracle_queries = []
         deltas = []
         for q, want in zip(out["queries"], vals):
@@ -125,7 +125,6 @@ def _solve_pineappl(args, source, mgr) -> int:
         out["oracle"] = {"queries": oracle_queries, "decisions": decisions}
         out["delta"] = max(deltas) if deltas else 0.0
     if args.dot:
-        compiler = internal["compiler"]
         with open(args.dot, "w") as fh:
             fh.write(mgr.to_dot([compiler.constraint], names=["defs"]))
         out["dot"] = args.dot

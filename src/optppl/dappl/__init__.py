@@ -14,7 +14,7 @@ from .types import DapplTypeError, check, check_program
 
 __all__ = [
     "parse", "check", "check_program", "desugar", "reduce",
-    "compile_program", "prepare", "solve_meu",
+    "compile_program", "prepare", "solve_compiled", "solve_meu",
     "DapplSyntaxError", "DapplTypeError", "DapplDesugarError",
     "DapplReduceError", "DapplCompileError",
 ]
@@ -41,29 +41,28 @@ def solve_meu(
 ) -> dict:
     """Solve a program for its maximum expected utility.
 
+    Runs :func:`prepare` then :func:`solve_compiled`.
+    """
+    _, _, compiled = prepare(source, mgr)
+    return solve_compiled(compiled, prune=prune)
+
+
+def solve_compiled(compiled: CompiledDappl, *, prune: bool = True) -> dict:
+    """Finalize a compiled program and search it for the optimal policy.
+
     Returns a JSON-ready dict with the scalar optimum, the chosen
     alternative per choice site, the semiring value, and search statistics.
     """
-    core, sites, compiled = prepare(source, mgr)
     problem = compiled.finalize()
-    objective = B.MeuObjective(problem)
-    result = B.bb(objective, problem, prune=prune)
-    policy = _policy_names(compiled, result.witness)
+    result = B.bb(B.MeuObjective(problem), problem, prune=prune)
     out = {
         "meu": result.scalar,
-        "policy": policy,
+        "policy": _policy_names(compiled, result.witness),
         "value": {"prob": result.value.prob, "util": result.value.util},
         "stats": result.stats.to_dict(),
     }
     if result.scalar == float("-inf"):
         out["warning"] = "every policy contradicts the observations"
-    out["_internal"] = {
-        "result": result,
-        "bbir": problem,
-        "compiled": compiled,
-        "core": core,
-        "sites": sites,
-    }
     return out
 
 

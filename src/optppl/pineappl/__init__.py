@@ -8,13 +8,14 @@ from .compile import (
     PineapplCompileError,
     PineapplRunError,
     compile_source,
+    run_compiled,
     run_program,
 )
 from .expand import PineapplExpandError, expand
 from .parser import PineapplSyntaxError, parse
 
 __all__ = [
-    "parse", "expand", "compile_source", "run_program", "Compiler",
+    "parse", "expand", "compile_source", "run_compiled", "run_program", "Compiler",
     "PineapplSyntaxError", "PineapplExpandError",
     "PineapplCompileError", "PineapplRunError",
 ]

@@ -35,13 +35,13 @@ class Compiler:
         self.mgr = mgr if mgr is not None else BddManager()
         self.weights = WeightMap()
         self.env = {}  # program name -> BDD variable
-        self.defs = []  # (program variable, definition handle)
         self._constraint = self.mgr.mk_true()
         self._pending = []  # definition constraints not yet conjoined
         self.decisions = {}
         self.solver_stats = []
         self._flips = 0
         self._marks = 0
+        self._started = time.perf_counter()
 
     @property
     def constraint(self) -> int:
@@ -84,7 +84,6 @@ class Compiler:
         var = self.mgr.ensure_var(name)
         self.weights.set(var, 1.0, 1.0)
         self.env[name] = var
-        self.defs.append((var, definition))
         self._pending.append(self.mgr.apply("iff", self.mgr.mk_var(var), definition))
         return var
 
@@ -129,12 +128,13 @@ class Compiler:
         for name in queried:
             if name not in self.env:
                 raise PineapplCompileError(f"mmap over undefined variable {name!r}")
-        branch_vars = sorted(self.env[name] for name in queried)
+        # a name queried twice is one branch variable
+        branch_vars = sorted({self.env[name] for name in queried})
         problem = Bbir(
             mgr=mgr,
             formulas=[self.constraint, mgr.apply("and", psi, self.constraint)],
             branch_vars=branch_vars,
-            weights=self.weights.restrict(self._known_vars()),
+            weights=self.weights,
             semiring=REAL,
         )
         try:
@@ -146,9 +146,6 @@ class Compiler:
         by_name = {name: result.witness[self.env[name]] for name in queried}
         return by_name, result.scalar, result
 
-    def _known_vars(self):
-        return set(self.weights.vars)
-
     # -- queries -----------------------------------------------------------------
 
     def run_query(self, q) -> dict:
@@ -156,11 +153,10 @@ class Compiler:
         if isinstance(q, A.QPr):
             chi = self.compile_expr(q.expr)
             psi = mgr.mk_true() if q.evidence is None else self.compile_expr(q.evidence)
-            wm = self.weights.restrict(self._known_vars())
-            den = mgr.amc(mgr.apply("and", psi, self.constraint), wm, REAL)
+            den = mgr.amc(mgr.apply("and", psi, self.constraint), self.weights, REAL)
             if den == 0.0:
                 raise PineapplRunError(f"query evidence has zero probability: {q.text}")
-            num = mgr.amc(mgr.conjoin([chi, self.constraint, psi]), wm, REAL)
+            num = mgr.amc(mgr.conjoin([chi, self.constraint, psi]), self.weights, REAL)
             return {"query": q.text, "value": num / den}
         if isinstance(q, A.QMmap):
             assignment, posterior, result = self.solve_mmap(q.queried, q.evidence)
@@ -170,25 +166,31 @@ class Compiler:
 
 def compile_source(source: str, mgr: BddManager | None = None):
     """parse -> expand -> compile statements; queries are left to the caller."""
+    compiler = Compiler(mgr)  # created first: its clock times the whole pipeline
     program = expand(parse(source))
-    compiler = Compiler(mgr)
     for stmt in program.statements:
         compiler.compile_stmt(stmt)
     return program, compiler
 
 
-def run_program(source: str, mgr: BddManager | None = None) -> dict:
-    """Full pipeline; returns queries, staged decisions, and statistics."""
-    t0 = time.perf_counter()
-    program, compiler = compile_source(source, mgr)
+def run_compiled(program: A.Program, compiler: Compiler) -> dict:
+    """Run the queries of a compiled program.
+
+    Returns queries, staged decisions, and statistics; ``elapsed_ms`` counts
+    from the compiler's creation.
+    """
     results = [compiler.run_query(q) for q in program.queries]
     return {
         "queries": results,
         "decisions": dict(compiler.decisions),
         "stats": {
-            "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+            "elapsed_ms": round((time.perf_counter() - compiler._started) * 1000.0, 3),
             "bdd_nodes": compiler.mgr.num_nodes,
             "mmap_solves": compiler.solver_stats,
         },
-        "_internal": {"program": program, "compiler": compiler},
     }
+
+
+def run_program(source: str, mgr: BddManager | None = None) -> dict:
+    """Full pipeline: :func:`compile_source` then :func:`run_compiled`."""
+    return run_compiled(*compile_source(source, mgr))

@@ -82,10 +82,6 @@ class ExpectationSemiring:
         return EV(a.prob / r, a.util / r)
 
     @staticmethod
-    def prob_of(a: EV) -> float:
-        return a.prob
-
-    @staticmethod
     def isclose(a: EV, b: EV, tol: float = 1e-9) -> bool:
         return _close(a.prob, b.prob, tol) and _close(a.util, b.util, tol)
 
@@ -128,10 +124,6 @@ class RealSemiring:
         if r == 0.0:
             return NEG_INF
         return a / r
-
-    @staticmethod
-    def prob_of(a):
-        return a
 
     @staticmethod
     def isclose(a, b, tol: float = 1e-9) -> bool:

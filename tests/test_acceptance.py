@@ -20,7 +20,7 @@ from optppl import (
     ub,
 )
 from optppl.bdd import BddManager, WeightMap
-from optppl.dappl import prepare, reduce, solve_meu
+from optppl.dappl import prepare, reduce, solve_compiled, solve_meu
 from optppl.gen import gen_bn, gen_gridworld, gen_ladder, gen_nested_mmap
 from optppl.oracle import (
     OracleError,
@@ -160,11 +160,9 @@ def test_criterion_4_compiler_correctness_differential():
     checked_policies = 0
     for seed in range(200):
         src = random_dappl_program(seed)
-        out = solve_meu(src)
-        core = out["_internal"]["core"]
-        sites = out["_internal"]["sites"]
-        problem = out["_internal"]["bbir"]
-        compiled = out["_internal"]["compiled"]
+        core, sites, compiled = prepare(src)
+        out = solve_compiled(compiled)
+        problem = compiled.finalize()
         reference, _ = dappl_meu_enum(core, sites)
         if reference == float("-inf"):
             assert out["meu"] == float("-inf"), f"seed {seed}"
@@ -411,8 +409,9 @@ def test_criterion_11_reduced_size_family_coverage():
     # absolute timing tables are explicitly not reproduced; correctness on
     # the same families is checked at desk scale against the oracles
     def check(src):
-        out = solve_meu(src)
-        reference, _ = dappl_meu_enum(out["_internal"]["core"], out["_internal"]["sites"])
+        core, sites, compiled = prepare(src)
+        out = solve_compiled(compiled)
+        reference, _ = dappl_meu_enum(core, sites)
         assert abs(out["meu"] - reference) <= 1e-6
 
     for n in (1, 2, 3):

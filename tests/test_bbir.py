@@ -7,6 +7,7 @@ import pytest
 from optppl import (
     EV,
     EXPECTATION,
+    REAL,
     Bbir,
     BbirError,
     BddManager,
@@ -118,6 +119,14 @@ class TestBoundDominance:
         )
         with pytest.raises(BbirError):
             ub(bbir, bbir.formulas[0], {outside: True})
+
+    def test_duplicate_branch_variable_rejected(self):
+        mgr = BddManager()
+        x = mgr.new_var("x")
+        wm = WeightMap({x: (0.5, 0.5)})
+        with pytest.raises(BbirError, match="duplicate branch variable"):
+            Bbir(mgr=mgr, formulas=[mgr.mk_var(x), mgr.mk_true()],
+                 branch_vars=[x, x], weights=wm, semiring=REAL)
 
 
 class TestUbF:
@@ -239,11 +248,17 @@ class TestSearch:
         free = sorted(set(inst.weights.vars) - inst.branch_set)
         prior_vars = rng.sample(free, k=min(2, len(free)))
         prior = {v: rng.random() < 0.5 for v in prior_vars}
+        # the prior literals are conjoined into the evidence formula
+        mgr = inst.mgr
+        phi, gamma = inst.formulas
+        observed = mgr.conjoin([gamma] + [mgr.mk_lit(v, val) for v, val in prior.items()])
+        conditioned = Bbir(mgr=mgr, formulas=[phi, observed], branch_vars=inst.branch_vars,
+                           weights=inst.weights, semiring=REAL)
         try:
-            objective = MmapObjective(inst, prior=prior)
+            objective = MmapObjective(conditioned)
         except BbirError:
             return  # prior contradicts the evidence
-        result = bb(objective, inst, literal_order=(False, True))
+        result = bb(objective, conditioned, literal_order=(False, True))
         universe = sorted(
             inst.mgr.support(inst.mgr.apply("and", *inst.formulas)) | inst.branch_set
         )
@@ -283,13 +298,3 @@ class TestSearch:
                 children = stats.interior - 1 + stats.base_cases
                 assert stats.prunes + stats.invalid + children == 2 * stats.interior
             assert stats.elapsed_ms >= 0.0
-
-    def test_result_serializes(self):
-        rng = random.Random(12)
-        inst = random_meu_instance(rng)
-        result = bb(MeuObjective(inst), inst)
-        import json
-
-        payload = json.loads(result.to_json(inst.mgr))
-        assert set(payload) == {"value", "scalar", "policy", "stats"}
-        assert set(payload["value"]) == {"prob", "util"}

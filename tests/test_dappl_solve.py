@@ -1,12 +1,13 @@
 """Compilation and end-to-end solving of decision programs."""
 
+import json
 import random
 
 import pytest
 
 from optppl import EV, EXPECTATION, MeuObjective, bb, evaluate_objective
 from optppl.bdd import BddManager, WeightMap
-from optppl.dappl import prepare, reduce, solve_meu
+from optppl.dappl import prepare, reduce, solve_compiled, solve_meu
 from optppl.oracle import dappl_meu_enum, policy_space, util_eu
 
 from corpus import random_dappl_program
@@ -34,6 +35,10 @@ class TestWorkedExample:
 
     def test_pruning_occurs(self):
         assert solve_meu(UMBRELLA)["stats"]["prunes"] > 0
+
+    def test_result_is_plain_json(self):
+        out = solve_meu(UMBRELLA)
+        assert json.loads(json.dumps(out)) == out
 
 
 class TestCompilation:
@@ -170,9 +175,11 @@ class TestPipeline:
 
     def test_return_false_has_zero_utility_weight(self):
         # utility mass attaches only to true-returning traces
-        out = solve_meu("x <- flip 0.5; if x then (reward 6 (return ff)) else reward 2")
+        core, _, compiled = prepare(
+            "x <- flip 0.5; if x then (reward 6 (return ff)) else reward 2"
+        )
+        out = solve_compiled(compiled)
         # interpreter agreement is what matters
-        core = out["_internal"]["core"]
         assert abs(out["meu"] - util_eu(core)) < 1e-9
 
     def test_observe_on_reward_carrying_value(self):
@@ -184,8 +191,8 @@ class TestPipeline:
         observe b;
         reward 1
         """
-        out = solve_meu(src)
-        core = out["_internal"]["core"]
+        core, _, compiled = prepare(src)
+        out = solve_compiled(compiled)
         reference = util_eu(core)
         assert abs(reference - 8.0) < 1e-9  # conditioned on x, rewards 7 + 1
         assert abs(out["meu"] - reference) < 1e-9
@@ -200,9 +207,9 @@ class TestPipeline:
         observe b;
         ()
         """
-        out = solve_meu(src)
-        core = out["_internal"]["core"]
-        eu, policy = dappl_meu_enum(core, out["_internal"]["sites"])
+        core, sites, compiled = prepare(src)
+        out = solve_compiled(compiled)
+        eu, policy = dappl_meu_enum(core, sites)
         assert abs(out["meu"] - eu) < 1e-9
         assert abs(out["meu"] - 5.0) < 1e-9
         assert out["policy"] == {"c0": "Go"}
@@ -217,9 +224,8 @@ class TestPipeline:
 @pytest.mark.parametrize("seed", range(40))
 def test_random_programs_match_enumeration(seed):
     src = random_dappl_program(seed * 7 + 1)
-    out = solve_meu(src)
-    core = out["_internal"]["core"]
-    sites = out["_internal"]["sites"]
+    core, sites, compiled = prepare(src)
+    out = solve_compiled(compiled)
     eu, _ = dappl_meu_enum(core, sites)
     if eu == float("-inf"):
         assert out["meu"] == float("-inf")
@@ -230,11 +236,8 @@ def test_random_programs_match_enumeration(seed):
 @pytest.mark.parametrize("seed", range(15))
 def test_per_policy_amc_ratio_matches_interpreter(seed):
     src = random_dappl_program(seed * 13 + 3)
-    out = solve_meu(src)
-    core = out["_internal"]["core"]
-    sites = out["_internal"]["sites"]
-    problem = out["_internal"]["bbir"]
-    compiled = out["_internal"]["compiled"]
+    core, sites, compiled = prepare(src)
+    problem = compiled.finalize()
     objective = MeuObjective(problem)
     site_map = {s.site: s for s in compiled.sites}
     for policy in policy_space(sites):

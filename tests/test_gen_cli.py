@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from optppl.dappl import solve_meu
+from optppl.dappl import prepare, solve_compiled, solve_meu
 from optppl.gen import GenError, gen_bn, gen_dr, gen_gridworld, gen_ladder, gen_nested_mmap, load_bn
 from optppl.oracle import dappl_meu_enum
 
@@ -19,8 +19,9 @@ PROGRAMS = os.path.join(ROOT, "programs")
 
 
 def oracle_equal(src):
-    out = solve_meu(src)
-    eu, _ = dappl_meu_enum(out["_internal"]["core"], out["_internal"]["sites"])
+    core, sites, compiled = prepare(src)
+    out = solve_compiled(compiled)
+    eu, _ = dappl_meu_enum(core, sites)
     assert abs(out["meu"] - eu) < 1e-6
     return out
 
@@ -153,6 +154,23 @@ class TestCli:
         assert proc.returncode == 0
         text = out.read_text()
         assert text.startswith("digraph") and "dashed" in text
+
+    def test_solve_pineappl_dot(self, tmp_path):
+        out = tmp_path / "defs.dot"
+        proc = run_cli("solve", os.path.join(PROGRAMS, "diagnosis.pineappl"), "--dot", str(out))
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        assert payload["dot"] == str(out)
+        assert payload["decisions"] == {"diagnosis": True}
+        text = out.read_text()
+        assert text.startswith("digraph") and "defs" in text
+
+    def test_mmap_naming_a_variable_twice(self, tmp_path):
+        path = tmp_path / "twice.pineappl"
+        path.write_text("a = flip 0.5; (x, y) = mmap(a, a); pr(x || y)")
+        proc = run_cli("solve", str(path))
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["decisions"] == {"x": False, "y": False}
 
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.dappl"

@@ -1,5 +1,6 @@
 """Imperative language: front end, expansion, staged solving, differential."""
 
+import json
 import random
 
 import pytest
@@ -172,6 +173,24 @@ class TestStagedSolving:
         assert q["assignment"] == {"disease": True}
         # Bayes over the program's own model: 0.35 / (0.35 + 0.05)
         assert abs(q["value"] - 0.35 / 0.40) < 1e-9
+
+    def test_result_is_plain_json(self):
+        out = run_program(DIAGNOSIS)
+        assert json.loads(json.dumps(out)) == out
+
+    def test_mmap_naming_a_variable_twice(self):
+        # a repeated name is one MAP variable
+        src = "a = flip 0.5; mmap(a, a)"
+        q = run_program(src)["queries"][0]
+        assert pineappl_interp(expand(parse(src))) == ([({"a": False}, 0.5)], {})
+        assert q["assignment"] == {"a": False} and abs(q["value"] - 0.5) < 1e-9
+
+    def test_staged_mmap_naming_a_variable_twice(self):
+        src = "a = flip 0.5; (x, y) = mmap(a, a); pr(x || y)"
+        out = run_program(src)
+        assert pineappl_interp(expand(parse(src)))[1] == {"x": False, "y": False}
+        assert out["decisions"] == {"x": False, "y": False}
+        assert out["queries"][0]["value"] == 0.0
 
     def test_mmap_of_deterministic_variable(self):
         out = run_program("x = tt; mmap(x)")
