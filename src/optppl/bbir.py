@@ -3,9 +3,10 @@
 A :class:`Bbir` packages formulas (as BDD handles), an ordered set of branch
 variables ``X``, and a literal weight map over a branch-and-bound semiring.
 :func:`ub` and :func:`lb` compute single-pass bounds that replace the sum at
-a branch variable by a join (resp. meet); :func:`bb` searches the space of
-total branch assignments, pruning a branch whenever its bound is dominated
-by the incumbent under the lattice order.
+a branch variable by a join (resp. meet), as runs of the one semiring walk
+:meth:`BddManager.count`; :func:`bb` searches the space of total branch
+assignments, pruning a branch whenever its bound is dominated by the
+incumbent under the lattice order.
 
 An optional validity formula restricts which branch assignments count as
 policies (the surface compiler uses it for its one-hot choice encoding);
@@ -65,95 +66,17 @@ class Bbir:
 # ---------------------------------------------------------------------------
 
 def _bound_pass(bbir: Bbir, root: int, validity: int, universe, conditioned, use_join: bool):
-    """Walk ``root`` over ``universe`` with sums outside X and joins/meets at X.
+    """Count ``root`` over ``universe`` with sums outside X and joins/meets at X.
 
     ``validity`` is walked in lockstep; branch literals whose validity child
     is unsatisfiable contribute nothing.  ``conditioned`` variables (already
-    fixed by the caller's partial policy) are skipped entirely.
+    fixed by the caller's partial policy) are skipped entirely.  Each pass
+    gets a fresh memo, so bound walks never fill ``amc``'s cross-call cache.
     """
-    mgr = bbir.mgr
     sr = bbir.semiring
-    wm = bbir.weights
-    xset = bbir.branch_set
+    rest = [v for v in universe if v not in conditioned]
     combine = sr.join if use_join else sr.meet
-    add, mul = sr.add, sr.mul
-    one, zero = sr.one, sr.zero
-    positions = [v for v in universe if v not in conditioned]
-    n = len(positions)
-    pos_of = {v: i for i, v in enumerate(positions)}
-    # per-variable gap factor for levels skipped by both diagrams
-    gaps = []
-    for var in positions:
-        wpos, wneg = wm.get(var)
-        gaps.append(combine(wpos, wneg) if var in xset else add(wpos, wneg))
-    suffix = [one] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = mul(gaps[i], suffix[i + 1])
-
-    def top(f: int, v: int) -> int:
-        p = n
-        if f > TRUE:
-            p = pos_of[mgr.var_of(f)]
-        if v > TRUE:
-            p = min(p, pos_of[mgr.var_of(v)])
-        return p
-
-    def span(i: int, j: int):
-        if j >= n:
-            return suffix[i]
-        acc = one
-        for k in range(i, j):
-            acc = mul(acc, gaps[k])
-        return acc
-
-    memo = {}
-
-    def rec(f: int, v: int):
-        # value over the universe suffix from the topmost tested position
-        if f == FALSE:
-            return zero
-        i = top(f, v)
-        if i == n:
-            return one
-        key = (f, v)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        var = positions[i]
-        if f > TRUE and mgr.var_of(f) == var:
-            flo, fhi = mgr.children(f)
-        else:
-            flo = fhi = f
-        if v > TRUE and mgr.var_of(v) == var:
-            vlo, vhi = mgr.children(v)
-        else:
-            vlo = vhi = v
-        wpos, wneg = wm.get(var)
-
-        def branch_value(w, fc, vc):
-            if fc == FALSE:
-                return zero
-            return mul(w, mul(span(i + 1, top(fc, vc)), rec(fc, vc)))
-
-        if var in xset:
-            # a literal whose validity child is unsatisfiable selects no
-            # completion and is excluded from the join/meet outright
-            parts = []
-            if vhi != FALSE:
-                parts.append(branch_value(wpos, fhi, vhi))
-            if vlo != FALSE:
-                parts.append(branch_value(wneg, flo, vlo))
-            out = parts[0] if parts else zero
-            for p in parts[1:]:
-                out = combine(out, p)
-        else:
-            out = add(branch_value(wpos, fhi, vhi), branch_value(wneg, flo, vlo))
-        memo[key] = out
-        return out
-
-    if validity == FALSE:
-        return zero
-    return mul(span(0, top(root, validity)), rec(root, validity))
+    return bbir.mgr.count(root, validity, rest, bbir.weights, sr, bbir.branch_set, combine, {})
 
 
 def _check_partial(bbir: Bbir, partial: dict):

@@ -6,12 +6,14 @@ terminals are ``FALSE = 0`` and ``TRUE = 1``.  Handles from different
 managers must never be mixed; a manager and everything derived from it is
 confined to a single thread.
 
-The algebraic model count (:meth:`BddManager.amc`) sums literal-weight
-products over all models of a formula, where the model universe is the
-domain of the supplied weight map.  Universe variables skipped along a BDD
-edge (or missing from the diagram entirely) contribute a gap factor
-``w(v) + w(~v)`` each; this keeps the count exact even when a variable's
-two literal weights do not sum to the multiplicative unit.
+One semiring walk, :meth:`BddManager.count`, sums literal-weight products
+over all models of a formula in a given variable universe; at branch
+variables a join or meet replaces the sum.  The algebraic model count
+(:meth:`BddManager.amc`, universe = the weight map's domain) and the
+branch-and-bound bounds of ``bbir`` are both runs of it.  Universe
+variables skipped along a BDD edge (or missing from the diagram entirely)
+contribute a gap factor ``w(v) + w(~v)`` each; this keeps the count exact
+even when a variable's two literal weights do not sum to the unit.
 """
 
 from __future__ import annotations
@@ -148,12 +150,6 @@ class BddManager:
     def mk_lit(self, var: int, positive: bool) -> int:
         node = self.mk_var(var)
         return node if positive else self.negate(node)
-
-    def var_of(self, node: int) -> int:
-        return self._var[node]
-
-    def children(self, node: int):
-        return self._lo[node], self._hi[node]
 
     # -- boolean combinators -------------------------------------------------
 
@@ -326,71 +322,109 @@ class BddManager:
         """Semiring sum over all models of ``root`` in the weight-map universe.
 
         Every variable in the support of ``root`` must be weighted; weighted
-        variables not tested on a path contribute their gap factor.
+        variables not tested on a path contribute their gap factor.  Node
+        values are cached across calls per weight-map contents and semiring.
         """
-        uni = sorted(weights.vars)
         cache_key = (weights.key(), semiring.name)
         cache = self._amc_caches.setdefault(cache_key, {})
         # keep at most a few live weight-map generations around
         if len(self._amc_caches) > 64:
             self._amc_caches.clear()
             cache = self._amc_caches.setdefault(cache_key, {})
-        self.amc_visits = 0
+        before = len(cache)
+        value = self.count(
+            root, TRUE, sorted(weights.vars), weights, semiring, frozenset(), None, cache
+        )
+        self.amc_visits = len(cache) - before
+        return value
+
+    def count(self, root, validity, universe, weights, semiring, branch, combine, memo):
+        """Weighted count of ``root`` over the sorted variable list ``universe``.
+
+        Sums literal-weight products over the models of ``root``, except
+        that at ``branch`` variables the two literal values (and gap
+        factors) are combined with ``combine``, a join or a meet, which
+        makes the count a branch-and-bound bound.  ``validity`` is walked
+        in lockstep; a literal whose validity child is FALSE contributes
+        nothing.  Values are memoized into ``memo``, keyed on the node
+        where the validity handle is TRUE and on ``(node, validity)``
+        otherwise, so a memo serves one universe, weighting, semiring,
+        branch set and ``combine`` only.
+        """
         mul, add = semiring.mul, semiring.add
         one, zero = semiring.one, semiring.zero
-        n_uni = len(uni)
-        pos_of = {v: i for i, v in enumerate(uni)}
-        gaps = [add(*weights.get(v)) for v in uni]
-        suffix = [one] * (n_uni + 1)
-        for i in range(n_uni - 1, -1, -1):
+        var_of, lo_of, hi_of = self._var, self._lo, self._hi
+        n = len(universe)
+        pos_of = {v: i for i, v in enumerate(universe)}
+        levels = []  # per position: (var, positive weight, negative weight, in branch)
+        gaps = []
+        for var in universe:
+            wpos, wneg = weights.get(var)
+            at_branch = var in branch
+            levels.append((var, wpos, wneg, at_branch))
+            gaps.append(combine(wpos, wneg) if at_branch else add(wpos, wneg))
+        suffix = [one] * (n + 1)
+        for i in range(n - 1, -1, -1):
             suffix[i] = mul(gaps[i], suffix[i + 1])
 
-        def span(i: int, child: int):
-            # gap factors between a node at position i-1 and its child
-            if child == FALSE:
-                return one  # annihilated anyway
-            if child == TRUE:
+        def position(node: int) -> int:
+            try:
+                return pos_of[var_of[node]]
+            except KeyError:
+                label = self._labels[var_of[node]]
+                raise BddError(f"unweighted variable in formula: {label}") from None
+
+        def top(f: int, v: int) -> int:
+            # first universe position tested by either diagram (n: none)
+            i = position(f) if f > TRUE else n
+            if v > TRUE:
+                i = min(i, position(v))
+            return i
+
+        def value(f: int, v: int, i: int):
+            # value of (f, v) over the universe from position i on
+            j = top(f, v)
+            if j == n:
                 return suffix[i]
+            if j == i:
+                return rec(f, v, j)
             acc = one
-            for k in range(i, self._position(child, pos_of)):
+            for k in range(i, j):
                 acc = mul(acc, gaps[k])
-            return acc
+            return mul(acc, rec(f, v, j))
 
-        def rec(node: int):
-            # value over the universe suffix starting at this node's variable
-            if node == FALSE:
-                return zero
-            if node == TRUE:
-                return one  # the caller's edge gap covers the rest
-            val = cache.get(node)
-            if val is not None:
-                return val
-            self.amc_visits += 1
-            i = self._position(node, pos_of)
-            wpos, wneg = weights.get(self._var[node])
-            lo, hi = self._lo[node], self._hi[node]
-            lo_val = mul(span(i + 1, lo), rec(lo))
-            hi_val = mul(span(i + 1, hi), rec(hi))
-            val = add(mul(wpos, hi_val), mul(wneg, lo_val))
-            cache[node] = val
-            return val
+        def rec(f: int, v: int, i: int):
+            # value of (f, v) from its top position i; neither is FALSE
+            key = f if v == TRUE else (f, v)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+            var, wpos, wneg, at_branch = levels[i]
+            if f > TRUE and var_of[f] == var:
+                flo, fhi = lo_of[f], hi_of[f]
+            else:
+                flo = fhi = f
+            if v > TRUE and var_of[v] == var:
+                vlo, vhi = lo_of[v], hi_of[v]
+            else:
+                vlo = vhi = v
+            hi = zero if fhi == FALSE or vhi == FALSE else mul(wpos, value(fhi, vhi, i + 1))
+            lo = zero if flo == FALSE or vlo == FALSE else mul(wneg, value(flo, vlo, i + 1))
+            if not at_branch:
+                out = add(hi, lo)
+            elif vhi == FALSE:
+                # a literal no valid completion takes is left out of the combine
+                out = lo
+            elif vlo == FALSE:
+                out = hi
+            else:
+                out = combine(hi, lo)
+            memo[key] = out
+            return out
 
-        if root == FALSE:
+        if root == FALSE or validity == FALSE:
             return zero
-        if root == TRUE:
-            return suffix[0]
-        acc = one
-        for k in range(0, self._position(root, pos_of)):
-            acc = mul(acc, gaps[k])
-        return mul(acc, rec(root))
-
-    def _position(self, node, pos_of):
-        try:
-            return pos_of[self._var[node]]
-        except KeyError:
-            raise BddError(
-                f"unweighted variable in formula: {self._labels[self._var[node]]}"
-            ) from None
+        return value(root, validity, 0)
 
     # -- model enumeration and export ------------------------------------------
 

@@ -2,6 +2,8 @@
 
 Exit codes: 0 ok, 1 usage, 2 input error (parsing, typing, malformed
 network), 3 solve error.  Errors are reported as a JSON object on stdout.
+Output is strict JSON: a non-finite float (the library's ``-inf`` utility
+of a program whose observations contradict every policy) is written as null.
 All output is plain text; NO_COLOR needs no special handling.
 """
 
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bdd import BddManager
@@ -31,8 +34,19 @@ _INPUT_ERRORS = (
 )
 
 
+def _finite(value):
+    # strict JSON has no Infinity or NaN; a non-finite float is written as null
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _emit(payload):
-    json.dump(payload, sys.stdout, indent=2)
+    json.dump(_finite(payload), sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
 
 

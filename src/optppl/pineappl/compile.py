@@ -50,10 +50,12 @@ class Compiler:
         New definitions mention only recent variables, so conjoining them
         with each other first keeps the walks over the accumulated
         constraint down to one per staged query instead of one per
-        statement.
+        statement.  The batch is folded newest first: each definition sits
+        at the bottom of the variable order, so a left-to-right fold would
+        rebuild the whole diagram above it at every step.
         """
         if self._pending:
-            batch = self.mgr.conjoin(self._pending)
+            batch = self.mgr.conjoin(reversed(self._pending))
             self._pending = []
             self._constraint = self.mgr.apply("and", self._constraint, batch)
         return self._constraint

@@ -1,5 +1,6 @@
 """Bound passes and the pruned search over random weighted problems."""
 
+import dataclasses
 import random
 
 import pytest
@@ -127,6 +128,62 @@ class TestBoundDominance:
         with pytest.raises(BbirError, match="duplicate branch variable"):
             Bbir(mgr=mgr, formulas=[mgr.mk_var(x), mgr.mk_true()],
                  branch_vars=[x, x], weights=wm, semiring=REAL)
+
+
+def one_hot_bbir(rng):
+    """Random problem whose validity is exactly_one over >= 2 branch variables."""
+    while True:
+        bbir, formula, var_of = random_bbir(
+            rng, n_vars=rng.randint(4, 8), n_branch=rng.randint(2, 5)
+        )
+        if len(bbir.branch_vars) >= 2:
+            validity = bbir.mgr.exactly_one(bbir.branch_vars)
+            return dataclasses.replace(bbir, validity=validity), formula, var_of
+
+
+class TestValidityLockstep:
+    """Bounds under a validity other than TRUE range over valid policies only."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_valid_completions_lie_between_the_bounds(self, seed):
+        rng = random.Random(1300 + seed)
+        bbir, formula, var_of = one_hot_bbir(rng)
+        base, universe = pinned_formula(bbir, formula, var_of)
+        root = bbir.formulas[0]
+        X = list(bbir.branch_vars)
+        partials = [{}] + [
+            {v: rng.random() < 0.5 for v in rng.sample(X, k=rng.randint(1, len(X) - 1))}
+            for _ in range(3)
+        ]
+        checked = 0
+        for P in partials:
+            upper = ub(bbir, root, P)
+            lower = lb(bbir, root, P)
+            for bits in all_assignments([v for v in X if v not in P]):
+                T = dict(P)
+                T.update(bits)
+                if sum(T.values()) != 1:
+                    continue  # not a policy under the one-hot validity
+                exact = exact_completion_value(bbir, base, universe, T)
+                assert le_tol(exact, upper)
+                assert le_tol(lower, exact)
+                checked += 1
+        assert checked >= len(X)  # every one-hot policy completes {}
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_bounds_are_exact_at_valid_and_zero_at_invalid_policies(self, seed):
+        rng = random.Random(1400 + seed)
+        bbir, formula, var_of = one_hot_bbir(rng)
+        base, universe = pinned_formula(bbir, formula, var_of)
+        root = bbir.formulas[0]
+        for T in all_assignments(list(bbir.branch_vars)):
+            upper = ub(bbir, root, T)
+            if sum(T.values()) == 1:
+                exact = exact_completion_value(bbir, base, universe, T)
+                assert EXPECTATION.isclose(upper, exact, TOL)
+                assert EXPECTATION.isclose(lb(bbir, root, T), exact, TOL)
+            else:
+                assert upper == EXPECTATION.zero
 
 
 class TestUbF:

@@ -172,6 +172,22 @@ class TestCli:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["decisions"] == {"x": False, "y": False}
 
+    def test_contradicting_observations_print_strict_json(self, tmp_path):
+        # the library's -inf utility is written as null, never as -Infinity
+        path = tmp_path / "contra.dappl"
+        path.write_text("x <- flip 0.5; observe x; observe !x; reward 1")
+        proc = run_cli("solve", str(path), "--oracle")
+        assert proc.returncode == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        payload = json.loads(proc.stdout, parse_constant=reject)
+        assert payload["meu"] is None and payload["value"]["util"] is None
+        assert payload["oracle"]["meu"] is None
+        assert payload["warning"]
+        assert solve_meu(path.read_text())["meu"] == float("-inf")
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.dappl"
         path.write_text("choose |")
@@ -244,6 +260,21 @@ class TestBench:
         for ra, rb in zip(a, b):
             assert ra["value"] == rb["value"]
             assert ra["policy_hash"] == rb["policy_hash"]
+
+    def test_gridworld_rows_beyond_dim_2_are_real_solves(self, tmp_path):
+        from optppl.bench import run_bench
+
+        (row,) = run_bench("gridworld", [3], csv_path=str(tmp_path / "g.csv"), seed=0)
+        assert row["status"] == "ok"
+        assert row["value"] > 0 and row["nodes"] > 0
+
+    def test_nested_mmap_nodes_are_search_created(self, tmp_path):
+        from optppl.bench import run_bench
+        from optppl.pineappl import run_program
+
+        (row,) = run_bench("nested-mmap", [4], csv_path=str(tmp_path / "n.csv"))
+        solves = run_program(gen_nested_mmap(4))["stats"]["mmap_solves"]
+        assert row["nodes"] == sum(s["nodes_created"] for s in solves)
 
     def test_quadratic_fit_helper(self):
         from helpers import fit_quadratic

@@ -192,6 +192,18 @@ class TestStagedSolving:
         assert out["decisions"] == {"x": False, "y": False}
         assert out["queries"][0]["value"] == 0.0
 
+    def test_straight_line_fold_stays_small(self):
+        # each definition sits at the bottom of the order; folding the
+        # pending definitions oldest-first rebuilt the diagram above it at
+        # every step (over 600k nodes here)
+        pairs = 300
+        src = "a_0 = tt;\n" + "".join(
+            f"t_{i} = flip 0.5; a_{i} = a_{i - 1} && t_{i};\n" for i in range(1, pairs + 1)
+        ) + f"pr(a_{pairs})"
+        out = run_program(src)
+        assert out["stats"]["bdd_nodes"] < 15000
+        assert out["queries"][0]["value"] == pytest.approx(0.5**pairs, rel=1e-9)
+
     def test_mmap_of_deterministic_variable(self):
         out = run_program("x = tt; mmap(x)")
         q = out["queries"][0]
