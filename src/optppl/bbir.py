@@ -6,7 +6,8 @@ variables ``X``, and a literal weight map over a branch-and-bound semiring.
 a branch variable by a join (resp. meet), as runs of the one semiring walk
 :meth:`BddManager.count`; :func:`bb` searches the space of total branch
 assignments, pruning a branch whenever its bound is dominated by the
-incumbent under the lattice order.
+incumbent under the lattice order.  All bound passes of one search share a
+:class:`BoundMemo`, since the search fixes branch variables in one order.
 
 An optional validity formula restricts which branch assignments count as
 policies (the surface compiler uses it for its one-hot choice encoding);
@@ -20,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .bdd import FALSE, TRUE, BddManager, WeightMap
+from .bdd import FALSE, TRUE, BddManager, CountSetup, WeightMap
 from .semiring import EXPECTATION, REAL
 
 
@@ -65,18 +66,56 @@ class Bbir:
 # Single-pass bounds (join or meet at branch variables)
 # ---------------------------------------------------------------------------
 
+def _bound_setup(bbir: Bbir, universe, weights: WeightMap, semiring, use_join: bool):
+    """Count setup of a bound pass: sums outside X, joins (or meets) at X."""
+    combine = semiring.join if use_join else semiring.meet
+    return CountSetup(universe, weights, semiring, bbir.branch_set, combine)
+
+
+class BoundMemo:
+    """The memos and fixed-prefix setups shared by the bound passes of one search.
+
+    Each objective part's bound setup (a :class:`CountSetup` with joins or
+    meets at X) gets one memo.  ``bb`` fixes the branch variables along one
+    ``order``, so every partial policy it bounds holds a prefix of that
+    order, and the conditioned sets of its passes form a chain.  A diagram
+    node's bound from its top position depends only on which conditioned
+    variables lie below it, and along a chain their number names that set,
+    whatever the order or the literals tried.  :meth:`BddManager.count`
+    keys its entries on (node, validity, that number), so an entry stays
+    valid for the whole search.  Each setup is fixed once per prefix length.
+    """
+
+    def __init__(self, mgr: BddManager, order):
+        self.mgr = mgr
+        self.order = list(order)
+        self._memos = {}  # base setup -> (setups by prefix length, memo)
+
+    def bound(self, base: CountSetup, root: int, validity: int, depth: int):
+        """Bound pass of ``root`` with the first ``depth`` variables of the order fixed."""
+        entry = self._memos.get(base)
+        if entry is None:
+            entry = self._memos[base] = ({0: base}, {})
+        setups, memo = entry
+        setup = setups.get(depth)
+        if setup is None:
+            setup = setups[depth] = base.fixing(self.order[:depth])
+        return self.mgr.count(root, validity, setup, memo)
+
+    def entries(self) -> int:
+        return sum(len(memo) for _, memo in self._memos.values())
+
+
 def _bound_pass(bbir: Bbir, root: int, validity: int, universe, conditioned, use_join: bool):
     """Count ``root`` over ``universe`` with sums outside X and joins/meets at X.
 
     ``validity`` is walked in lockstep; branch literals whose validity child
     is unsatisfiable contribute nothing.  ``conditioned`` variables (already
-    fixed by the caller's partial policy) are skipped entirely.  Each pass
-    gets a fresh memo, so bound walks never fill ``amc``'s cross-call cache.
+    fixed by the caller's partial policy) contribute nothing either.  The
+    pass gets a fresh memo, so it suits any conditioned set.
     """
-    sr = bbir.semiring
-    rest = [v for v in universe if v not in conditioned]
-    combine = sr.join if use_join else sr.meet
-    return bbir.mgr.count(root, validity, rest, bbir.weights, sr, bbir.branch_set, combine, {})
+    setup = _bound_setup(bbir, universe, bbir.weights, bbir.semiring, use_join)
+    return bbir.mgr.count(root, validity, setup.fixing(conditioned), {})
 
 
 def _check_partial(bbir: Bbir, partial: dict):
@@ -142,6 +181,16 @@ class MeuObjective:
         self.den_weights = bbir.weights.restrict(
             set(self.den_universe) - bbir.branch_set
         )
+        self.num_bound = _bound_setup(bbir, self.num_universe, bbir.weights, EXPECTATION, True)
+        # The denominator bounds read only the probability component, which
+        # the expectation semiring computes as a plain real count: the real
+        # walk gives the same floats and keeps floats, not pairs, in its memo.
+        prob = WeightMap()
+        for v in self.den_universe:
+            pos, neg = bbir.weights.get(v)
+            prob.set(v, pos.prob, neg.prob)
+        self.den_low = _bound_setup(bbir, self.den_universe, prob, REAL, False)
+        self.den_high = _bound_setup(bbir, self.den_universe, prob, REAL, True)
 
     def initial_handles(self):
         return (self.num_root, self.gamma, self.bbir.validity)
@@ -153,16 +202,22 @@ class MeuObjective:
         den = mgr.amc(den_h, self.den_weights, EXPECTATION).prob
         return EXPECTATION.scalar_div(num, den)
 
-    def bound_conditioned(self, handles, partial):
+    def bound_conditioned(self, handles, partial, memo: BoundMemo | None = None):
+        """Bound over the completions of ``partial``; ``handles`` are conditioned on it.
+
+        ``memo`` is the search's store, whose order ``partial`` must be a
+        prefix of; without one the passes use a fresh memo.
+        """
         num_h, den_h, valid_h = handles
-        bbir = self.bbir
-        conditioned = set(partial)
+        if memo is None:
+            memo = BoundMemo(self.bbir.mgr, partial)
+        depth = len(partial)
         t = EXPECTATION.mul(
-            _policy_weight(bbir, partial),
-            _bound_pass(bbir, num_h, valid_h, self.num_universe, conditioned, True),
+            _policy_weight(self.bbir, partial),
+            memo.bound(self.num_bound, num_h, valid_h, depth),
         )
-        low = _bound_pass(bbir, den_h, valid_h, self.den_universe, conditioned, False).prob
-        high = _bound_pass(bbir, den_h, valid_h, self.den_universe, conditioned, True).prob
+        low = memo.bound(self.den_low, den_h, valid_h, depth)
+        high = memo.bound(self.den_high, den_h, valid_h, depth)
         return EXPECTATION.join(_div_bound(t, low), _div_bound(t, high))
 
     def scalar(self, value):
@@ -207,6 +262,7 @@ class MmapObjective:
         self.evidence_mass = mgr.amc(self.num_root, self.den_weights, REAL)
         if self.evidence_mass == 0.0:
             raise BbirError("evidence has zero mass")
+        self.num_bound = _bound_setup(bbir, self.num_universe, bbir.weights, REAL, True)
 
     def initial_handles(self):
         return (self.num_root, None, self.bbir.validity)
@@ -217,10 +273,13 @@ class MmapObjective:
         pm = _policy_weight(self.bbir, partial)
         return pm * num / self.evidence_mass
 
-    def bound_conditioned(self, handles, partial):
+    def bound_conditioned(self, handles, partial, memo: BoundMemo | None = None):
+        """Bound over the completions of ``partial`` (see :class:`MeuObjective`)."""
         num_h, _, valid_h = handles
-        t = _policy_weight(self.bbir, partial) * _bound_pass(
-            self.bbir, num_h, valid_h, self.num_universe, set(partial), True
+        if memo is None:
+            memo = BoundMemo(self.bbir.mgr, partial)
+        t = _policy_weight(self.bbir, partial) * memo.bound(
+            self.num_bound, num_h, valid_h, len(partial)
         )
         return t / self.evidence_mass
 
@@ -263,6 +322,7 @@ class SearchStats:
     invalid: int = 0  # branches skipped because no completion is a policy
     base_cases: int = 0
     interior: int = 0
+    bound_memo_entries: int = 0  # size of the search's bound memos at its end
     elapsed_ms: float = 0.0
 
     def to_dict(self):
@@ -273,6 +333,7 @@ class SearchStats:
             "invalid": self.invalid,
             "base_cases": self.base_cases,
             "interior": self.interior,
+            "bound_memo_entries": self.bound_memo_entries,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
 
@@ -296,8 +357,11 @@ def bb(
 
     Pruning skips a branch literal exactly when its bound is dominated by
     the incumbent under the lattice order; incomparable bounds always
-    recurse.  ``literal_order`` fixes which literal is tried first, which
-    determines the witness among ties (the first maximum found is kept).
+    recurse.  Without pruning no bound is computed.  ``literal_order``
+    fixes which literal is tried first, which determines the witness among
+    ties (the first maximum found is kept).  Branch variables are fixed in
+    ``bbir.branch_vars`` order, so every bound of the search shares one
+    :class:`BoundMemo`.
     """
     sr = objective.semiring
     mgr = bbir.mgr
@@ -305,6 +369,7 @@ def bb(
     nodes_before = mgr.num_nodes
     stats = SearchStats()
     order = list(bbir.branch_vars)
+    memo = BoundMemo(mgr, order)
     state = {"best": None, "witness": None}
 
     def consider(value, partial):
@@ -328,8 +393,9 @@ def bb(
                 stats.invalid += 1
                 continue
             partial[var] = value
-            stats.bound_calls += 1
-            bound = objective.bound_conditioned(child, partial)
+            if prune:
+                stats.bound_calls += 1
+                bound = objective.bound_conditioned(child, partial, memo)
             if prune and state["best"] is not None and sr.cmp_le(bound, state["best"]):
                 stats.prunes += 1
             else:
@@ -337,6 +403,10 @@ def bb(
             del partial[var]
 
     recurse(objective.initial_handles(), order, {})
+    stats.bound_memo_entries = memo.entries()
+    # drop the store now; ``recurse`` is a reference cycle that would hold
+    # it until the next garbage collection
+    memo = None
     if state["best"] is None:
         # every branch was invalid; report the bottom element
         state["best"] = sr.bottom

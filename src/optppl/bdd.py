@@ -13,14 +13,18 @@ variables a join or meet replaces the sum.  The algebraic model count
 branch-and-bound bounds of ``bbir`` are both runs of it.  Universe
 variables skipped along a BDD edge (or missing from the diagram entirely)
 contribute a gap factor ``w(v) + w(~v)`` each; this keeps the count exact
-even when a variable's two literal weights do not sum to the unit.
+even when a variable's two literal weights do not sum to the unit.  A
+:class:`CountSetup` holds a universe's positions, weights and gap factors;
+variables conditioned away keep their positions with the unit gap, so one
+setup and one memo can serve a whole chain of conditioned sets.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable
 
 FALSE = 0
 TRUE = 1
@@ -29,6 +33,10 @@ _OPS = ("and", "or", "xor", "iff")
 
 # Serials of weight-map contents; never reused, unlike ``id()`` of a freed map.
 _WEIGHT_SERIALS = itertools.count()
+
+# Low bits of a count memo key that hold the node handle; a manager holding
+# 2**32 nodes would need far more memory than any host has.
+_NODE_BITS = 32
 
 
 class BddError(Exception):
@@ -75,6 +83,71 @@ class WeightMap:
         return self.serial
 
 
+class CountSetup:
+    """The per-universe tables that :meth:`BddManager.count` walks with.
+
+    Positions follow the sorted ``universe``.  ``levels[i]`` is (variable,
+    positive weight, negative weight, in ``branch``), and ``gaps[i]`` is the
+    position's gap factor: the sum of its two literal weights, or their
+    ``combine`` (a join or a meet) at branch variables.  ``suffix[i]`` is
+    the product of ``gaps[i:]``.  :meth:`fixing` marks variables as
+    conditioned away: they keep their positions but carry the unit gap, so
+    one universe serves every conditioned set, and ``tiers[i]`` is the
+    number of fixed positions from ``i`` on, shifted into its field of a
+    memo key.  Only positions whose gap was not the unit already count as
+    fixed.
+    """
+
+    __slots__ = ("semiring", "combine", "pos_of", "levels", "valid_shift", "gaps", "suffix", "tiers")
+
+    def __init__(self, universe, weights: WeightMap, semiring, branch=frozenset(), combine=None):
+        one, add, mul = semiring.one, semiring.add, semiring.mul
+        self.semiring = semiring
+        self.combine = combine
+        self.pos_of = {v: i for i, v in enumerate(universe)}
+        self.levels = []
+        self.gaps = []
+        for var in universe:
+            wpos, wneg = weights.get(var)
+            at_branch = var in branch
+            self.levels.append((var, wpos, wneg, at_branch))
+            self.gaps.append(combine(wpos, wneg) if at_branch else add(wpos, wneg))
+        n = len(universe)
+        self.suffix = [one] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            self.suffix[i] = mul(self.gaps[i], self.suffix[i + 1])
+        self.tiers = [0] * n
+        # memo key fields: node | fixed count << _NODE_BITS | validity << valid_shift
+        self.valid_shift = _NODE_BITS + n.bit_length()
+
+    def fixing(self, variables) -> "CountSetup":
+        """This unfixed setup with ``variables`` (universe members) fixed.
+
+        Fixing a variable whose gap already is the unit changes no table, so
+        only the others count as fixed; when none is left this is ``self``.
+        """
+        if self.tiers and self.tiers[0]:
+            raise BddError("only an unfixed count setup can be fixed")
+        one, mul = self.semiring.one, self.semiring.mul
+        fixed = {self.pos_of[v] for v in variables}
+        fixed = {i for i in fixed if self.gaps[i] != one}
+        if not fixed:
+            return self
+        out = copy.copy(self)
+        out.gaps = gaps = list(self.gaps)
+        out.tiers = tiers = list(self.tiers)
+        # below the last fixed position the suffix products stay the same
+        out.suffix = suffix = list(self.suffix)
+        tier = 0
+        for i in range(max(fixed), -1, -1):
+            if i in fixed:
+                gaps[i] = one
+                tier += 1 << _NODE_BITS
+            suffix[i] = mul(gaps[i], suffix[i + 1])
+            tiers[i] = tier
+        return out
+
+
 class BddManager:
     """Unique-table BDD manager; the variable order is registration order."""
 
@@ -90,7 +163,7 @@ class BddManager:
         self._amc_caches = {}
         self._labels = []
         self._by_label = {}
-        self.amc_visits = 0  # recursion entries of the most recent amc call
+        self.amc_visits = 0  # memo entries the most recent amc call added
 
     # -- variables ---------------------------------------------------------
 
@@ -146,10 +219,6 @@ class BddManager:
         if not 0 <= var < len(self._labels):
             raise BddError(f"unknown variable {var}")
         return self._mk(var, FALSE, TRUE)
-
-    def mk_lit(self, var: int, positive: bool) -> int:
-        node = self.mk_var(var)
-        return node if positive else self.negate(node)
 
     # -- boolean combinators -------------------------------------------------
 
@@ -232,11 +301,6 @@ class BddManager:
             self._neg_cache[a] = hit
             self._neg_cache[hit] = a
         return hit
-
-    def ite(self, g: int, t: int, e: int) -> int:
-        return self._apply(
-            "or", self._apply("and", g, t), self._apply("and", self.negate(g), e)
-        )
 
     def conjoin(self, nodes: Iterable[int]) -> int:
         acc = TRUE
@@ -332,40 +396,40 @@ class BddManager:
             self._amc_caches.clear()
             cache = self._amc_caches.setdefault(cache_key, {})
         before = len(cache)
-        value = self.count(
-            root, TRUE, sorted(weights.vars), weights, semiring, frozenset(), None, cache
-        )
+        setup = CountSetup(sorted(weights.vars), weights, semiring)
+        value = self.count(root, TRUE, setup, cache)
         self.amc_visits = len(cache) - before
         return value
 
-    def count(self, root, validity, universe, weights, semiring, branch, combine, memo):
-        """Weighted count of ``root`` over the sorted variable list ``universe``.
+    def count(self, root, validity, setup: "CountSetup", memo):
+        """Weighted count of ``root`` over the universe of ``setup``.
 
         Sums literal-weight products over the models of ``root``, except
-        that at ``branch`` variables the two literal values (and gap
-        factors) are combined with ``combine``, a join or a meet, which
-        makes the count a branch-and-bound bound.  ``validity`` is walked
-        in lockstep; a literal whose validity child is FALSE contributes
-        nothing.  Values are memoized into ``memo``, keyed on the node
-        where the validity handle is TRUE and on ``(node, validity)``
-        otherwise, so a memo serves one universe, weighting, semiring,
-        branch set and ``combine`` only.
+        that at the setup's branch variables the two literal values (and
+        gap factors) are combined with its ``combine``, a join or a meet,
+        which makes the count a branch-and-bound bound.  ``validity`` is
+        walked in lockstep; a literal whose validity child is FALSE
+        contributes nothing.  Neither handle may test a fixed variable of
+        the setup.
+
+        Values are memoized into ``memo``, keyed on the node, the validity
+        handle and the number of fixed variables below the node (see
+        :class:`CountSetup`), packed into one int that is the bare node when
+        the other two are TRUE and 0.  A node's value from its top position
+        depends on the two handles, the weights at and below that position
+        and which of the variables below are fixed.  So one memo serves
+        every run over setups that share a universe, weighting, semiring,
+        branch set and ``combine`` and whose fixed sets form a chain (each
+        contains the one before): along a chain, the number of fixed
+        variables below a node names them.
         """
-        mul, add = semiring.mul, semiring.add
+        semiring = setup.semiring
+        mul, add, combine = semiring.mul, semiring.add, setup.combine
         one, zero = semiring.one, semiring.zero
         var_of, lo_of, hi_of = self._var, self._lo, self._hi
-        n = len(universe)
-        pos_of = {v: i for i, v in enumerate(universe)}
-        levels = []  # per position: (var, positive weight, negative weight, in branch)
-        gaps = []
-        for var in universe:
-            wpos, wneg = weights.get(var)
-            at_branch = var in branch
-            levels.append((var, wpos, wneg, at_branch))
-            gaps.append(combine(wpos, wneg) if at_branch else add(wpos, wneg))
-        suffix = [one] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = mul(gaps[i], suffix[i + 1])
+        pos_of, levels, gaps = setup.pos_of, setup.levels, setup.gaps
+        suffix, tiers, valid_shift = setup.suffix, setup.tiers, setup.valid_shift
+        n = len(levels)
 
         def position(node: int) -> int:
             try:
@@ -395,7 +459,9 @@ class BddManager:
 
         def rec(f: int, v: int, i: int):
             # value of (f, v) from its top position i; neither is FALSE
-            key = f if v == TRUE else (f, v)
+            tier = tiers[i]
+            # the bare node is an existing int object; a packed key is a new one
+            key = f if v == TRUE and not tier else f | tier | (v - TRUE) << valid_shift
             hit = memo.get(key)
             if hit is not None:
                 return hit
@@ -426,36 +492,7 @@ class BddManager:
             return zero
         return value(root, validity, 0)
 
-    # -- model enumeration and export ------------------------------------------
-
-    def enumerate_models(self, root: int, universe) -> Iterator[dict]:
-        """Yield every satisfying total assignment over ``universe``."""
-        universe = sorted(universe)
-        missing = self.support(root) - set(universe)
-        if missing:
-            raise BddError("universe does not cover the formula's variables")
-
-        def rec(node, i, partial):
-            if node == FALSE:
-                return
-            if i == len(universe):
-                yield dict(partial)
-                return
-            v = universe[i]
-            nv = self._var[node] if node > TRUE else -1
-            for value in (False, True):
-                if nv == v:
-                    child = self._hi[node] if value else self._lo[node]
-                else:
-                    child = node
-                partial[v] = value
-                yield from rec(child, i + 1, partial)
-            del partial[v]
-
-        yield from rec(root, 0, {})
-
-    def model_count(self, root: int, universe) -> int:
-        return sum(1 for _ in self.enumerate_models(root, universe))
+    # -- export ----------------------------------------------------------------
 
     def to_dot(self, roots, names=None) -> str:
         """GraphViz text: solid high edges, dashed low edges, boxed terminals."""

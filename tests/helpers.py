@@ -1,11 +1,12 @@
 """Shared builders: random tuple formulas mirrored into BDDs, random search problems,
-and a quadratic least-squares fit for scaling-shape checks."""
+BDD literals and model enumeration, and a quadratic least-squares fit for
+scaling-shape checks."""
 
 from __future__ import annotations
 
 import random
 
-from optppl import EV, EXPECTATION, REAL, Bbir, BddManager, WeightMap
+from optppl import EV, EXPECTATION, FALSE, REAL, Bbir, BddError, BddManager, WeightMap
 
 
 def random_formula(rng: random.Random, names, depth=3):
@@ -40,6 +41,42 @@ def build_bdd(mgr: BddManager, formula, var_of: dict) -> int:
 
 def fresh_vars(mgr: BddManager, count, stem="v"):
     return [mgr.new_var(f"{stem}{i}") for i in range(count)]
+
+
+def mk_lit(mgr: BddManager, var: int, positive: bool) -> int:
+    node = mgr.mk_var(var)
+    return node if positive else mgr.negate(node)
+
+
+def ite(mgr: BddManager, g: int, t: int, e: int) -> int:
+    return mgr.apply("or", mgr.apply("and", g, t), mgr.apply("and", mgr.negate(g), e))
+
+
+def enumerate_models(mgr: BddManager, root: int, universe):
+    """Yield every satisfying total assignment over ``universe``."""
+    universe = sorted(universe)
+    missing = mgr.support(root) - set(universe)
+    if missing:
+        raise BddError("universe does not cover the formula's variables")
+
+    def rec(node, i, partial):
+        if node == FALSE:
+            return
+        if i == len(universe):
+            yield dict(partial)
+            return
+        v = universe[i]
+        for value in (False, True):
+            # v is at or above the node's top variable, so this allocates nothing
+            partial[v] = value
+            yield from rec(mgr.condition(node, v, value), i + 1, partial)
+        del partial[v]
+
+    yield from rec(root, 0, {})
+
+
+def model_count(mgr: BddManager, root: int, universe) -> int:
+    return sum(1 for _ in enumerate_models(mgr, root, universe))
 
 
 def random_ev_weights(rng: random.Random, variables, util_lo=0.0, util_hi=10.0):

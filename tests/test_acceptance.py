@@ -7,6 +7,7 @@ the failing test's message); it is kept red rather than weakened.
 
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -37,6 +38,7 @@ from corpus import random_dappl_program, random_pineappl_program
 from helpers import (
     all_assignments,
     fit_quadratic,
+    mk_lit,
     random_bbir,
     random_meu_instance,
     rename_formula,
@@ -88,7 +90,7 @@ def test_criterion_2_amc_and_upper_bound_worked_examples():
     mgr = BddManager()
     ids = [mgr.new_var(n) for n in ["r", "R10", "R-5", "R-100"]]
     r, r10, r5, r100 = ids
-    lit = mgr.mk_lit
+    lit = partial(mk_lit, mgr)
     phi_u = mgr.apply(
         "or",
         mgr.conjoin([lit(r, True), lit(r10, True), lit(r5, False), lit(r100, False)]),

@@ -21,10 +21,14 @@ from optppl import (
     ub,
     ub_f,
 )
+from optppl.dappl import prepare, solve_compiled
+from optppl.gen import gen_dr, gen_ladder, gen_nested_mmap
 from optppl.oracle import brute_amc, mmap_enum
+from optppl.pineappl import run_program
 
 from helpers import (
     all_assignments,
+    mk_lit,
     random_bbir,
     random_meu_instance,
     random_mmap_instance,
@@ -308,7 +312,7 @@ class TestSearch:
         # the prior literals are conjoined into the evidence formula
         mgr = inst.mgr
         phi, gamma = inst.formulas
-        observed = mgr.conjoin([gamma] + [mgr.mk_lit(v, val) for v, val in prior.items()])
+        observed = mgr.conjoin([gamma] + [mk_lit(mgr, v, val) for v, val in prior.items()])
         conditioned = Bbir(mgr=mgr, formulas=[phi, observed], branch_vars=inst.branch_vars,
                            weights=inst.weights, semiring=REAL)
         try:
@@ -355,3 +359,183 @@ class TestSearch:
                 children = stats.interior - 1 + stats.base_cases
                 assert stats.prunes + stats.invalid + children == 2 * stats.interior
             assert stats.elapsed_ms >= 0.0
+
+
+def recorded_search(objective, inst, **kwargs):
+    """Run ``bb`` and record every (handles, partial, bound) it computes."""
+    calls = []
+    inner = objective.bound_conditioned
+
+    def record(handles, partial, memo=None):
+        bound = inner(handles, partial, memo)
+        calls.append((handles, dict(partial), bound))
+        return bound
+
+    objective.bound_conditioned = record
+    try:
+        return bb(objective, inst, **kwargs), calls
+    finally:
+        del objective.bound_conditioned
+
+
+def fresh_memo_search(objective, inst, **kwargs):
+    """Run ``bb`` with every bound computed from a fresh memo."""
+    inner = objective.bound_conditioned
+
+    def fresh(handles, partial, memo=None):
+        return inner(handles, partial)
+
+    objective.bound_conditioned = fresh
+    try:
+        return bb(objective, inst, **kwargs)
+    finally:
+        del objective.bound_conditioned
+
+
+def search_variants(inst, rng):
+    """The instance, then shuffled and non-unit-weighted, then also one-hot valid."""
+    yield inst
+    branch = list(inst.branch_vars)
+    rng.shuffle(branch)
+    weights = WeightMap({v: inst.weights.get(v) for v in inst.weights.vars})
+    for v in branch:
+        if inst.semiring is EXPECTATION:
+            weights.set(v, EV(rng.uniform(0.2, 1.5), rng.uniform(0, 10)),
+                        EV(rng.uniform(0.2, 1.5), rng.uniform(0, 10)))
+        else:
+            weights.set(v, rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0))
+    shuffled = dataclasses.replace(inst, branch_vars=branch, weights=weights)
+    yield shuffled
+    if len(branch) >= 2:
+        yield dataclasses.replace(shuffled, validity=inst.mgr.exactly_one(branch))
+
+
+def single_pass_bound(objective, handles, partial):
+    """The objective's bound from one-off ``_bound_pass`` runs in its own semiring."""
+    from optppl.bbir import _bound_pass, _div_bound, _policy_weight
+
+    inst = objective.bbir
+    num_h, den_h, valid_h = handles
+    conditioned = set(partial)
+    num = _bound_pass(inst, num_h, valid_h, objective.num_universe, conditioned, True)
+    t = inst.semiring.mul(_policy_weight(inst, partial), num)
+    if objective.kind == "mmap":
+        return t / objective.evidence_mass
+    low = _bound_pass(inst, den_h, valid_h, objective.den_universe, conditioned, False).prob
+    high = _bound_pass(inst, den_h, valid_h, objective.den_universe, conditioned, True).prob
+    return EXPECTATION.join(_div_bound(t, low), _div_bound(t, high))
+
+
+def assert_memo_matches_fresh(make_objective, inst):
+    for literal_order in ((True, False), (False, True)):
+        objective = make_objective(inst)
+        result, calls = recorded_search(objective, inst, literal_order=literal_order)
+        assert len(calls) == result.stats.bound_calls
+        for handles, partial, bound in calls:
+            assert objective.bound_conditioned(handles, partial) == bound
+            assert single_pass_bound(objective, handles, partial) == bound
+        fresh = fresh_memo_search(objective, inst, literal_order=literal_order)
+        assert result.value == fresh.value
+        assert result.witness == fresh.witness
+        for name in ("prunes", "invalid", "bound_calls"):
+            assert getattr(result.stats, name) == getattr(fresh.stats, name)
+
+
+class TestSearchMemo:
+    """One bound memo per search gives the bounds of a fresh memo per call."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_meu_memo_bounds_equal_fresh_bounds(self, seed):
+        rng = random.Random(5000 + seed)
+        inst = random_meu_instance(rng)
+        if inst is None:
+            return
+        for variant in search_variants(inst, rng):
+            assert_memo_matches_fresh(MeuObjective, variant)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_mmap_memo_bounds_equal_fresh_bounds(self, seed):
+        rng = random.Random(5100 + seed)
+        out = random_mmap_instance(rng)
+        if out is None:
+            return
+        for variant in search_variants(out[0], rng):
+            try:
+                MmapObjective(variant)
+            except BbirError:
+                return  # evidence unsatisfiable
+            assert_memo_matches_fresh(MmapObjective, variant)
+
+    @pytest.mark.parametrize("family", ["dr", "ladder"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_generated_programs_memo_bounds_equal_fresh_bounds(self, family, n):
+        src = gen_dr(n, seed=1) if family == "dr" else gen_ladder(n, seed=1)
+        problem = prepare(src)[2].finalize()
+        branch = list(problem.branch_vars)
+        random.Random(n).shuffle(branch)
+        for inst in (problem, dataclasses.replace(problem, branch_vars=branch)):
+            assert_memo_matches_fresh(MeuObjective, inst)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_ub_f_after_a_search_matches_brute_force(self, seed):
+        rng = random.Random(5200 + seed)
+        inst = random_meu_instance(rng)
+        if inst is None or len(inst.branch_vars) < 2:
+            return
+        branch = list(inst.branch_vars)
+        rng.shuffle(branch)
+        inst = dataclasses.replace(inst, branch_vars=branch)
+        objective = MeuObjective(inst)
+        bb(objective, inst)
+        # a partial policy without the search's first variable is no prefix
+        P = {v: rng.random() < 0.5 for v in rng.sample(branch[1:], k=rng.randint(1, len(branch) - 1))}
+        m = ub_f(objective, inst, P)
+        assert m == ub_f(MeuObjective(inst), inst, P)
+        for bits in all_assignments([v for v in branch if v not in P]):
+            T = dict(P)
+            T.update(bits)
+            value = evaluate_objective(objective, inst, T)
+            if value.util == float("-inf"):
+                continue  # impossible evidence loses against anything
+            assert le_tol(value, m)
+            assert EXPECTATION.isclose(ub_f(objective, inst, T), value, TOL)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unpruned_search_runs_no_bound_pass(self, seed):
+        rng = random.Random(5300 + seed)
+        meu = random_meu_instance(rng)
+        mmap = random_mmap_instance(rng)
+        problems = []
+        if meu is not None:
+            problems.append((MeuObjective(meu), meu))
+        if mmap is not None:
+            try:
+                problems.append((MmapObjective(mmap[0]), mmap[0]))
+            except BbirError:
+                pass  # evidence unsatisfiable
+        for objective, inst in problems:
+            pruned = bb(objective, inst)
+
+            def no_bound(*args, **kwargs):
+                raise AssertionError("a bound pass ran without pruning")
+
+            objective.bound_conditioned = no_bound
+            plain = bb(objective, inst, prune=False)
+            assert plain.value == pruned.value
+            assert plain.witness == pruned.witness
+            assert plain.stats.bound_calls == 0
+            assert plain.stats.bound_memo_entries == 0
+
+    def test_bound_memo_entries_are_reported(self):
+        out = solve_compiled(prepare(gen_dr(4, seed=0))[2])
+        assert out["stats"]["bound_memo_entries"] > 0
+        mgr = BddManager()
+        x = mgr.new_var("x")
+        wm = WeightMap({x: (EV(0.25, 2.0), EV(0.75, 0.0))})
+        inst = Bbir(mgr=mgr, formulas=[mgr.mk_var(x), mgr.mk_true()],
+                    branch_vars=[], weights=wm, semiring=EXPECTATION)
+        stats = bb(MeuObjective(inst), inst).stats
+        assert stats.bound_memo_entries == 0
+        assert stats.to_dict()["bound_memo_entries"] == 0
+        solves = run_program(gen_nested_mmap(3))["stats"]["mmap_solves"]
+        assert solves and all(s["bound_memo_entries"] > 0 for s in solves)

@@ -1,13 +1,24 @@
 """Decision-diagram engine: canonicity, combinators, and model counting."""
 
 import random
+from functools import partial
 
 import pytest
 
 from optppl import EV, EXPECTATION, FALSE, REAL, TRUE, BddError, BddManager, WeightMap
 from optppl.oracle import brute_amc
 
-from helpers import all_assignments, build_bdd, fresh_vars, random_formula, rename_formula
+from helpers import (
+    all_assignments,
+    build_bdd,
+    enumerate_models,
+    fresh_vars,
+    ite,
+    mk_lit,
+    model_count,
+    random_formula,
+    rename_formula,
+)
 
 
 @pytest.fixture
@@ -17,7 +28,7 @@ def mgr():
 
 def truth_table(mgr, node, universe):
     return tuple(
-        any(sigma == m for m in mgr.enumerate_models(node, universe))
+        any(sigma == m for m in enumerate_models(mgr, node, universe))
         for sigma in all_assignments(universe)
     )
 
@@ -46,7 +57,7 @@ class TestConstruction:
 
     def test_no_redundant_nodes(self, mgr):
         x, y = mgr.new_var("x"), mgr.new_var("y")
-        node = mgr.ite(mgr.mk_var(x), mgr.mk_var(y), mgr.mk_var(y))
+        node = ite(mgr, mgr.mk_var(x), mgr.mk_var(y), mgr.mk_var(y))
         assert node == mgr.mk_var(y)
 
 
@@ -65,7 +76,7 @@ class TestApplyAgainstTruthTables:
             expected = feval(formula, sigma)
             got = any(
                 all(m[ids[n]] == sigma[n] for n in names)
-                for m in mgr.enumerate_models(node, ids.values())
+                for m in enumerate_models(mgr, node, ids.values())
             )
             assert got == expected
 
@@ -87,7 +98,7 @@ class TestApplyAgainstTruthTables:
 class TestCondition:
     def test_worked_umbrella_conditioning(self, mgr):
         r, r10, r5, r100 = (mgr.new_var(n) for n in ["r", "R10", "R-5", "R-100"])
-        lit = mgr.mk_lit
+        lit = partial(mk_lit, mgr)
         phi_u = mgr.apply(
             "or",
             mgr.conjoin([lit(r, True), lit(r10, True), lit(r5, False), lit(r100, False)]),
@@ -139,7 +150,7 @@ class TestCondition:
                 want = feval(formula, sigma_full)
                 got = any(
                     all(m.get(ids[n], sigma[n]) == sigma[n] for n in rest)
-                    for m in mgr.enumerate_models(conditioned, [ids[n] for n in rest])
+                    for m in enumerate_models(mgr, conditioned, [ids[n] for n in rest])
                 )
                 assert got == want
 
@@ -152,7 +163,7 @@ class TestExactlyOne:
     def test_two_models(self, mgr):
         u, n = mgr.new_var("u"), mgr.new_var("n")
         node = mgr.exactly_one([u, n])
-        models = [frozenset(m.items()) for m in mgr.enumerate_models(node, [u, n])]
+        models = [frozenset(m.items()) for m in enumerate_models(mgr, node, [u, n])]
         assert sorted(models, key=sorted) == sorted(
             [frozenset({(u, True), (n, False)}), frozenset({(u, False), (n, True)})],
             key=sorted,
@@ -161,7 +172,7 @@ class TestExactlyOne:
     def test_five_variables_five_models(self, mgr):
         ids = fresh_vars(mgr, 5)
         node = mgr.exactly_one(ids)
-        assert mgr.model_count(node, ids) == 5
+        assert model_count(mgr, node, ids) == 5
 
     def test_empty_rejected(self, mgr):
         with pytest.raises(BddError):
@@ -189,7 +200,7 @@ class TestAmc:
     def test_umbrella_worked_example(self, mgr):
         ids = [mgr.new_var(n) for n in ["r", "R10", "R-5", "R-100"]]
         r, r10, r5, r100 = ids
-        lit = mgr.mk_lit
+        lit = partial(mk_lit, mgr)
         phi_u = mgr.apply(
             "or",
             mgr.conjoin([lit(r, True), lit(r10, True), lit(r5, False), lit(r100, False)]),
@@ -282,19 +293,19 @@ class TestAmc:
 class TestEnumerationAndDot:
     def test_enumerate_true_over_one_var(self, mgr):
         x = mgr.new_var("x")
-        models = list(mgr.enumerate_models(TRUE, [x]))
+        models = list(enumerate_models(mgr, TRUE, [x]))
         assert models == [{x: False}, {x: True}]
 
     def test_enumerate_umbrella_models(self, mgr):
         ids = [mgr.new_var(n) for n in ["r", "R10", "R-5", "R-100"]]
         r, r10, r5, r100 = ids
-        lit = mgr.mk_lit
+        lit = partial(mk_lit, mgr)
         phi_u = mgr.apply(
             "or",
             mgr.conjoin([lit(r, True), lit(r10, True), lit(r5, False), lit(r100, False)]),
             mgr.conjoin([lit(r, False), lit(r10, False), lit(r5, True), lit(r100, False)]),
         )
-        assert mgr.model_count(phi_u, ids) == 2
+        assert model_count(mgr, phi_u, ids) == 2
 
     def test_dot_output_shape(self, mgr):
         x, y = mgr.new_var("x"), mgr.new_var("y")

@@ -2,6 +2,7 @@
 
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -11,6 +12,7 @@ from optppl.dappl import prepare, reduce, solve_compiled, solve_meu
 from optppl.oracle import dappl_meu_enum, policy_space, util_eu
 
 from corpus import random_dappl_program
+from helpers import enumerate_models, mk_lit
 
 UMBRELLA = """
 rainy <- flip 0.1;
@@ -81,7 +83,7 @@ class TestCompilation:
                 r100: (EV(1, -100), EV(1, 0)),
             }
         )
-        lit = hand.mk_lit
+        lit = partial(mk_lit, hand)
         phi_u = hand.apply(
             "or",
             hand.conjoin([lit(r, True), lit(r10, True), lit(r5, False), lit(r100, False)]),
@@ -138,7 +140,7 @@ class TestCompilation:
             if mgr.var_label(v).startswith("r_")
         }
         label = mgr.var_label
-        for model in mgr.enumerate_models(phi, mgr.support(phi)):
+        for model in enumerate_models(mgr, phi, mgr.support(phi)):
             awarded = sorted(label(v) for v in reward_vars if model[v])
             chosen_a = model[compiled.sites[0].vars[0]]
             x_true = [model[v] for v in model if label(v).startswith("f_")][0]

@@ -127,6 +127,15 @@ class TestCli:
         assert payload["delta"] < 1e-6
         assert payload["stats"]["bound_calls"] > 0
 
+    def test_solve_stats_carry_bound_memo_entries(self, tmp_path):
+        path = tmp_path / "dr4.dappl"
+        path.write_text(gen_dr(4, seed=0))
+        payload = json.loads(run_cli("solve", str(path), "--stats").stdout)
+        assert payload["stats"]["bound_memo_entries"] > 0
+        proc = run_cli("solve", os.path.join(PROGRAMS, "diagnosis.pineappl"), "--stats")
+        solves = json.loads(proc.stdout)["stats"]["mmap_solves"]
+        assert solves and all("bound_memo_entries" in s for s in solves)
+
     def test_solve_pineappl_with_oracle(self):
         proc = run_cli("solve", os.path.join(PROGRAMS, "diagnosis.pineappl"), "--oracle")
         payload = json.loads(proc.stdout)

@@ -20,6 +20,7 @@ from optppl.pineappl import ast as P
 from optppl.pineappl.ast import render_expr
 
 from corpus import random_pineappl_program
+from helpers import enumerate_models
 
 DIAGNOSIS = """
 disease = flip 0.5;
@@ -245,7 +246,7 @@ class TestStagedSolving:
         flips = {mgr.var_label(v).split("@")[0]: v for v in compiler.weights.vars}
         f05, f07, f01 = flips["f_0.5"], flips["f_0.7"], flips["f_0.1"]
         universe = sorted(mgr.support(constraint))
-        models = list(mgr.enumerate_models(constraint, universe))
+        models = list(enumerate_models(mgr, constraint, universe))
         assert len(models) == 8  # one model per flip combination
         for m in models:
             assert m[disease] == m[f05]
