@@ -357,9 +357,10 @@ def bb(
 
     Pruning skips a branch literal exactly when its bound is dominated by
     the incumbent under the lattice order; incomparable bounds always
-    recurse.  Without pruning no bound is computed.  ``literal_order``
-    fixes which literal is tried first, which determines the witness among
-    ties (the first maximum found is kept).  Branch variables are fixed in
+    recurse.  A bound is computed only once there is an incumbent, and
+    without pruning never.  ``literal_order`` fixes which literal is tried
+    first, which determines the witness among ties (the first maximum found
+    is kept).  Branch variables are fixed in
     ``bbir.branch_vars`` order, so every bound of the search shares one
     :class:`BoundMemo`.
     """
@@ -379,6 +380,14 @@ def bb(
             state["best"] = value
             state["witness"] = dict(partial)
 
+    def dominated(handles, partial):
+        # before the first leaf there is no incumbent for a bound to beat
+        if not prune or state["best"] is None:
+            return False
+        stats.bound_calls += 1
+        bound = objective.bound_conditioned(handles, partial, memo)
+        return sr.cmp_le(bound, state["best"])
+
     def recurse(handles, remaining, partial):
         if not remaining:
             stats.base_cases += 1
@@ -393,20 +402,17 @@ def bb(
                 stats.invalid += 1
                 continue
             partial[var] = value
-            if prune:
-                stats.bound_calls += 1
-                bound = objective.bound_conditioned(child, partial, memo)
-            if prune and state["best"] is not None and sr.cmp_le(bound, state["best"]):
+            if dominated(child, partial):
                 stats.prunes += 1
             else:
                 recurse(child, rest, partial)
             del partial[var]
 
-    recurse(objective.initial_handles(), order, {})
+    try:
+        recurse(objective.initial_handles(), order, {})
+    finally:
+        recurse = None  # it refers to itself; break the cycle
     stats.bound_memo_entries = memo.entries()
-    # drop the store now; ``recurse`` is a reference cycle that would hold
-    # it until the next garbage collection
-    memo = None
     if state["best"] is None:
         # every branch was invalid; report the bottom element
         state["best"] = sr.bottom

@@ -490,7 +490,10 @@ class BddManager:
 
         if root == FALSE or validity == FALSE:
             return zero
-        return value(root, validity, 0)
+        try:
+            return value(root, validity, 0)
+        finally:
+            rec = value = None  # they refer to each other; break the cycle
 
     # -- export ----------------------------------------------------------------
 

@@ -1,13 +1,24 @@
-"""Staged Boolean compilation: statements accumulate a definitional constraint,
-mmap statements are solved against it mid-compilation, and queries evaluate
-as ratios of real-semiring model counts over the finished constraint.
+"""Staged Boolean compilation: statements accumulate definitions, mmap
+statements are solved mid-compilation, and queries evaluate as ratios of
+real-semiring model counts.
 
-Every program variable ``x`` gets a BDD variable and a definition ``x <-> phi``;
-the conjunction of all definitions is the global constraint.  A flip's
-randomness lives in its own weighted variable, program variables carry unit
-weights on both literals, and each solved mmap answer is baked in as a
-deterministic indicator variable, so later statements and queries see the
-decided value.
+Every program variable ``x`` gets a BDD variable and a definition ``x <-> phi``.
+A flip's randomness lives in its own weighted variable, program variables
+carry unit weights on both literals, and each solved mmap answer is baked in
+as a deterministic indicator variable, so later statements and queries see
+the decided value.
+
+Definitions are filed into independent components, as knowledge compilers
+decompose a formula: a union-find over variables joins ``x`` with every
+variable of ``phi``.  A staged solve (an ``mmap`` statement or query, or a
+``pr`` query) conjoins only the definitions of the components its variables
+touch, and counts over their variables alone.  This is exact because every
+component has total mass 1: its program variables are defined, flips are
+normalized and mmap indicators are one-hot.  An untouched component thus
+contributes a factor of 1 to every count, and a staged solve costs what its
+own components cost, not what the whole program so far costs.  The
+conjunction of all definitions, :attr:`Compiler.constraint`, is built only
+on request.
 """
 
 from __future__ import annotations
@@ -35,8 +46,9 @@ class Compiler:
         self.mgr = mgr if mgr is not None else BddManager()
         self.weights = WeightMap()
         self.env = {}  # program name -> BDD variable
-        self._constraint = self.mgr.mk_true()
-        self._pending = []  # definition constraints not yet conjoined
+        self._definitions = []  # the definitions, oldest first
+        self._parent = {}  # union-find over variables
+        self._members = {}  # component root -> indices of its definitions
         self.decisions = {}
         self.solver_stats = []
         self._flips = 0
@@ -45,20 +57,45 @@ class Compiler:
 
     @property
     def constraint(self) -> int:
-        """Conjunction of all definitions; pending ones are folded in lazily.
+        """Conjunction of all definitions, built on request; solves never need it."""
+        return self._conjoin(range(len(self._definitions)))
 
-        New definitions mention only recent variables, so conjoining them
-        with each other first keeps the walks over the accumulated
-        constraint down to one per staged query instead of one per
-        statement.  The batch is folded newest first: each definition sits
-        at the bottom of the variable order, so a left-to-right fold would
-        rebuild the whole diagram above it at every step.
+    # -- components ----------------------------------------------------------------
+
+    def _find(self, var: int) -> int:
+        parent = self._parent
+        root = parent.setdefault(var, var)
+        while parent[root] != root:
+            parent[root] = parent[parent[root]]
+            root = parent[root]
+        return root
+
+    def _union(self, a: int, b: int):
+        ra, rb = self._find(a), self._find(b)
+        if ra == rb:
+            return
+        members = self._members
+        ma, mb = members.pop(ra, []), members.pop(rb, [])
+        if len(ma) < len(mb):
+            ra, rb, ma, mb = rb, ra, mb, ma
+        self._parent[rb] = ra
+        ma.extend(mb)
+        members[ra] = ma
+
+    def _scoped(self, variables) -> int:
+        """Conjunction of the definitions in the components of ``variables``."""
+        roots = {self._find(v) for v in variables}
+        return self._conjoin(sorted(i for r in roots for i in self._members.get(r, ())))
+
+    def _conjoin(self, indices) -> int:
+        """Conjunction of the definitions at ascending ``indices``, newest first.
+
+        Each definition sits at the bottom of the variable order, so an
+        oldest-first fold would rebuild the whole diagram above it at every
+        step.
         """
-        if self._pending:
-            batch = self.mgr.conjoin(reversed(self._pending))
-            self._pending = []
-            self._constraint = self.mgr.apply("and", self._constraint, batch)
-        return self._constraint
+        defs = self._definitions
+        return self.mgr.conjoin(defs[i] for i in reversed(indices))
 
     # -- expression compilation -------------------------------------------------
 
@@ -86,7 +123,10 @@ class Compiler:
         var = self.mgr.ensure_var(name)
         self.weights.set(var, 1.0, 1.0)
         self.env[name] = var
-        self._pending.append(self.mgr.apply("iff", self.mgr.mk_var(var), definition))
+        self._members[self._find(var)] = [len(self._definitions)]
+        self._definitions.append(self.mgr.apply("iff", self.mgr.mk_var(var), definition))
+        for v in self.mgr.support(definition):
+            self._union(var, v)
         return var
 
     def compile_stmt(self, stmt: A.Stmt):
@@ -124,7 +164,11 @@ class Compiler:
         self.mgr.drop_op_caches()
 
     def solve_mmap(self, queried, evidence):
-        """Run the staged query against the constraint compiled so far."""
+        """Run the staged query against the definitions compiled so far.
+
+        The search sees only the components that the queried variables and
+        the evidence touch; the rest cancel out of the posterior.
+        """
         mgr = self.mgr
         psi = mgr.mk_true() if evidence is None else self.compile_expr(evidence)
         for name in queried:
@@ -132,11 +176,12 @@ class Compiler:
                 raise PineapplCompileError(f"mmap over undefined variable {name!r}")
         # a name queried twice is one branch variable
         branch_vars = sorted({self.env[name] for name in queried})
+        constraint = self._scoped(mgr.support(psi) | set(branch_vars))
         problem = Bbir(
             mgr=mgr,
-            formulas=[self.constraint, mgr.apply("and", psi, self.constraint)],
+            formulas=[constraint, mgr.apply("and", psi, constraint)],
             branch_vars=branch_vars,
-            weights=self.weights,
+            weights=self.weights.restrict(mgr.support(constraint)),
             semiring=REAL,
         )
         try:
@@ -155,10 +200,14 @@ class Compiler:
         if isinstance(q, A.QPr):
             chi = self.compile_expr(q.expr)
             psi = mgr.mk_true() if q.evidence is None else self.compile_expr(q.evidence)
-            den = mgr.amc(mgr.apply("and", psi, self.constraint), self.weights, REAL)
+            support = mgr.support(chi) | mgr.support(psi)
+            den_root = mgr.apply("and", psi, self._scoped(support))
+            # the weights of other components would count their variables free
+            weights = self.weights.restrict(mgr.support(den_root) | support)
+            den = mgr.amc(den_root, weights, REAL)
             if den == 0.0:
                 raise PineapplRunError(f"query evidence has zero probability: {q.text}")
-            num = mgr.amc(mgr.conjoin([chi, self.constraint, psi]), self.weights, REAL)
+            num = mgr.amc(mgr.apply("and", chi, den_root), weights, REAL)
             return {"query": q.text, "value": num / den}
         if isinstance(q, A.QMmap):
             assignment, posterior, result = self.solve_mmap(q.queried, q.evidence)

@@ -377,20 +377,18 @@ def test_criterion_9_loop_sugar_soundness():
 def test_criterion_10_nested_query_scaling_shape():
     t0 = time.perf_counter()
     times = {}
-    for n in range(2, 41):
-        # denoise the small instances; ratios t(2n)/t(n) are tight there
-        runs = 3 if n <= 12 else 1
-        best = None
-        for _ in range(runs):
+    # best of 3 for every n, over 3 interleaved rounds: a slow spell of the
+    # host then costs one round a band of n, not every run of that band
+    for round_ in range(3):
+        for n in range(2, 41):
             start = time.perf_counter()
             out = run_program(gen_nested_mmap(n))
             elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        times[n] = best
-        if n <= 10:
-            values, decisions = pineappl_interp(expand(pparse(gen_nested_mmap(n))))
-            assert abs(out["queries"][0]["value"] - values[0]) <= 1e-9, f"n={n}"
-            assert out["decisions"] == decisions, f"n={n}"
+            times[n] = min(times.get(n, elapsed), elapsed)
+            if round_ == 0 and n <= 10:
+                values, decisions = pineappl_interp(expand(pparse(gen_nested_mmap(n))))
+                assert abs(out["queries"][0]["value"] - values[0]) <= 1e-9, f"n={n}"
+                assert out["decisions"] == decisions, f"n={n}"
     _, r2 = fit_quadratic(list(times), [times[n] for n in times])
     assert r2 >= 0.9, f"quadratic fit r^2 = {r2:.4f}"
     worst_ratio = 0.0
