@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from .bdd import BddManager
+from .bdd import BddError, BddManager
 from . import dappl, pineappl
 from .gen import GenError, gen_bn, gen_dr, gen_gridworld, gen_ladder, gen_nested_mmap
 
@@ -84,7 +84,7 @@ def cmd_solve(args) -> int:
     if args.order:
         try:
             _load_order(mgr, args.order)
-        except OSError as exc:
+        except (OSError, BddError) as exc:  # unreadable, or a label listed twice
             return _fail(INPUT_EXIT, "input", exc)
     try:
         if lang == "dappl":

@@ -23,7 +23,10 @@ __all__ = [
 def prepare(source: str, mgr: BddManager | None = None):
     """parse -> typecheck -> desugar -> number sites -> compile.
 
-    Returns ``(core AST, sites, CompiledDappl)``.
+    Compilation registers the program's variables in the order planned from
+    its structure (see :func:`compile_program`); labels already registered
+    in ``mgr``, as the CLI's ``--order`` file does, keep their positions
+    ahead of the rest.  Returns ``(core AST, sites, CompiledDappl)``.
     """
     tree = parse(source)
     check_program(tree)

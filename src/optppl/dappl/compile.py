@@ -8,6 +8,14 @@ branches' pending rewards inside the guarded disjunct and pin the opposite
 branch's reward variables false, so each model awards exactly the rewards
 of the trace it describes.  Finalization conjoins the remaining pending
 rewards onto ``phi``.
+
+The variable order comes from the program's structure.  A planning walk
+(:func:`plan_variables`) labels every flip, reward and choice variable in
+creation order and keeps that order, except that inside each arm of an
+outermost choose the arm's choice variable moves beside the variables the
+arm tests, and rewards under the arm's ``if`` move beside the guard's
+variables.  A choice that tests chance variables registered before it thus
+sits next to them instead of below all of them.
 """
 
 from __future__ import annotations
@@ -84,34 +92,196 @@ class _ChoiceVal:
         self.site = site
 
 
+# -- variable order -----------------------------------------------------------
+
+_ABOVE, _HERE, _BELOW = 0, 1, 2
+
+
+@dataclass
+class VarPlan:
+    """Every variable a core program creates, and the order to register them in.
+
+    ``labels`` holds the flip, reward and choice variables in the compiler's
+    creation order; ``order`` is the planned registration order, as indexes
+    into ``labels``.
+    """
+
+    labels: list
+    order: list
+
+
+class _PlanSite:
+    __slots__ = ("first", "vars", "by_name")
+
+    def __init__(self, first, names, vars_):
+        self.first = first
+        self.vars = frozenset(vars_)
+        self.by_name = dict(zip(names, vars_))
+
+
+class _Planner:
+    """One walk of a core program, visiting it in the compiler's order.
+
+    Each binding maps to the variables its formulas can mention.  Inside an
+    arm of an outermost choose (one not inside another choose's arm), the
+    walk collects what the arm references and notes two moves: the arm's
+    choice variable goes just above the first earlier-registered variable
+    the arm references, and a reward under an ``if`` of the arm, with no
+    choose in between, goes just below the last variable the guard tests.
+    The walk never raises: malformed programs are left to the compiler.
+    """
+
+    def __init__(self):
+        self.labels = []
+        self.moves = {}  # variable -> (side, anchor candidates)
+        self.flips = self.rewards = self.sites = 0
+
+    def _new(self, label) -> int:
+        self.labels.append(label)
+        return len(self.labels) - 1
+
+    def _site(self, names) -> _PlanSite:
+        first = len(self.labels)
+        vars_ = tuple(self._new(f"c{self.sites}.{name}") for name in names)
+        self.sites += 1
+        return _PlanSite(first, names, vars_)
+
+    def pure(self, p, env, refs) -> frozenset:
+        deps = _pure_deps(p, env)
+        if refs is not None:
+            refs |= deps
+        return deps
+
+    def walk(self, e, env, refs=None, guard=None) -> frozenset:
+        """Return the variables ``e``'s formulas can mention.
+
+        ``refs`` collects the references of the enclosing outermost arm and
+        is None outside one.  ``guard`` holds the variables the innermost
+        ``if`` of that arm tests; it is None with no such ``if`` and False
+        below a nested choose.
+        """
+        if isinstance(e, A.Return):
+            return self.pure(e.pure, env, refs)
+        if isinstance(e, A.Flip):
+            self.flips += 1
+            v = self._new(f"f_{e.theta:g}#{self.flips}")
+            return frozenset((v,))
+        if isinstance(e, A.Reward):
+            deps = self.walk(e.body, env, refs, guard)
+            self.rewards += 1
+            r = self._new(f"r_{e.amount:g}#{self.rewards}")
+            if guard:
+                self.moves[r] = (_BELOW, guard)
+            return deps | {r}
+        if isinstance(e, A.Observe):
+            return self.pure(e.guard, env, refs) | self.walk(e.body, env, refs, guard)
+        if isinstance(e, A.Ite):
+            tested = self.pure(e.guard, env, refs)
+            inner = guard if refs is None or guard is False else tested
+            then = self.walk(e.then, env, refs, inner)
+            return tested | then | self.walk(e.els, env, refs, inner)
+        if isinstance(e, A.Bind):
+            inner = dict(env)
+            if isinstance(e.value, A.ChoiceIntro):
+                inner[e.name] = self._site(e.value.names)
+                return self.walk(e.body, inner, refs, guard)
+            value = inner[e.name] = self.walk(e.value, env, refs, guard)
+            return value | self.walk(e.body, inner, refs, guard)
+        if isinstance(e, A.ChoiceIntro):
+            return self._site(e.names).vars
+        if isinstance(e, A.Choose):
+            site = env.get(e.scrutinee.name) if isinstance(e.scrutinee, A.ScrutVar) else None
+            if not isinstance(site, _PlanSite):
+                site = None
+            deps = site.vars if site is not None else frozenset()
+            if refs is not None:
+                refs |= deps
+            for name, body in e.arms:
+                if refs is not None:
+                    deps |= self.walk(body, env, refs, False)
+                    continue
+                arm_refs = set()
+                deps |= self.walk(body, env, arm_refs)
+                v = site.by_name.get(name) if site is not None else None
+                earlier = [x for x in arm_refs if x < site.first] if v is not None else ()
+                if earlier:
+                    self.moves.setdefault(v, (_ABOVE, earlier))
+            return deps
+        return frozenset()
+
+    def order(self) -> list:
+        """Registration order with the noted moves applied.
+
+        A moved variable's sort key extends its anchor's, so it lands
+        beside the anchor's final position; variables moved to one side of
+        one anchor keep their creation order.  Every anchor is created
+        before the variable it anchors, so its key is already known.
+        """
+        keys = []
+        for v in range(len(self.labels)):
+            move = self.moves.get(v)
+            if move is None:
+                keys.append((v, _HERE))
+                continue
+            side, anchors = move
+            pick = min if side == _ABOVE else max
+            anchor = keys[pick(anchors, key=keys.__getitem__)]
+            keys.append(anchor[:-1] + (side, v, _HERE))
+        return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def _pure_deps(p, env) -> frozenset:
+    if isinstance(p, A.PVar):
+        deps = env.get(p.name)
+        return deps if isinstance(deps, frozenset) else frozenset()
+    if isinstance(p, (A.PAnd, A.POr)):
+        return _pure_deps(p.left, env) | _pure_deps(p.right, env)
+    if isinstance(p, A.PNot):
+        return _pure_deps(p.operand, env)
+    return frozenset()
+
+
+def plan_variables(core: A.Expr) -> VarPlan:
+    """Label a core program's variables and plan their registration order.
+
+    The plan is creation order except inside the arms of outermost choose
+    sites, where choice and reward variables move beside the variables
+    their arm and guard test (see :class:`_Planner`).
+    """
+    planner = _Planner()
+    planner.walk(core, {})
+    return VarPlan(labels=planner.labels, order=planner.order())
+
+
 class Compiler:
-    def __init__(self, mgr: BddManager | None = None):
+    def __init__(self, plan: VarPlan, mgr: BddManager | None = None):
         self.mgr = mgr if mgr is not None else BddManager()
         self.weights = WeightMap()
         self.sites = []
-        self._flips = 0
-        self._rewards = 0
+        handles = [0] * len(plan.labels)
+        for i in plan.order:
+            handles[i] = self.mgr.ensure_var(plan.labels[i])
+        self._created = iter(handles)  # in creation order
 
     # -- variable creation ----------------------------------------------------
 
     def _fresh_flip(self, theta: float) -> int:
-        self._flips += 1
-        v = self.mgr.ensure_var(f"f_{theta:g}#{self._flips}")
+        v = next(self._created)
         self.weights.set(v, EV(theta, 0.0), EV(1.0 - theta, 0.0))
         return v
 
     def _fresh_reward(self, amount: float) -> int:
-        self._rewards += 1
-        v = self.mgr.ensure_var(f"r_{amount:g}#{self._rewards}")
+        v = next(self._created)
         self.weights.set(v, EV(1.0, amount), EV(1.0, 0.0))
         return v
 
     def _fresh_site(self, names) -> ChoiceSite:
-        sid = len(self.sites)
-        vars_ = tuple(self.mgr.ensure_var(f"c{sid}.{name}") for name in names)
+        vars_ = tuple(next(self._created) for _ in names)
         for v in vars_:
             self.weights.set(v, EV(1.0, 0.0), EV(1.0, 0.0))
-        site = ChoiceSite(site=sid, names=tuple(names), vars=vars_, eo=self.mgr.exactly_one(vars_))
+        site = ChoiceSite(
+            site=len(self.sites), names=tuple(names), vars=vars_, eo=self.mgr.exactly_one(vars_)
+        )
         self.sites.append(site)
         return site
 
@@ -242,8 +412,14 @@ class Compiler:
 
 
 def compile_program(core: A.Expr, mgr: BddManager | None = None) -> CompiledDappl:
-    """Compile a site-numbered core program."""
-    compiler = Compiler(mgr)
+    """Compile a site-numbered core program.
+
+    :func:`plan_variables` labels every variable and plans the order;
+    the variables are registered in that order with ``ensure_var``, so
+    labels already registered in ``mgr`` (an ``--order`` file) keep their
+    positions and the rest follow in planned order.
+    """
+    compiler = Compiler(plan_variables(core), mgr)
     phi, gamma, trace, pending, _ = compiler.compile(core, {})
     return CompiledDappl(
         mgr=compiler.mgr,

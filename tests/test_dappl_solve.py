@@ -1,6 +1,7 @@
 """Compilation and end-to-end solving of decision programs."""
 
 import json
+import os
 import random
 from functools import partial
 
@@ -8,12 +9,18 @@ import pytest
 
 from optppl import EV, EXPECTATION, MeuObjective, bb, evaluate_objective
 from optppl.bdd import BddManager, WeightMap
-from optppl.dappl import prepare, reduce, solve_compiled, solve_meu
+from optppl.dappl import (
+    DapplCompileError, compile_program, prepare, reduce, solve_compiled, solve_meu,
+)
+from optppl.dappl import ast as A
+from optppl.dappl.compile import plan_variables
+from optppl.gen import gen_bn, gen_dr, gen_gridworld, gen_ladder
 from optppl.oracle import dappl_meu_enum, policy_space, util_eu
 
 from corpus import random_dappl_program
 from helpers import enumerate_models, mk_lit
 
+EARTHQUAKE = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data", "earthquake.json")
 UMBRELLA = """
 rainy <- flip 0.1;
 choose [Umb, No_umb]
@@ -257,3 +264,94 @@ def test_per_policy_amc_ratio_matches_interpreter(seed):
             assert value.util == float("-inf")
         else:
             assert abs(value.util - reference) < 1e-6
+
+
+def _core(src):
+    core, _, _ = prepare(src)
+    return core
+
+
+def _registration_order_meu(core):
+    # pre-registering every label in creation order reproduces registration order
+    mgr = BddManager()
+    for label in plan_variables(core).labels:
+        mgr.ensure_var(label)
+    return solve_compiled(compile_program(core, mgr))["meu"]
+
+
+class TestVariableOrder:
+    """The planned order moves only variables inside outermost choose arms."""
+
+    @pytest.mark.parametrize(
+        "src",
+        [gen_dr(n, seed) for n in range(3, 7) for seed in range(4)]
+        + [gen_gridworld(dim, 2 * (dim - 1), 0.1, seed=dim) for dim in (2, 3, 4)]
+        + [gen_bn(EARTHQUAKE, strategy, seed) for strategy in ("existing", "new_nodes")
+           for seed in range(3)],
+    )
+    def test_families_without_arm_references_keep_registration_order(self, src):
+        plan = plan_variables(_core(src))
+        assert plan.order == list(range(len(plan.labels)))
+
+    def test_ladder_interleaves_each_pick_with_its_router_and_reward(self):
+        # arm i tests router w_i and rewards under `if !w_i`
+        plan = plan_variables(_core(gen_ladder(3, 1, seed=0)))
+        rewards = [label for label in plan.labels if label.startswith("r_")]
+        assert [plan.labels[i] for i in plan.order] == [
+            label
+            for i, reward in enumerate(rewards)
+            for label in (f"c0.pick0_{i}", f"f_0.738895#{i + 1}", reward)
+        ]
+
+    def test_nested_sites_keep_registration_order(self):
+        # with k=2, each arm of site c0 holds one reward under its `if`
+        # (created just before the arm's inner site) and an inner site whose
+        # arms hold more rewards; only c0 and those outer rewards move
+        plan = plan_variables(_core(gen_ladder(2, 2, seed=5)))
+        labels = plan.labels
+        outer = {i for i in range(len(labels) - 1)
+                 if labels[i].startswith("r_") and labels[i + 1].startswith("c")}
+        assert len(outer) == 4
+        position = {v: p for p, v in enumerate(plan.order)}
+        kept = [i for i in range(len(labels))
+                if i not in outer and not labels[i].startswith("c0.")]
+        assert sorted(kept, key=position.__getitem__) == kept
+        # every outer arm tests all routers through its inner site, so its
+        # choice variable goes above the first of them
+        assert [labels[i] for i in plan.order[:5]] == [
+            "c0.pick0_0", "c0.pick0_1", "c0.pick0_2", "c0.pick0_3", "f_0.794275#1"
+        ]
+
+    def test_ladder_diagram_stays_small(self):
+        # registration order allocates about 695k nodes already at n=7
+        _, _, compiled = prepare(gen_ladder(10, 1, seed=0))
+        assert compiled.mgr.num_nodes < 20_000
+
+    def test_planned_and_registration_orders_agree_on_random_programs(self):
+        moved = 0
+        for seed in range(400):
+            core = _core(random_dappl_program(seed))
+            plan = plan_variables(core)
+            moved += plan.order != list(range(len(plan.labels)))
+            planned = solve_compiled(compile_program(core))["meu"]
+            assert planned == pytest.approx(_registration_order_meu(core), rel=1e-9, abs=1e-12)
+        assert moved > 40  # the rule does reorder a good share of them
+
+    @pytest.mark.parametrize(
+        "scrutinee, arm, message",
+        [
+            ("c", "Z", "'Z' is not an alternative"),
+            ("nowhere", "Y", "'nowhere' is not a bound choice"),
+            ("b", "Y", "'b' is not a bound choice"),
+        ],
+    )
+    def test_malformed_core_fails_in_the_compiler(self, scrutinee, arm, message):
+        # b <- flip 0.5; c <- [X, Y]; choose <scrutinee> | X -> reward 1 | <arm> -> return b
+        # the arms test b, so the planner would move their choice variables
+        tt = A.Return(pure=A.PLit(value=True))
+        arms = (("X", A.Reward(amount=1.0, body=tt)), (arm, A.Return(pure=A.PVar(name="b"))))
+        choose = A.Choose(scrutinee=A.ScrutVar(name=scrutinee), arms=arms)
+        core = A.Bind(name="b", value=A.Flip(theta=0.5), body=A.Bind(
+            name="c", value=A.ChoiceIntro(names=("X", "Y"), site=0), body=choose))
+        with pytest.raises(DapplCompileError, match=message):
+            compile_program(core)

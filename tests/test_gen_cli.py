@@ -237,6 +237,38 @@ class TestCli:
         payload = json.loads(proc.stdout)
         assert abs(payload["meu"] - (-3.5)) < 1e-9
 
+    def test_order_file_listing_a_label_twice_is_an_input_error(self, tmp_path):
+        order = tmp_path / "order.txt"
+        order.write_text("c0.Umb\nc0.Umb\n")
+        proc = run_cli(
+            "solve", os.path.join(PROGRAMS, "umbrella.dappl"), "--order", str(order)
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["kind"] == "input"
+
+    def test_order_file_labels_stay_ahead_of_the_planned_order(self, tmp_path):
+        from optppl.bdd import BddManager
+        from optppl.cli import _load_order
+        from optppl.dappl.compile import plan_variables
+
+        src = gen_ladder(3, 1, seed=0)
+        program = tmp_path / "ladder.dappl"
+        program.write_text(src)
+        pinned = ["r_6#3", "f_0.738895#5", "c0.pick0_1"]
+        order = tmp_path / "order.txt"
+        order.write_text("# pinned first\n" + "\n".join(pinned) + "\n")
+        mgr = BddManager()
+        _load_order(mgr, str(order))
+        core, _, compiled = prepare(src, mgr)
+        plan = plan_variables(core)
+        rest = [plan.labels[i] for i in plan.order if plan.labels[i] not in pinned]
+        assert [mgr.var_label(v) for v in range(len(plan.labels))] == pinned + rest
+        proc = run_cli("solve", str(program), "--order", str(order))
+        assert proc.returncode == 0
+        want = solve_compiled(compiled)["meu"]
+        assert abs(json.loads(proc.stdout)["meu"] - want) < 1e-9
+        assert abs(want - solve_meu(src)["meu"]) < 1e-9
+
 
 class TestBench:
     def test_bench_rows_and_columns(self, tmp_path):

@@ -245,7 +245,7 @@ class TestStagedSolving:
         constraint = compiler.constraint
         disease = compiler.env["disease"]
         headache = compiler.env["headache@3"]  # the joined definition
-        flips = {mgr.var_label(v).split("@")[0]: v for v in compiler.weights.vars}
+        flips = {mgr.var_label(v).split("#")[0]: v for v in compiler.weights.vars}
         f05, f07, f01 = flips["f_0.5"], flips["f_0.7"], flips["f_0.1"]
         universe = sorted(mgr.support(constraint))
         models = list(enumerate_models(mgr, constraint, universe))
@@ -324,6 +324,40 @@ class TestComponentScoping:
             if src.count("= mmap(") >= 2:
                 break
         assert_matches_interpreter(src)
+
+
+class TestInternalNames:
+    """Names the compiler and the expander make never equal a program's."""
+
+    @pytest.mark.parametrize(
+        "src, want",
+        [
+            # the second mmap indicator once shared the label of k's third binding
+            ("x = flip 0.5; k = flip 0.3; k = !k; m = mmap(x); n = mmap(x); pr(k)", 0.7),
+            # the second flip once shared the label of f_1's second binding
+            ("f_1 = flip 0.5; f_1 = !f_1; y = flip 1; pr(f_1)", 0.5),
+            # the second guard name once equalled _g's second binding
+            (
+                "_g = flip 0.5; if (_g && _g) { a = flip 0.2; } else { a = flip 0.7; }\n"
+                "if (_g || a) { b = flip 0.2; } else { b = flip 0.7; }\n"
+                "_g = !_g; pr(_g)",
+                0.5,
+            ),
+        ],
+    )
+    def test_renamed_variables_keep_their_own_variable(self, src, want):
+        assert_matches_interpreter(src)
+        assert run_program(src)["queries"][-1]["value"] == pytest.approx(want, abs=1e-12)
+
+    def test_internal_labels_are_not_identifiers(self):
+        program, compiler = compile_source(
+            "x = flip 0.5; x = !x; if (x && x) { y = flip 0.2; } else { y = ff; }\n"
+            "m = mmap(x); pr(y)"
+        )
+        mgr = compiler.mgr
+        labels = [mgr.var_label(v) for v in compiler.weights.vars]
+        internal = [label for label in labels if label.split("@")[0] not in ("x", "y", "m")]
+        assert internal and all("#" in label for label in internal)
 
 
 class TestSimulationInvariant:
