@@ -8,6 +8,9 @@ a branch variable by a join (resp. meet), as runs of the one semiring walk
 assignments, pruning a branch whenever its bound is dominated by the
 incumbent under the lattice order.  All bound passes of one search share a
 :class:`BoundMemo`, since the search fixes branch variables in one order.
+An MEU bound divides an expectation bound by probability bounds; one walk
+over the product semiring ``EV_BOUND`` computes the numerator and the
+denominator's lower and upper bounds together.
 
 An optional validity formula restricts which branch assignments count as
 policies (the surface compiler uses it for its one-hot choice encoding);
@@ -22,7 +25,7 @@ import time
 from dataclasses import dataclass
 
 from .bdd import FALSE, TRUE, BddManager, CountSetup, WeightMap
-from .semiring import EXPECTATION, REAL
+from .semiring import EV, EV_BOUND, EXPECTATION, REAL, EVBound
 
 
 class BbirError(Exception):
@@ -178,19 +181,24 @@ class MeuObjective:
         self.num_weights = bbir.weights.restrict(
             set(self.num_universe) - bbir.branch_set
         )
-        self.den_weights = bbir.weights.restrict(
-            set(self.den_universe) - bbir.branch_set
-        )
-        self.num_bound = _bound_setup(bbir, self.num_universe, bbir.weights, EXPECTATION, True)
-        # The denominator bounds read only the probability component, which
-        # the expectation semiring computes as a plain real count: the real
-        # walk gives the same floats and keeps floats, not pairs, in its memo.
-        prob = WeightMap()
-        for v in self.den_universe:
+        # One EV_BOUND walk bounds a quotient: its (prob, util) is the
+        # expectation walk with joins at X and ``low`` the probability walk
+        # with meets.  The probability walk with joins is the ``prob`` of
+        # the same walk, so when the numerator and denominator share their
+        # handle and universe a bound walks the diagram once.
+        weights = WeightMap()
+        for v in set(self.num_universe) | set(self.den_universe):
             pos, neg = bbir.weights.get(v)
-            prob.set(v, pos.prob, neg.prob)
-        self.den_low = _bound_setup(bbir, self.den_universe, prob, REAL, False)
-        self.den_high = _bound_setup(bbir, self.den_universe, prob, REAL, True)
+            weights.set(v, EVBound.lift(pos), EVBound.lift(neg))
+        self.num_bound = _bound_setup(bbir, self.num_universe, weights, EV_BOUND, True)
+        # Equal universes share one weight map and one bound setup, so the
+        # amc cache and the bound memo serve both parts of the quotient.
+        self.den_weights, self.den_bound = self.num_weights, self.num_bound
+        if self.den_universe != self.num_universe:
+            self.den_weights = bbir.weights.restrict(
+                set(self.den_universe) - bbir.branch_set
+            )
+            self.den_bound = _bound_setup(bbir, self.den_universe, weights, EV_BOUND, True)
 
     def initial_handles(self):
         return (self.num_root, self.gamma, self.bbir.validity)
@@ -212,13 +220,12 @@ class MeuObjective:
         if memo is None:
             memo = BoundMemo(self.bbir.mgr, partial)
         depth = len(partial)
-        t = EXPECTATION.mul(
-            _policy_weight(self.bbir, partial),
-            memo.bound(self.num_bound, num_h, valid_h, depth),
-        )
-        low = memo.bound(self.den_low, den_h, valid_h, depth)
-        high = memo.bound(self.den_high, den_h, valid_h, depth)
-        return EXPECTATION.join(_div_bound(t, low), _div_bound(t, high))
+        num = memo.bound(self.num_bound, num_h, valid_h, depth)
+        den = num
+        if den_h != num_h or self.den_bound is not self.num_bound:
+            den = memo.bound(self.den_bound, den_h, valid_h, depth)
+        t = EXPECTATION.mul(_policy_weight(self.bbir, partial), EV(num.prob, num.util))
+        return EXPECTATION.join(_div_bound(t, den.low), _div_bound(t, den.prob))
 
     def scalar(self, value):
         return value.util

@@ -386,17 +386,20 @@ class BddManager:
         """Semiring sum over all models of ``root`` in the weight-map universe.
 
         Every variable in the support of ``root`` must be weighted; weighted
-        variables not tested on a path contribute their gap factor.  Node
-        values are cached across calls per weight-map contents and semiring.
+        variables not tested on a path contribute their gap factor.  The
+        count setup and the node values are cached across calls per
+        weight-map contents and semiring.
         """
         cache_key = (weights.key(), semiring.name)
-        cache = self._amc_caches.setdefault(cache_key, {})
-        # keep at most a few live weight-map generations around
-        if len(self._amc_caches) > 64:
-            self._amc_caches.clear()
-            cache = self._amc_caches.setdefault(cache_key, {})
+        entry = self._amc_caches.get(cache_key)
+        if entry is None:
+            # keep at most a few live weight-map generations around
+            if len(self._amc_caches) >= 64:
+                self._amc_caches.clear()
+            setup = CountSetup(sorted(weights.vars), weights, semiring)
+            entry = self._amc_caches[cache_key] = (setup, {})
+        setup, cache = entry
         before = len(cache)
-        setup = CountSetup(sorted(weights.vars), weights, semiring)
         value = self.count(root, TRUE, setup, cache)
         self.amc_visits = len(cache) - before
         return value
@@ -422,78 +425,74 @@ class BddManager:
         branch set and ``combine`` and whose fixed sets form a chain (each
         contains the one before): along a chain, the number of fixed
         variables below a node names them.
+
+        Each node costs one recursive call: the gap factors of positions
+        skipped above it are multiplied in by the same call.  Counts that
+        share a walk run as one count over a product semiring (see
+        ``semiring.EV_BOUND``), whose components each equal their own walk.
         """
         semiring = setup.semiring
         mul, add, combine = semiring.mul, semiring.add, setup.combine
         one, zero = semiring.one, semiring.zero
-        var_of, lo_of, hi_of = self._var, self._lo, self._hi
+        var_of, lo_of, hi_of, labels = self._var, self._lo, self._hi, self._labels
         pos_of, levels, gaps = setup.pos_of, setup.levels, setup.gaps
         suffix, tiers, valid_shift = setup.suffix, setup.tiers, setup.valid_shift
         n = len(levels)
 
-        def position(node: int) -> int:
+        def rec(f: int, v: int, i: int):
+            # value of (f, v) over the universe from position i on; neither is
+            # FALSE.  j is the first position either diagram tests (n: none).
             try:
-                return pos_of[var_of[node]]
-            except KeyError:
-                label = self._labels[var_of[node]]
+                j = pos_of[var_of[f]] if f > TRUE else n
+                if v > TRUE:
+                    jv = pos_of[var_of[v]]
+                    if jv < j:
+                        j = jv
+            except KeyError as exc:  # the unweighted variable
+                label = labels[exc.args[0]]
                 raise BddError(f"unweighted variable in formula: {label}") from None
-
-        def top(f: int, v: int) -> int:
-            # first universe position tested by either diagram (n: none)
-            i = position(f) if f > TRUE else n
-            if v > TRUE:
-                i = min(i, position(v))
-            return i
-
-        def value(f: int, v: int, i: int):
-            # value of (f, v) over the universe from position i on
-            j = top(f, v)
             if j == n:
                 return suffix[i]
+            tier = tiers[j]
+            # the bare node is an existing int object; a packed key is a new one
+            key = f if v == TRUE and not tier else f | tier | (v - TRUE) << valid_shift
+            out = memo.get(key)
+            if out is None:
+                var, wpos, wneg, at_branch = levels[j]
+                if f > TRUE and var_of[f] == var:
+                    flo, fhi = lo_of[f], hi_of[f]
+                else:
+                    flo = fhi = f
+                if v > TRUE and var_of[v] == var:
+                    vlo, vhi = lo_of[v], hi_of[v]
+                else:
+                    vlo = vhi = v
+                hi = zero if fhi == FALSE or vhi == FALSE else mul(wpos, rec(fhi, vhi, j + 1))
+                lo = zero if flo == FALSE or vlo == FALSE else mul(wneg, rec(flo, vlo, j + 1))
+                if not at_branch:
+                    out = add(hi, lo)
+                elif vhi == FALSE:
+                    # a literal no valid completion takes is left out of the combine
+                    out = lo
+                elif vlo == FALSE:
+                    out = hi
+                else:
+                    out = combine(hi, lo)
+                memo[key] = out
             if j == i:
-                return rec(f, v, j)
+                return out
+            # the positions i..j-1 that both diagrams skip each add their gap
             acc = one
             for k in range(i, j):
                 acc = mul(acc, gaps[k])
-            return mul(acc, rec(f, v, j))
-
-        def rec(f: int, v: int, i: int):
-            # value of (f, v) from its top position i; neither is FALSE
-            tier = tiers[i]
-            # the bare node is an existing int object; a packed key is a new one
-            key = f if v == TRUE and not tier else f | tier | (v - TRUE) << valid_shift
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            var, wpos, wneg, at_branch = levels[i]
-            if f > TRUE and var_of[f] == var:
-                flo, fhi = lo_of[f], hi_of[f]
-            else:
-                flo = fhi = f
-            if v > TRUE and var_of[v] == var:
-                vlo, vhi = lo_of[v], hi_of[v]
-            else:
-                vlo = vhi = v
-            hi = zero if fhi == FALSE or vhi == FALSE else mul(wpos, value(fhi, vhi, i + 1))
-            lo = zero if flo == FALSE or vlo == FALSE else mul(wneg, value(flo, vlo, i + 1))
-            if not at_branch:
-                out = add(hi, lo)
-            elif vhi == FALSE:
-                # a literal no valid completion takes is left out of the combine
-                out = lo
-            elif vlo == FALSE:
-                out = hi
-            else:
-                out = combine(hi, lo)
-            memo[key] = out
-            return out
+            return mul(acc, out)
 
         if root == FALSE or validity == FALSE:
             return zero
         try:
-            return value(root, validity, 0)
+            return rec(root, validity, 0)
         finally:
-            rec = value = None  # they refer to each other; break the cycle
+            rec = None  # it refers to itself; break the cycle
 
     # -- export ----------------------------------------------------------------
 

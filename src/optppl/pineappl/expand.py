@@ -160,9 +160,9 @@ def _unroll(stmts: list) -> list:
                 raise PineapplExpandError(
                     f"loop bound must be at least 1, got {stmt.count}", stmt.span
                 )
-            body = _unroll(stmt.body)
-            for _ in range(stmt.count):
-                out.extend(_copy_stmts(body))
+            # the later passes build new nodes and never mutate their input,
+            # so every iteration can share the body's statements
+            out.extend(_unroll(stmt.body) * stmt.count)
         elif isinstance(stmt, A.SIf):
             out.append(
                 A.SIf(
@@ -175,12 +175,6 @@ def _unroll(stmts: list) -> list:
         else:
             out.append(stmt)
     return out
-
-
-def _copy_stmts(stmts):
-    import copy
-
-    return [copy.deepcopy(s) for s in stmts]
 
 
 def _desugar_disc(stmts: list) -> list:

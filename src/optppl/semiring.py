@@ -4,7 +4,9 @@ A branch-and-bound semiring is a commutative semiring carrying two orders:
 a lattice partial order ``cmp_le`` that respects addition (joins/meets are
 its least upper / greatest lower bounds) and a total order ``total_le``
 compatible with it.  The solver is parameterized over one of the two
-instances below; values themselves are immutable plain data.
+instances ``EXPECTATION`` and ``REAL``; values themselves are immutable
+plain data.  ``EV_BOUND``, their product, only carries the walk that bounds
+an MEU quotient: it computes the numerator and denominator bounds at once.
 """
 
 from __future__ import annotations
@@ -54,7 +56,14 @@ class ExpectationSemiring:
 
     @staticmethod
     def mul(a: EV, b: EV) -> EV:
-        return EV(_term(a.prob, b.prob), _term(a.prob, b.util) + _term(b.prob, a.util))
+        # (pq, pv + qu), each product through _term's zero guard, inlined
+        ap, au = a
+        bp, bu = b
+        return tuple.__new__(EV, (
+            0.0 if ap == 0.0 or bp == 0.0 else ap * bp,
+            (0.0 if ap == 0.0 or bu == 0.0 else ap * bu)
+            + (0.0 if bp == 0.0 or au == 0.0 else bp * au),
+        ))
 
     @staticmethod
     def join(a: EV, b: EV) -> EV:
@@ -130,6 +139,66 @@ class RealSemiring:
         return _close(a, b, tol)
 
 
+class EVBound(NamedTuple):
+    """Element of :data:`EV_BOUND`: an expectation pair and a second probability.
+
+    In a bound walk (prob, util) is the expectation count with joins at the
+    branch variables, and ``low`` the probability count with meets there.
+    """
+
+    prob: float
+    util: float
+    low: float
+
+    @classmethod
+    def lift(cls, w: EV) -> "EVBound":
+        """The weight ``w`` in both components."""
+        return cls(w.prob, w.util, w.prob)
+
+
+class EVBoundSemiring:
+    """The product of the expectation semiring and the reals.
+
+    ``add`` and ``mul`` act componentwise, with the operations (and operand
+    order) of ``EXPECTATION`` on (prob, util) and of ``REAL`` on ``low``, so
+    each component is bit for bit the count that its own semiring gives.
+    The product order reverses the reals, so ``join`` is (join, meet): the
+    direction in which a quotient (prob, util) / low can grow.
+    """
+
+    name = "ev-bound"
+    zero = EVBound(0.0, 0.0, 0.0)
+    one = EVBound(1.0, 0.0, 1.0)
+
+    @staticmethod
+    def add(a: EVBound, b: EVBound) -> EVBound:
+        ap, au, al = a
+        bp, bu, bl = b
+        return tuple.__new__(EVBound, (ap + bp, au + bu, al + bl))
+
+    @staticmethod
+    def mul(a: EVBound, b: EVBound) -> EVBound:
+        ap, au, al = a
+        bp, bu, bl = b
+        return tuple.__new__(EVBound, (
+            0.0 if ap == 0.0 or bp == 0.0 else ap * bp,
+            (0.0 if ap == 0.0 or bu == 0.0 else ap * bu)
+            + (0.0 if bp == 0.0 or au == 0.0 else bp * au),
+            0.0 if al == 0.0 or bl == 0.0 else al * bl,
+        ))
+
+    @staticmethod
+    def join(a: EVBound, b: EVBound) -> EVBound:
+        # max(x, y) and min(x, y) keep x unless y is strictly beyond it
+        ap, au, al = a
+        bp, bu, bl = b
+        return tuple.__new__(EVBound, (
+            bp if bp > ap else ap,
+            bu if bu > au else au,
+            bl if bl < al else al,
+        ))
+
+
 def _close(a: float, b: float, tol: float) -> bool:
     if a == b:  # covers equal infinities
         return True
@@ -140,3 +209,4 @@ def _close(a: float, b: float, tol: float) -> bool:
 
 EXPECTATION = ExpectationSemiring()
 REAL = RealSemiring()
+EV_BOUND = EVBoundSemiring()

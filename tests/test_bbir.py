@@ -9,6 +9,7 @@ import pytest
 from optppl import (
     EV,
     EXPECTATION,
+    FALSE,
     REAL,
     Bbir,
     BbirError,
@@ -581,3 +582,82 @@ class TestSearchMemo:
         assert stats.to_dict()["bound_memo_entries"] == 0
         solves = run_program(gen_nested_mmap(3))["stats"]["mmap_solves"]
         assert solves and all(s["bound_memo_entries"] > 0 for s in solves)
+
+
+class CountSpy:
+    """Counts the ``BddManager.count`` walks for the rest of the test."""
+
+    def __init__(self, monkeypatch):
+        self.walks = 0
+        inner = BddManager.count
+
+        def count(mgr, *args):
+            self.walks += 1
+            return inner(mgr, *args)
+
+        monkeypatch.setattr(BddManager, "count", count)
+
+
+def valid_prefixes(inst, rng):
+    """Partial policies fixing each prefix of the branch order along one valid path."""
+    partial = {}
+    yield {}
+    for var in inst.branch_vars:
+        first = rng.random() < 0.5
+        for value in (first, not first):
+            partial[var] = value
+            if inst.mgr.condition_all(inst.validity, partial) != FALSE:
+                break
+        else:
+            return
+        yield dict(partial)
+
+
+def conditioned_handles(objective, partial):
+    mgr = objective.bbir.mgr
+    return tuple(mgr.condition_all(h, partial) for h in objective.initial_handles())
+
+
+class TestFusedBound:
+    """An MEU bound walks once when the numerator and denominator coincide."""
+
+    @pytest.mark.parametrize("family", ["dr", "ladder"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_generated_programs_bound_in_one_walk(self, family, n, monkeypatch):
+        src = gen_dr(n, seed=2) if family == "dr" else gen_ladder(n, seed=2)
+        problem = prepare(src)[2].finalize()
+        objective = MeuObjective(problem)
+        assert objective.num_root == objective.gamma
+        spy = CountSpy(monkeypatch)
+        depths = 0
+        for partial in valid_prefixes(problem, random.Random(n)):
+            handles = conditioned_handles(objective, partial)
+            before = spy.walks
+            bound = objective.bound_conditioned(handles, partial)
+            assert spy.walks - before == 1
+            assert single_pass_bound(objective, handles, partial) == bound
+            depths += 1
+        assert depths == len(problem.branch_vars) + 1
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_distinct_numerator_and_denominator_walk_twice(self, seed, monkeypatch):
+        rng = random.Random(5400 + seed)
+        inst = random_meu_instance(rng)
+        if inst is None:
+            return
+        spy = CountSpy(monkeypatch)
+        for variant in search_variants(inst, rng):
+            objective = MeuObjective(variant)
+            if objective.num_root == objective.gamma:
+                continue
+            for partial in valid_prefixes(variant, rng):
+                handles = conditioned_handles(objective, partial)
+                before = spy.walks
+                bound = objective.bound_conditioned(handles, partial)
+                # conditioning can make the two handles equal
+                shared = (handles[0] == handles[1]
+                          and objective.num_universe == objective.den_universe)
+                assert spy.walks - before == (1 if shared else 2)
+                if not partial:
+                    assert spy.walks - before == 2
+                assert single_pass_bound(objective, handles, partial) == bound

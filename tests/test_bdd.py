@@ -222,7 +222,7 @@ class TestAmc:
     def test_unweighted_variable_rejected(self, mgr):
         x, y = mgr.new_var("x"), mgr.new_var("y")
         node = mgr.apply("and", mgr.mk_var(x), mgr.mk_var(y))
-        with pytest.raises(BddError):
+        with pytest.raises(BddError, match=r"unweighted variable in formula: y$"):
             mgr.amc(node, WeightMap({x: (EV(1, 0), EV(1, 0))}), EXPECTATION)
 
     @pytest.mark.parametrize("seed", range(20))

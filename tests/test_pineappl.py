@@ -1,5 +1,6 @@
 """Imperative language: front end, expansion, staged solving, differential."""
 
+import copy
 import json
 import random
 
@@ -120,6 +121,29 @@ class TestExpansion:
         assert ok is not None
         with pytest.raises(PineapplExpandError):
             expand(parse("x = flip 0.5; if x { t = flip 0.2; } else { } pr(t)"))
+
+    def test_expansion_leaves_the_parsed_program_unchanged(self):
+        # the iterations of an unrolled loop share the body's statements
+        prog = parse("""
+            a = flip 0.5;
+            loop 3 {
+              w = disc[lo: 0.25, hi: 0.75];
+              t = flip 0.1;
+              if a || w is hi { a = a && !t; loop 2 { t = flip 0.3; a = a || t; } }
+              else { b = flip 0.4; a = b; }
+              (m) = mmap(t) with { a };
+            }
+            pr(a || m)
+        """)
+        before = copy.deepcopy(prog)
+        first = expand(prog)
+        assert prog == before
+        assert expand(prog) == first
+        assert prog == before
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_nested_mmap_matches_interpreter(self, n):
+        assert_matches_interpreter(gen_nested_mmap(n))
 
     def test_loop_bound_below_one(self):
         with pytest.raises(PineapplExpandError):

@@ -2,11 +2,13 @@
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
 from optppl import EV, EXPECTATION, REAL
+from optppl.semiring import EV_BOUND, EVBound, _term
 
 TOL = 1e-9
 
@@ -174,3 +176,59 @@ def test_real_semiring_basics():
     assert REAL.total_le(0.2, 0.9) and REAL.cmp_le(0.2, 0.9)
     assert REAL.scalar_div(1.0, 0.0) == float("-inf")
     assert REAL.mul(0.0, float("inf")) == 0.0
+
+
+def bits(*xs):
+    """The IEEE-754 bit patterns of ``xs``, so -0.0 differs from 0.0."""
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+def random_component(rng, lo, hi):
+    # zeros, tiny values whose products underflow (to -0.0 if negative), plain values
+    tiny = rng.choice((1e-170, -1e-170)) if lo < 0 else 1e-170
+    return rng.choice((0.0, tiny, rng.uniform(lo, hi)))
+
+
+def random_ev_bound(rng):
+    return EVBound(
+        random_component(rng, 0.0, 3.0),
+        random_component(rng, -50.0, 50.0),
+        random_component(rng, 0.0, 3.0),
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ev_bound_components_equal_their_own_semirings_bit_for_bit(seed):
+    rng = random.Random(3000 + seed)
+    for _ in range(1000):
+        a, b = random_ev_bound(rng), random_ev_bound(rng)
+        a_ev, b_ev = EV(a.prob, a.util), EV(b.prob, b.util)
+        for op, ev_op, real_op in (
+            (EV_BOUND.mul, EXPECTATION.mul, REAL.mul),
+            (EV_BOUND.add, EXPECTATION.add, REAL.add),
+            (EV_BOUND.join, EXPECTATION.join, REAL.meet),
+        ):
+            out = op(a, b)
+            assert type(out) is EVBound
+            assert bits(*out) == bits(*ev_op(a_ev, b_ev), real_op(a.low, b.low))
+
+
+def test_ev_bound_units_and_lift():
+    w = EV(0.25, -3.0)
+    assert EVBound.lift(w) == EVBound(0.25, -3.0, 0.25)
+    lifted = EVBound.lift(w)
+    assert EV_BOUND.mul(lifted, EV_BOUND.one) == lifted
+    assert EV_BOUND.add(lifted, EV_BOUND.zero) == lifted
+    assert EV_BOUND.mul(EV_BOUND.zero, lifted) == EV_BOUND.zero
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_expectation_mul_equals_the_term_formula_bit_for_bit(seed):
+    rng = random.Random(3100 + seed)
+    for _ in range(1000):
+        a = EV(random_component(rng, 0.0, 3.0), random_component(rng, -50.0, 50.0))
+        b = EV(random_component(rng, 0.0, 3.0), random_component(rng, -50.0, 50.0))
+        out = EXPECTATION.mul(a, b)
+        assert type(out) is EV
+        want = (_term(a.prob, b.prob), _term(a.prob, b.util) + _term(b.prob, a.util))
+        assert bits(*out) == bits(*want)
