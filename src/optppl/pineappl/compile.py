@@ -3,19 +3,24 @@ statements are solved mid-compilation, and queries evaluate as ratios of
 real-semiring model counts.
 
 Every program variable ``x`` gets a BDD variable and a definition ``x <-> phi``.
-A flip's randomness lives in its own weighted variable, program variables
-carry unit weights on both literals, and each solved mmap answer is baked in
-as a deterministic indicator variable, so later statements and queries see
-the decided value.  Flip and indicator labels (``f_<theta>#<n>``,
-``k#<n>``) contain ``#`` so they never equal a program variable's name.
+A flip's randomness lives in its own weighted variable, labelled
+``f_<theta>#<n>`` (``#`` is in no program name), and program variables carry
+unit weights on both literals.  A solved mmap answer is a known value, so
+each output is defined as the constant it was decided to be.  A name whose
+definition compiles to a constant (a decided output, ``m = tt``, or a
+contradiction such as ``x && !x``) compiles to that constant wherever it is
+read, as a partial evaluator folds a known value into the rest of a program:
+later guards on a decision keep one arm instead of both.  The name keeps its
+own variable and definition ``x <-> const``, so ``mmap(x)`` still branches
+on it and :attr:`Compiler.constraint` still defines it.
 
 Definitions are filed into independent components, as knowledge compilers
 decompose a formula: a union-find over variables joins ``x`` with every
 variable of ``phi``.  A staged solve (an ``mmap`` statement or query, or a
 ``pr`` query) conjoins only the definitions of the components its variables
 touch, and counts over their variables alone.  This is exact because every
-component has total mass 1: its program variables are defined, flips are
-normalized and mmap indicators are one-hot.  An untouched component thus
+component has total mass 1: its program variables are defined with unit
+weights and its flips are normalized.  An untouched component thus
 contributes a factor of 1 to every count, and a staged solve costs what its
 own components cost, not what the whole program so far costs.  The
 conjunction of all definitions, :attr:`Compiler.constraint`, is built only
@@ -27,7 +32,7 @@ from __future__ import annotations
 import time
 
 from ..bbir import Bbir, BbirError, MmapObjective, bb
-from ..bdd import BddManager, WeightMap
+from ..bdd import FALSE, TRUE, BddManager, WeightMap
 from ..semiring import REAL
 from . import ast as A
 from .expand import expand
@@ -46,14 +51,16 @@ class Compiler:
     def __init__(self, mgr: BddManager | None = None):
         self.mgr = mgr if mgr is not None else BddManager()
         self.weights = WeightMap()
-        self.env = {}  # program name -> BDD variable
+        self.env = {}  # program name -> its BDD variable, which mmap branches on
+        # program name -> what a read of it compiles to: TRUE/FALSE when its
+        # definition is constant, else its variable's node
+        self._reads = {}
         self._definitions = []  # the definitions, oldest first
         self._parent = {}  # union-find over variables
         self._members = {}  # component root -> indices of its definitions
         self.decisions = {}
         self.solver_stats = []
         self._flips = 0
-        self._marks = 0
         self._started = time.perf_counter()
 
     @property
@@ -105,9 +112,9 @@ class Compiler:
         if isinstance(e, A.ELit):
             return mgr.mk_true() if e.value else mgr.mk_false()
         if isinstance(e, A.EVar):
-            if e.name not in self.env:
+            if e.name not in self._reads:
                 raise PineapplCompileError(f"unbound variable {e.name!r}")
-            return mgr.mk_var(self.env[e.name])
+            return self._reads[e.name]
         if isinstance(e, A.EAnd):
             return mgr.apply("and", self.compile_expr(e.left), self.compile_expr(e.right))
         if isinstance(e, A.EOr):
@@ -124,8 +131,10 @@ class Compiler:
         var = self.mgr.ensure_var(name)
         self.weights.set(var, 1.0, 1.0)
         self.env[name] = var
+        node = self.mgr.mk_var(var)
+        self._reads[name] = definition if definition in (TRUE, FALSE) else node
         self._members[self._find(var)] = [len(self._definitions)]
-        self._definitions.append(self.mgr.apply("iff", self.mgr.mk_var(var), definition))
+        self._definitions.append(self.mgr.apply("iff", node, definition))
         for v in self.mgr.support(definition):
             self._union(var, v)
         return var
@@ -155,10 +164,7 @@ class Compiler:
         assignment, _, result = self.solve_mmap(stmt.queried, stmt.evidence)
         for out_name, queried in zip(stmt.outputs, stmt.queried):
             decided = assignment[queried]
-            self._marks += 1
-            k = self.mgr.ensure_var(f"k#{self._marks}")
-            self.weights.set(k, 1.0 if decided else 0.0, 0.0 if decided else 1.0)
-            self._define(out_name, self.mgr.mk_var(k))
+            self._define(out_name, TRUE if decided else FALSE)
             self.decisions[out_name] = decided
         self.solver_stats.append(result.stats.to_dict())
         # one staged solve is done; its operation caches will not be re-hit

@@ -5,6 +5,7 @@ Criterion 3's stated posterior constant is unattainable (see the analysis in
 the failing test's message); it is kept red rather than weakened.
 """
 
+import gc
 import random
 import time
 from functools import partial
@@ -383,13 +384,20 @@ def test_criterion_9_loop_sugar_soundness():
 def test_criterion_10_nested_query_scaling_shape():
     t0 = time.perf_counter()
     times = {}
-    # best of 3 for every n, over 3 interleaved rounds: a slow spell of the
-    # host then costs one round a band of n, not every run of that band
-    for round_ in range(3):
+    # best of 7 for every n, over 7 interleaved rounds: a slow spell of the
+    # host then costs one round a band of n, not every run of that band.
+    # Each solve starts from a collected heap with the cyclic GC off, as
+    # timeit does, so no solve pays for garbage that earlier ones left.
+    for round_ in range(7):
         for n in range(2, 41):
-            start = time.perf_counter()
-            out = run_program(gen_nested_mmap(n))
-            elapsed = time.perf_counter() - start
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                out = run_program(gen_nested_mmap(n))
+                elapsed = time.perf_counter() - start
+            finally:
+                gc.enable()
             times[n] = min(times.get(n, elapsed), elapsed)
             if round_ == 0 and n <= 10:
                 values, decisions = pineappl_interp(expand(pparse(gen_nested_mmap(n))))

@@ -349,6 +349,107 @@ class TestComponentScoping:
                 break
         assert_matches_interpreter(src)
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_programs_whose_mmap_outputs_feed_guards_match_interpreter(self, seed):
+        for k in range(1000):
+            src = random_pineappl_program(6151 * seed + k, max_flips=6, max_mmaps=4)
+            if _mmap_outputs_feed_guards(src):
+                break
+        else:
+            pytest.fail("no program in the window tests an mmap output in a guard")
+        assert_matches_interpreter(src)
+
+
+def _mmap_outputs_feed_guards(src) -> bool:
+    """Some ``if`` of the expanded program tests a staged mmap output.
+
+    Expanded names are unique, and a compound guard is first bound to an
+    invented ``_g#<n>`` name, so reading the guard's own definition suffices.
+    """
+    outputs, reads, found = set(), {}, False
+
+    def walk(stmts):
+        nonlocal found
+        for stmt in stmts:
+            if isinstance(stmt, P.SMmap):
+                outputs.update(stmt.outputs)
+            elif isinstance(stmt, P.SAssign):
+                reads[stmt.name] = P.expr_vars(stmt.value)
+            elif isinstance(stmt, P.SIf):
+                g = stmt.guard.name
+                found |= bool(({g} | reads.get(g, set())) & outputs)
+                walk(stmt.then)
+                walk(stmt.els)
+
+    walk(expand(parse(src)).statements)
+    return found
+
+
+class TestDecidedConstants:
+    """A decided mmap output, or any constant definition, folds where it is read."""
+
+    def test_guard_on_a_decision_keeps_one_arm(self):
+        # m is decided false: the join of y reads only the else version,
+        # where an indicator variable for m kept both arms and m itself
+        program, compiler = compile_source(
+            "x = flip 0.5; m = mmap(x); if m { y = flip 0.2; } else { y = flip 0.7; } pr(y)"
+        )
+        mgr = compiler.mgr
+        join = compiler._definitions[list(compiler.env).index("y@3")]
+        assert {mgr.var_label(v) for v in mgr.support(join)} == {"y@2", "y@3"}
+
+    def test_nested_mmap_solves_stay_the_same_size(self):
+        # with an indicator per decision, each solve also counted the arm
+        # of every later guard that the decision rules out (75,896 nodes)
+        out = run_program(gen_nested_mmap(80))
+        assert out["stats"]["bdd_nodes"] < 30_000
+        assert len({s["nodes_created"] for s in out["stats"]["mmap_solves"]}) == 1
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            # a decision read by later guards, both ways round
+            "x = flip 0.8; m = mmap(x);\n"
+            "if m { y = flip 0.2; } else { y = flip 0.7; }\n"
+            "if !m { z = flip 0.4; } else { z = y; }\n"
+            "pr(y) pr(z) pr(y && z)",
+            "x = flip 0.3; m = mmap(x); if (m || x) { y = flip 0.2; } else { y = !x; } pr(y)",
+            # a decision queried by a later staged mmap and a terminal one
+            "x = flip 0.3; m = mmap(x); n = mmap(m); pr(n) mmap(m)",
+            "x = flip 0.8; m = mmap(x); pr(m) pr(!m) pr(m && x) pr(m || !x)",
+            # a decision queried beside a random variable
+            "x = flip 0.8; m = mmap(x); y = flip 0.4; (a, b) = mmap(m, y);\n"
+            "if b { z = flip 0.9; } else { z = m; }\n"
+            "pr(z) mmap(m, y) mmap(m, y) with { y || x }",
+            # one variable queried twice, both outputs decided
+            "x = flip 0.6; (a, b) = mmap(x, x);\n"
+            "if (a && b) { y = flip 0.1; } else { y = flip 0.9; }\n"
+            "pr(y) pr(a || b) mmap(a, b)",
+            # a deterministic variable queried
+            "x = tt; m = mmap(x); if m { y = flip 0.3; } else { y = ff; } pr(y) pr(m)",
+            "x = ff; m = mmap(x); if m { y = flip 0.3; } else { y = tt; } pr(y) mmap(m, x)",
+            # a contradiction read by a guard
+            "x = flip 0.5; y = x && !x; if y { z = flip 0.1; } else { z = flip 0.6; } pr(z)",
+        ],
+    )
+    def test_decided_outputs_match_interpreter(self, src):
+        assert_matches_interpreter(src)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "x = flip 0.5; y = x && !x; z = flip 0.4; pr(z) with { y }",
+            "x = flip 0.5; y = x && !x; w = y || y; z = flip 0.4; pr(z) with { w }",
+            "x = flip 0.5; y = x && !x; m = mmap(x) with { y }; pr(x)",
+            "x = flip 0.5; y = x && !x; z = flip 0.4; mmap(z) with { y }",
+        ],
+    )
+    def test_contradictory_evidence_is_still_rejected(self, src):
+        with pytest.raises(OracleError):
+            pineappl_interp(expand(parse(src)))
+        with pytest.raises(PineapplRunError):
+            run_program(src)
+
 
 class TestInternalNames:
     """Names the compiler and the expander make never equal a program's."""
@@ -356,7 +457,8 @@ class TestInternalNames:
     @pytest.mark.parametrize(
         "src, want",
         [
-            # the second mmap indicator once shared the label of k's third binding
+            # when decided outputs were indicator variables labelled k@<n>,
+            # the second one shared the label of k's third binding
             ("x = flip 0.5; k = flip 0.3; k = !k; m = mmap(x); n = mmap(x); pr(k)", 0.7),
             # the second flip once shared the label of f_1's second binding
             ("f_1 = flip 0.5; f_1 = !f_1; y = flip 1; pr(f_1)", 0.5),
