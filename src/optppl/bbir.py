@@ -87,11 +87,17 @@ class BoundMemo:
     whatever the order or the literals tried.  :meth:`BddManager.count`
     keys its entries on (node, validity, that number), so an entry stays
     valid for the whole search.  Each setup is fixed once per prefix length.
+
+    ``weight`` is the policy weight of the partial policy that the next
+    bound is for.  A memo made for one partial policy is made with its
+    weight; ``bb`` sets it as it fixes each literal, one multiply per
+    literal instead of one per fixed literal at every bound.
     """
 
-    def __init__(self, mgr: BddManager, order):
+    def __init__(self, mgr: BddManager, order, weight):
         self.mgr = mgr
         self.order = list(order)
+        self.weight = weight
         self._memos = {}  # base setup -> (setups by prefix length, memo)
 
     def bound(self, base: CountSetup, root: int, validity: int, depth: int):
@@ -129,8 +135,9 @@ def _check_partial(bbir: Bbir, partial: dict):
 
 
 def _policy_weight(bbir: Bbir, partial: dict):
+    # in the partial's own order, as bb carries it, so the two agree exactly
     acc = bbir.semiring.one
-    for var in sorted(partial):
+    for var in partial:
         pos, neg = bbir.weights.get(var)
         acc = bbir.semiring.mul(acc, pos if partial[var] else neg)
     return acc
@@ -214,21 +221,26 @@ class MeuObjective:
         """Bound over the completions of ``partial``; ``handles`` are conditioned on it.
 
         ``memo`` is the search's store, whose order ``partial`` must be a
-        prefix of; without one the passes use a fresh memo.
+        prefix of and whose weight is that of ``partial``; without one the
+        passes use a fresh memo.
         """
         num_h, den_h, valid_h = handles
         if memo is None:
-            memo = BoundMemo(self.bbir.mgr, partial)
+            memo = _fresh_memo(self.bbir, partial)
         depth = len(partial)
         num = memo.bound(self.num_bound, num_h, valid_h, depth)
         den = num
         if den_h != num_h or self.den_bound is not self.num_bound:
             den = memo.bound(self.den_bound, den_h, valid_h, depth)
-        t = EXPECTATION.mul(_policy_weight(self.bbir, partial), EV(num.prob, num.util))
+        t = EXPECTATION.mul(memo.weight, EV(num.prob, num.util))
         return EXPECTATION.join(_div_bound(t, den.low), _div_bound(t, den.prob))
 
     def scalar(self, value):
         return value.util
+
+
+def _fresh_memo(bbir: Bbir, partial: dict) -> BoundMemo:
+    return BoundMemo(bbir.mgr, partial, _policy_weight(bbir, partial))
 
 
 def _div_bound(t, r):
@@ -284,10 +296,8 @@ class MmapObjective:
         """Bound over the completions of ``partial`` (see :class:`MeuObjective`)."""
         num_h, _, valid_h = handles
         if memo is None:
-            memo = BoundMemo(self.bbir.mgr, partial)
-        t = _policy_weight(self.bbir, partial) * memo.bound(
-            self.num_bound, num_h, valid_h, len(partial)
-        )
+            memo = _fresh_memo(self.bbir, partial)
+        t = memo.weight * memo.bound(self.num_bound, num_h, valid_h, len(partial))
         return t / self.evidence_mass
 
     def scalar(self, value):
@@ -362,14 +372,23 @@ def bb(
 ) -> SolveResult:
     """Maximize the objective over total branch assignments (Fig.-8 style).
 
-    Pruning skips a branch literal exactly when its bound is dominated by
-    the incumbent under the lattice order; incomparable bounds always
-    recurse.  A bound is computed only once there is an incumbent, and
-    without pruning never.  ``literal_order`` fixes which literal is tried
-    first, which determines the witness among ties (the first maximum found
-    is kept).  Branch variables are fixed in
-    ``bbir.branch_vars`` order, so every bound of the search shares one
-    :class:`BoundMemo`.
+    Branch variables are fixed in ``bbir.branch_vars`` order, so every
+    bound of the search shares one :class:`BoundMemo`.  At each variable
+    both literals are conditioned and invalid ones skipped.  A child that
+    fixes the last variable is a total assignment: it is evaluated exactly
+    and never bounded.  Every other child is bounded, and the search dives
+    first into the child whose bound is larger under ``total_le`` (equal
+    bounds keep ``literal_order``), so the first incumbent comes from a
+    bound-guided dive.  Just before its turn a child is pruned when its
+    bound is dominated by the incumbent in the lattice order; incomparable
+    bounds always recurse.  The root is never bounded, and without pruning
+    no bound is computed and children go in ``literal_order``.
+
+    Among exact ties the witness is the assignment that comes first in
+    ``literal_order`` along ``branch_vars``, whatever order the search
+    visits them in: an equal value replaces the incumbent when its
+    assignment comes first, and a child that comes before the incumbent's
+    assignment is pruned only when its bound is strictly dominated.
     """
     sr = objective.semiring
     mgr = bbir.mgr
@@ -377,46 +396,85 @@ def bb(
     nodes_before = mgr.num_nodes
     stats = SearchStats()
     order = list(bbir.branch_vars)
-    memo = BoundMemo(mgr, order)
+    last = len(order) - 1
+    memo = BoundMemo(mgr, order, sr.one)
+    # literal weights by depth; none when all are the unit (as in dappl),
+    # where every policy weight is one
+    literal_weights = None
+    if any(bbir.weights.get(v) != (sr.one, sr.one) for v in order):
+        literal_weights = [dict(zip((True, False), bbir.weights.get(v))) for v in order]
+    partial = {}  # the current path, in order
     state = {"best": None, "witness": None}
 
-    def consider(value, partial):
-        if state["best"] is None or (
-            sr.total_le(state["best"], value) and state["best"] != value
+    def before_witness():
+        # the first literal of ``partial`` that differs from the incumbent's
+        # witness decides which comes first
+        witness = state["witness"]
+        for var, value in partial.items():
+            if value != witness[var]:
+                return value == literal_order[0]
+        return False
+
+    def consider(value):
+        best = state["best"]
+        if best is None or (
+            sr.total_le(best, value) and (best != value or before_witness())
         ):
             state["best"] = value
             state["witness"] = dict(partial)
 
-    def dominated(handles, partial):
-        # before the first leaf there is no incumbent for a bound to beat
-        if not prune or state["best"] is None:
-            return False
-        stats.bound_calls += 1
-        bound = objective.bound_conditioned(handles, partial, memo)
-        return sr.cmp_le(bound, state["best"])
+    def pruned(bound):
+        best = state["best"]
+        return (
+            best is not None
+            and sr.cmp_le(bound, best)
+            and (bound != best or not before_witness())
+        )
 
-    def recurse(handles, remaining, partial):
-        if not remaining:
-            stats.base_cases += 1
-            consider(objective.evaluate_conditioned(handles, partial), partial)
-            return
+    def recurse(handles, depth, weight):
         stats.interior += 1
-        var, rest = remaining[0], remaining[1:]
+        var = order[depth]
+        children = []
         for value in literal_order:
             child = _condition_handles(mgr, handles, {var: value})
-            valid = child[-1]
-            if valid == FALSE:
+            if child[-1] == FALSE:
                 stats.invalid += 1
                 continue
             partial[var] = value
-            if dominated(child, partial):
+            if literal_weights is not None:
+                child_weight = sr.mul(weight, literal_weights[depth][value])
+            else:
+                child_weight = weight
+            if depth == last:
+                stats.base_cases += 1
+                consider(objective.evaluate_conditioned(child, partial))
+            elif prune:
+                stats.bound_calls += 1
+                memo.weight = child_weight
+                bound = objective.bound_conditioned(child, partial, memo)
+                children.append((bound, value, child, child_weight))
+            else:
+                children.append((None, value, child, child_weight))
+            del partial[var]
+        if len(children) == 2 and prune:
+            first, second = children[0][0], children[1][0]
+            if sr.total_le(first, second) and first != second:
+                children.reverse()
+        for bound, value, child, child_weight in children:
+            partial[var] = value
+            if prune and pruned(bound):
                 stats.prunes += 1
             else:
-                recurse(child, rest, partial)
+                recurse(child, depth + 1, child_weight)
             del partial[var]
 
+    handles = objective.initial_handles()
     try:
-        recurse(objective.initial_handles(), order, {})
+        if order:
+            recurse(handles, 0, sr.one)
+        else:
+            stats.base_cases += 1
+            consider(objective.evaluate_conditioned(handles, partial))
     finally:
         recurse = None  # it refers to itself; break the cycle
     stats.bound_memo_entries = memo.entries()
@@ -432,4 +490,3 @@ def bb(
         witness=state["witness"],
         stats=stats,
     )
-

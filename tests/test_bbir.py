@@ -362,32 +362,43 @@ class TestSearch:
                 assert stats.prunes + stats.invalid + children == 2 * stats.interior
             assert stats.elapsed_ms >= 0.0
 
-    def test_no_bound_pass_before_the_first_leaf(self):
-        # without an incumbent a bound cannot prune, so none is computed
+    def test_root_and_leaf_children_are_never_bounded(self):
+        # a one-variable search has only leaf children: both are evaluated
+        # exactly and nothing is bounded
         mgr = BddManager()
         x, y = mgr.new_var("x"), mgr.new_var("y")
         phi = mgr.apply("iff", mgr.mk_var(x), mgr.mk_var(y))
         inst = Bbir(mgr=mgr, formulas=[phi, mgr.mk_true()], branch_vars=[x],
                     weights=WeightMap({x: (0.4, 0.6), y: (0.5, 0.5)}), semiring=REAL)
         stats = bb(MmapObjective(inst), inst, literal_order=(False, True)).stats
-        assert (stats.bound_calls, stats.prunes) == (1, 1)
+        assert (stats.bound_calls, stats.prunes, stats.base_cases) == (0, 0, 2)
 
         problem = prepare(gen_dr(4, seed=0))[2].finalize()
         objective = MeuObjective(problem)
-        events = []
+        leaves, bounded = [], []
         leaf, bound = objective.evaluate_conditioned, objective.bound_conditioned
-        objective.evaluate_conditioned = lambda *a: events.append("leaf") or leaf(*a)
-        objective.bound_conditioned = lambda *a: events.append("bound") or bound(*a)
+        objective.evaluate_conditioned = lambda h, p: leaves.append(len(p)) or leaf(h, p)
+        objective.bound_conditioned = lambda h, p, m: bounded.append(len(p)) or bound(h, p, m)
         result = bb(objective, problem)
         del objective.evaluate_conditioned, objective.bound_conditioned
-        assert events[0] == "leaf"
-        # computing the bounds before the first leaf as well took 75 calls
-        # for the same prunes, invalid branches, value and witness
-        assert result.stats.bound_calls == events.count("bound") == 57
-        assert (result.stats.prunes, result.stats.invalid) == (14, 37)
+        n = len(problem.branch_vars)
+        assert bounded and all(0 < depth < n for depth in bounded)
+        # the dive into the better-bounded child reaches the optimum, so the
+        # first leaf is the only one; the blind dive in literal order took
+        # 57 bound calls, 14 prunes and 37 invalid branches
+        assert leaves == [n] and result.stats.base_cases == 1
+        assert result.stats.bound_calls == len(bounded) == 26
+        assert (result.stats.prunes, result.stats.invalid) == (9, 9)
         plain = bb(objective, problem, prune=False)
         assert result.value == plain.value
         assert result.witness == plain.witness
+
+    def test_bound_guided_dive_scales_on_dr(self):
+        # the blind dive in literal order made 25,319 bound calls here
+        problem = prepare(gen_dr(20, seed=0))[2].finalize()
+        result = bb(MeuObjective(problem), problem)
+        assert result.scalar == 95.90271908160793
+        assert result.stats.bound_calls <= 300
 
     def test_a_solve_leaves_no_reference_cycles(self):
         # the count walk's and the search's recursive closures are cleared
@@ -402,6 +413,61 @@ class TestSearch:
         finally:
             gc.enable()
         assert garbage < 100
+
+
+class TestTieWitness:
+    """Among exact ties the witness comes first in literal order, though the
+    bound-guided search visits a later maximum first."""
+
+    def test_mmap_tie_resolves_to_the_first_assignment(self):
+        mgr = BddManager()
+        a, y, b = (mgr.new_var(name) for name in "ayb")
+        A, Y, B = (mgr.mk_var(v) for v in (a, y, b))
+        phi = mgr.apply(
+            "or",
+            mgr.conjoin([mgr.negate(A), mgr.negate(B), Y]),
+            mgr.apply("and", A, mgr.apply("iff", B, Y)),
+        )
+        weights = WeightMap({a: (1.0, 1.0), b: (1.0, 1.0), y: (0.5, 0.5)})
+        inst = Bbir(mgr=mgr, formulas=[phi, mgr.mk_true()], branch_vars=[a, b],
+                    weights=weights, semiring=REAL)
+        objective = MmapObjective(inst)
+        # y lies between a and b, so the bound of a=T joins over b inside
+        # each y: 1.0 against 0.5 for a=F (times 1/1.5), and a=T goes first
+        assert ub_f(objective, inst, {a: True}) > ub_f(objective, inst, {a: False})
+        result = bb(objective, inst, literal_order=(False, True))
+        # {F,F}, {T,F} and {T,T} all have the value 1/3
+        assert result.witness == {a: False, b: False}
+        assert result.value == 0.5 / 1.5
+        assert result.witness == bb(objective, inst, prune=False,
+                                    literal_order=(False, True)).witness
+
+    def test_pineappl_tie_resolves_to_the_smallest_assignment(self):
+        src = (
+            "a = flip 0.5; y = flip 0.5; b = flip 0.5;\n"
+            "mmap(a, b) with { !a && !b && y || a && (b && y || !b && !y) }"
+        )
+        (query,) = run_program(src)["queries"]
+        assert query["assignment"] == {"a": False, "b": False}
+        assert query["value"] == 0.125 / 0.375
+
+    def test_dappl_tie_resolves_to_the_first_alternative(self):
+        # A and B are both worth 10.  c0.A and c0.B are pinned first, so c
+        # lies above the choice under B, whose bound (20) lets that choice
+        # see c: the search dives into B first
+        src = (
+            "c <- flip 0.5;\n"
+            "choose [A, B]\n"
+            "| A -> reward 10\n"
+            "| B -> (choose [U, V] | U -> if c then reward 20 else ()"
+            " | V -> if c then () else reward 20)"
+        )
+        mgr = BddManager()
+        for label in ("c0.A", "c0.B"):
+            mgr.ensure_var(label)
+        out = solve_meu(src, mgr=mgr)
+        assert out["meu"] == 10.0
+        assert out["policy"] == {"c0": "A", "c1": "U"}
 
 
 def recorded_search(objective, inst, **kwargs):
@@ -580,8 +646,12 @@ class TestSearchMemo:
         stats = bb(MeuObjective(inst), inst).stats
         assert stats.bound_memo_entries == 0
         assert stats.to_dict()["bound_memo_entries"] == 0
+        # one-variable searches evaluate their two leaf children and bound nothing
         solves = run_program(gen_nested_mmap(3))["stats"]["mmap_solves"]
-        assert solves and all(s["bound_memo_entries"] > 0 for s in solves)
+        assert solves and all(s["bound_memo_entries"] == 0 for s in solves)
+        src = "a = flip 0.3; b = flip 0.6; (x, y) = mmap(a, b) with { a || b }; pr(x)"
+        solves = run_program(src)["stats"]["mmap_solves"]
+        assert [s["bound_memo_entries"] > 0 for s in solves] == [True]
 
 
 class CountSpy:
