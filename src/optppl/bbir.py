@@ -87,17 +87,11 @@ class BoundMemo:
     whatever the order or the literals tried.  :meth:`BddManager.count`
     keys its entries on (node, validity, that number), so an entry stays
     valid for the whole search.  Each setup is fixed once per prefix length.
-
-    ``weight`` is the policy weight of the partial policy that the next
-    bound is for.  A memo made for one partial policy is made with its
-    weight; ``bb`` sets it as it fixes each literal, one multiply per
-    literal instead of one per fixed literal at every bound.
     """
 
-    def __init__(self, mgr: BddManager, order, weight):
+    def __init__(self, mgr: BddManager, order):
         self.mgr = mgr
         self.order = list(order)
-        self.weight = weight
         self._memos = {}  # base setup -> (setups by prefix length, memo)
 
     def bound(self, base: CountSetup, root: int, validity: int, depth: int):
@@ -135,11 +129,12 @@ def _check_partial(bbir: Bbir, partial: dict):
 
 
 def _policy_weight(bbir: Bbir, partial: dict):
-    # in the partial's own order, as bb carries it, so the two agree exactly
+    # in branch order, so the product does not depend on the dict's order
     acc = bbir.semiring.one
-    for var in partial:
-        pos, neg = bbir.weights.get(var)
-        acc = bbir.semiring.mul(acc, pos if partial[var] else neg)
+    for var in bbir.branch_vars:
+        if var in partial:
+            pos, neg = bbir.weights.get(var)
+            acc = bbir.semiring.mul(acc, pos if partial[var] else neg)
     return acc
 
 
@@ -221,26 +216,21 @@ class MeuObjective:
         """Bound over the completions of ``partial``; ``handles`` are conditioned on it.
 
         ``memo`` is the search's store, whose order ``partial`` must be a
-        prefix of and whose weight is that of ``partial``; without one the
-        passes use a fresh memo.
+        prefix of; without one the passes use a fresh memo.
         """
         num_h, den_h, valid_h = handles
         if memo is None:
-            memo = _fresh_memo(self.bbir, partial)
+            memo = BoundMemo(self.bbir.mgr, partial)
         depth = len(partial)
         num = memo.bound(self.num_bound, num_h, valid_h, depth)
         den = num
         if den_h != num_h or self.den_bound is not self.num_bound:
             den = memo.bound(self.den_bound, den_h, valid_h, depth)
-        t = EXPECTATION.mul(memo.weight, EV(num.prob, num.util))
+        t = EXPECTATION.mul(_policy_weight(self.bbir, partial), EV(num.prob, num.util))
         return EXPECTATION.join(_div_bound(t, den.low), _div_bound(t, den.prob))
 
     def scalar(self, value):
         return value.util
-
-
-def _fresh_memo(bbir: Bbir, partial: dict) -> BoundMemo:
-    return BoundMemo(bbir.mgr, partial, _policy_weight(bbir, partial))
 
 
 def _div_bound(t, r):
@@ -296,8 +286,10 @@ class MmapObjective:
         """Bound over the completions of ``partial`` (see :class:`MeuObjective`)."""
         num_h, _, valid_h = handles
         if memo is None:
-            memo = _fresh_memo(self.bbir, partial)
-        t = memo.weight * memo.bound(self.num_bound, num_h, valid_h, len(partial))
+            memo = BoundMemo(self.bbir.mgr, partial)
+        t = _policy_weight(self.bbir, partial) * memo.bound(
+            self.num_bound, num_h, valid_h, len(partial)
+        )
         return t / self.evidence_mass
 
     def scalar(self, value):
@@ -397,12 +389,7 @@ def bb(
     stats = SearchStats()
     order = list(bbir.branch_vars)
     last = len(order) - 1
-    memo = BoundMemo(mgr, order, sr.one)
-    # literal weights by depth; none when all are the unit (as in dappl),
-    # where every policy weight is one
-    literal_weights = None
-    if any(bbir.weights.get(v) != (sr.one, sr.one) for v in order):
-        literal_weights = [dict(zip((True, False), bbir.weights.get(v))) for v in order]
+    memo = BoundMemo(mgr, order)
     partial = {}  # the current path, in order
     state = {"best": None, "witness": None}
 
@@ -431,7 +418,7 @@ def bb(
             and (bound != best or not before_witness())
         )
 
-    def recurse(handles, depth, weight):
+    def recurse(handles, depth):
         stats.interior += 1
         var = order[depth]
         children = []
@@ -441,37 +428,32 @@ def bb(
                 stats.invalid += 1
                 continue
             partial[var] = value
-            if literal_weights is not None:
-                child_weight = sr.mul(weight, literal_weights[depth][value])
-            else:
-                child_weight = weight
             if depth == last:
                 stats.base_cases += 1
                 consider(objective.evaluate_conditioned(child, partial))
             elif prune:
                 stats.bound_calls += 1
-                memo.weight = child_weight
                 bound = objective.bound_conditioned(child, partial, memo)
-                children.append((bound, value, child, child_weight))
+                children.append((bound, value, child))
             else:
-                children.append((None, value, child, child_weight))
+                children.append((None, value, child))
             del partial[var]
         if len(children) == 2 and prune:
             first, second = children[0][0], children[1][0]
             if sr.total_le(first, second) and first != second:
                 children.reverse()
-        for bound, value, child, child_weight in children:
+        for bound, value, child in children:
             partial[var] = value
             if prune and pruned(bound):
                 stats.prunes += 1
             else:
-                recurse(child, depth + 1, child_weight)
+                recurse(child, depth + 1)
             del partial[var]
 
     handles = objective.initial_handles()
     try:
         if order:
-            recurse(handles, 0, sr.one)
+            recurse(handles, 0)
         else:
             stats.base_cases += 1
             consider(objective.evaluate_conditioned(handles, partial))

@@ -118,6 +118,18 @@ class TestBoundDominance:
             )
             assert le_tol(lb(bbir, bbir.formulas[0], P), ub(bbir, bbir.formulas[0], P))
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bounds_do_not_depend_on_the_partial_key_order(self, seed):
+        rng = random.Random(900 + seed)
+        bbir, _, _ = random_bbir(rng, n_vars=rng.randint(5, 8), n_branch=rng.randint(3, 5))
+        root = bbir.formulas[0]
+        P = {v: rng.random() < 0.5 for v in bbir.branch_vars}
+        for _ in range(3):
+            items = list(P.items())
+            rng.shuffle(items)
+            for bound in (ub, lb):
+                assert bound(bbir, root, P) == bound(bbir, root, dict(items))
+
     def test_assignment_outside_branch_set_rejected(self):
         rng = random.Random(5)
         bbir, _, _ = random_bbir(rng, n_vars=5, n_branch=2)
