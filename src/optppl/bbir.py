@@ -2,15 +2,18 @@
 
 A :class:`Bbir` packages formulas (as BDD handles), an ordered set of branch
 variables ``X``, and a literal weight map over a branch-and-bound semiring.
-:func:`ub` and :func:`lb` compute single-pass bounds that replace the sum at
-a branch variable by a join (resp. meet), as runs of the one semiring walk
-:meth:`BddManager.count`; :func:`bb` searches the space of total branch
-assignments, pruning a branch whenever its bound is dominated by the
-incumbent under the lattice order.  All bound passes of one search share a
-:class:`BoundMemo`, since the search fixes branch variables in one order.
-An MEU bound divides an expectation bound by probability bounds; one walk
-over the product semiring ``EV_BOUND`` computes the numerator and the
-denominator's lower and upper bounds together.
+Every objective value is one count walk, :meth:`BoundMemo.bound` over
+:meth:`BddManager.count`, that replaces the sum at each open branch
+variable by a join (resp. meet).  With every branch variable fixed no join
+is left and the walk is the exact count, so leaves, bounds, :func:`ub`,
+:func:`lb`, :func:`ub_f` and :func:`evaluate_objective` all run it.
+:func:`bb` searches the space of total branch assignments, pruning a branch
+whenever its bound is dominated by the incumbent under the lattice order.
+All bound and leaf walks of one search share a :class:`BoundMemo`, since
+the search fixes branch variables in one order.  An MEU bound divides an
+expectation bound by probability bounds; one walk over the product
+semiring ``EV_BOUND`` computes the numerator and the denominator's lower
+and upper bounds together.
 
 An optional validity formula restricts which branch assignments count as
 policies (the surface compiler uses it for its one-hot choice encoding);
@@ -60,28 +63,20 @@ class Bbir:
             names = ", ".join(self.mgr.var_label(v) for v in repeated)
             raise BbirError(f"duplicate branch variable(s): {names}")
 
-    def universe_for(self, handle: int):
-        """Sorted bound/count universe of a formula: its support plus X."""
-        return sorted(self.mgr.support(handle) | self.branch_set)
-
 
 # ---------------------------------------------------------------------------
-# Single-pass bounds (join or meet at branch variables)
+# The count walk (join or meet at open branch variables)
 # ---------------------------------------------------------------------------
-
-def _bound_setup(bbir: Bbir, universe, weights: WeightMap, semiring, use_join: bool):
-    """Count setup of a bound pass: sums outside X, joins (or meets) at X."""
-    combine = semiring.join if use_join else semiring.meet
-    return CountSetup(universe, weights, semiring, bbir.branch_set, combine)
-
 
 class BoundMemo:
-    """The memos and fixed-prefix setups shared by the bound passes of one search.
+    """The memos and fixed-prefix setups shared by the count walks of one search.
 
     Each objective part's bound setup (a :class:`CountSetup` with joins or
-    meets at X) gets one memo.  ``bb`` fixes the branch variables along one
-    ``order``, so every partial policy it bounds holds a prefix of that
-    order, and the conditioned sets of its passes form a chain.  A diagram
+    meets at X) gets one memo, which serves the search's bounds and its
+    leaves: a leaf is the walk with every branch variable fixed.  ``bb``
+    fixes the branch variables along one ``order``, so every partial policy
+    it walks holds a prefix of that order, and the conditioned sets of its
+    walks form a chain.  A diagram
     node's bound from its top position depends only on which conditioned
     variables lie below it, and along a chain their number names that set,
     whatever the order or the literals tried.  :meth:`BddManager.count`
@@ -95,7 +90,11 @@ class BoundMemo:
         self._memos = {}  # base setup -> (setups by prefix length, memo)
 
     def bound(self, base: CountSetup, root: int, validity: int, depth: int):
-        """Bound pass of ``root`` with the first ``depth`` variables of the order fixed."""
+        """Walk ``root`` with the first ``depth`` variables of the order fixed.
+
+        It joins (or meets) at the branch variables left open, so with all
+        of them fixed it is the exact count.
+        """
         entry = self._memos.get(base)
         if entry is None:
             entry = self._memos[base] = ({0: base}, {})
@@ -107,18 +106,6 @@ class BoundMemo:
 
     def entries(self) -> int:
         return sum(len(memo) for _, memo in self._memos.values())
-
-
-def _bound_pass(bbir: Bbir, root: int, validity: int, universe, conditioned, use_join: bool):
-    """Count ``root`` over ``universe`` with sums outside X and joins/meets at X.
-
-    ``validity`` is walked in lockstep; branch literals whose validity child
-    is unsatisfiable contribute nothing.  ``conditioned`` variables (already
-    fixed by the caller's partial policy) contribute nothing either.  The
-    pass gets a fresh memo, so it suits any conditioned set.
-    """
-    setup = _bound_setup(bbir, universe, bbir.weights, bbir.semiring, use_join)
-    return bbir.mgr.count(root, validity, setup.fixing(conditioned), {})
 
 
 def _check_partial(bbir: Bbir, partial: dict):
@@ -140,23 +127,26 @@ def _policy_weight(bbir: Bbir, partial: dict):
 
 def ub(bbir: Bbir, formula: int, partial: dict):
     """Upper bound on AMC(formula|T) (x) prod w(T) over all completions T."""
-    return _bound(bbir, formula, partial, use_join=True)
+    return _bound(bbir, formula, partial, bbir.semiring.join)
 
 
 def lb(bbir: Bbir, formula: int, partial: dict):
     """Dual lower bound: meet instead of join at branch variables."""
-    return _bound(bbir, formula, partial, use_join=False)
+    return _bound(bbir, formula, partial, bbir.semiring.meet)
 
 
-def _bound(bbir: Bbir, formula: int, partial: dict, use_join: bool):
+def _bound(bbir: Bbir, formula: int, partial: dict, combine):
     _check_partial(bbir, partial)
     mgr = bbir.mgr
-    universe = bbir.universe_for(formula)
-    cond_formula = mgr.condition_all(formula, partial)
-    cond_valid = mgr.condition_all(bbir.validity, partial)
-    pm = _policy_weight(bbir, partial)
-    acc = _bound_pass(bbir, cond_formula, cond_valid, universe, set(partial), use_join)
-    return bbir.semiring.mul(pm, acc)
+    universe = sorted(mgr.support(formula) | bbir.branch_set)
+    setup = CountSetup(universe, bbir.weights, bbir.semiring, bbir.branch_set, combine)
+    acc = BoundMemo(mgr, partial).bound(
+        setup,
+        mgr.condition_all(formula, partial),
+        mgr.condition_all(bbir.validity, partial),
+        len(partial),
+    )
+    return bbir.semiring.mul(_policy_weight(bbir, partial), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +154,10 @@ def _bound(bbir: Bbir, formula: int, partial: dict, use_join: bool):
 # ---------------------------------------------------------------------------
 
 class MeuObjective:
-    """Maximum expected utility: maximize AMC(phi ^ gamma | pi)_EU / AMC(gamma | pi)_Pr."""
+    """Maximum expected utility: maximize AMC(phi ^ gamma | pi)_EU / AMC(gamma | pi)_Pr.
+
+    Both literals of every branch variable must carry the unit weight.
+    """
 
     kind = "meu"
     semiring = EXPECTATION
@@ -174,15 +167,17 @@ class MeuObjective:
             raise BbirError("MEU requires the expectation semiring")
         if len(bbir.formulas) != 2:
             raise BbirError("MEU expects [unnormalized formula, accepting formula]")
+        unit = (EXPECTATION.one, EXPECTATION.one)
+        weighted = [v for v in bbir.branch_vars if bbir.weights.get(v) != unit]
+        if weighted:
+            names = ", ".join(bbir.mgr.var_label(v) for v in weighted)
+            raise BbirError(f"MEU requires unit weights on branch variables: {names}")
         self.bbir = bbir
         mgr = bbir.mgr
         self.phi, self.gamma = bbir.formulas
         self.num_root = mgr.apply("and", self.phi, self.gamma)
         self.num_universe = sorted(mgr.support(self.num_root) | bbir.branch_set)
         self.den_universe = sorted(mgr.support(self.gamma) | bbir.branch_set)
-        self.num_weights = bbir.weights.restrict(
-            set(self.num_universe) - bbir.branch_set
-        )
         # One EV_BOUND walk bounds a quotient: its (prob, util) is the
         # expectation walk with joins at X and ``low`` the probability walk
         # with meets.  The probability walk with joins is the ``prob`` of
@@ -192,41 +187,38 @@ class MeuObjective:
         for v in set(self.num_universe) | set(self.den_universe):
             pos, neg = bbir.weights.get(v)
             weights.set(v, EVBound.lift(pos), EVBound.lift(neg))
-        self.num_bound = _bound_setup(bbir, self.num_universe, weights, EV_BOUND, True)
-        # Equal universes share one weight map and one bound setup, so the
-        # amc cache and the bound memo serve both parts of the quotient.
-        self.den_weights, self.den_bound = self.num_weights, self.num_bound
+        branch = bbir.branch_set
+        self.num_bound = CountSetup(self.num_universe, weights, EV_BOUND, branch, EV_BOUND.join)
+        # equal universes share one bound setup, so its memo serves both parts
+        self.den_bound = self.num_bound
         if self.den_universe != self.num_universe:
-            self.den_weights = bbir.weights.restrict(
-                set(self.den_universe) - bbir.branch_set
-            )
-            self.den_bound = _bound_setup(bbir, self.den_universe, weights, EV_BOUND, True)
+            self.den_bound = CountSetup(self.den_universe, weights, EV_BOUND, branch, EV_BOUND.join)
 
     def initial_handles(self):
         return (self.num_root, self.gamma, self.bbir.validity)
 
-    def evaluate_conditioned(self, handles, partial):
-        num_h, den_h, _ = handles
-        mgr = self.bbir.mgr
-        num = mgr.amc(num_h, self.num_weights, EXPECTATION)
-        den = mgr.amc(den_h, self.den_weights, EXPECTATION).prob
-        return EXPECTATION.scalar_div(num, den)
+    def _counts(self, handles, partial, memo: BoundMemo):
+        """The numerator and denominator walks over the completions of ``partial``."""
+        num_h, den_h, valid_h = handles
+        depth = len(partial)
+        num = memo.bound(self.num_bound, num_h, valid_h, depth)
+        if den_h == num_h and self.den_bound is self.num_bound:
+            return num, num
+        return num, memo.bound(self.den_bound, den_h, valid_h, depth)
 
-    def bound_conditioned(self, handles, partial, memo: BoundMemo | None = None):
+    def evaluate_conditioned(self, handles, partial, memo: BoundMemo):
+        """Exact value at the total ``partial``; ``handles`` are conditioned on it."""
+        num, den = self._counts(handles, partial, memo)
+        return EXPECTATION.scalar_div(EV(num.prob, num.util), den.prob)
+
+    def bound_conditioned(self, handles, partial, memo: BoundMemo):
         """Bound over the completions of ``partial``; ``handles`` are conditioned on it.
 
         ``memo`` is the search's store, whose order ``partial`` must be a
-        prefix of; without one the passes use a fresh memo.
+        prefix of.
         """
-        num_h, den_h, valid_h = handles
-        if memo is None:
-            memo = BoundMemo(self.bbir.mgr, partial)
-        depth = len(partial)
-        num = memo.bound(self.num_bound, num_h, valid_h, depth)
-        den = num
-        if den_h != num_h or self.den_bound is not self.num_bound:
-            den = memo.bound(self.den_bound, den_h, valid_h, depth)
-        t = EXPECTATION.mul(_policy_weight(self.bbir, partial), EV(num.prob, num.util))
+        num, den = self._counts(handles, partial, memo)
+        t = EV(num.prob, num.util)
         return EXPECTATION.join(_div_bound(t, den.low), _div_bound(t, den.prob))
 
     def scalar(self, value):
@@ -262,35 +254,27 @@ class MmapObjective:
         self.phi, self.gamma = bbir.formulas
         self.num_root = mgr.apply("and", self.phi, self.gamma)
         self.num_universe = sorted(mgr.support(self.num_root) | bbir.branch_set)
-        self.num_weights = bbir.weights.restrict(
-            set(self.num_universe) - bbir.branch_set
-        )
         # the normalizer marginalizes the MAP variables, so it is constant
         # during the search and can be computed exactly once up front
-        self.den_weights = bbir.weights.restrict(self.num_universe)
-        self.evidence_mass = mgr.amc(self.num_root, self.den_weights, REAL)
+        marginal = bbir.weights.restrict(self.num_universe)
+        self.evidence_mass = mgr.amc(self.num_root, marginal, REAL)
         if self.evidence_mass == 0.0:
             raise BbirError("evidence has zero mass")
-        self.num_bound = _bound_setup(bbir, self.num_universe, bbir.weights, REAL, True)
+        self.num_bound = CountSetup(self.num_universe, bbir.weights, REAL, bbir.branch_set, REAL.join)
 
     def initial_handles(self):
         return (self.num_root, None, self.bbir.validity)
 
-    def evaluate_conditioned(self, handles, partial):
-        num_h, _, _ = handles
-        num = self.bbir.mgr.amc(num_h, self.num_weights, REAL)
-        pm = _policy_weight(self.bbir, partial)
-        return pm * num / self.evidence_mass
-
-    def bound_conditioned(self, handles, partial, memo: BoundMemo | None = None):
+    def bound_conditioned(self, handles, partial, memo: BoundMemo):
         """Bound over the completions of ``partial`` (see :class:`MeuObjective`)."""
         num_h, _, valid_h = handles
-        if memo is None:
-            memo = BoundMemo(self.bbir.mgr, partial)
         t = _policy_weight(self.bbir, partial) * memo.bound(
             self.num_bound, num_h, valid_h, len(partial)
         )
         return t / self.evidence_mass
+
+    # at a total assignment the bound walk is exact
+    evaluate_conditioned = bound_conditioned
 
     def scalar(self, value):
         return value
@@ -303,14 +287,16 @@ def evaluate_objective(objective, bbir: Bbir, total: dict):
     if missing:
         raise BbirError("policy is not total over the branch variables")
     handles = _condition_handles(bbir.mgr, objective.initial_handles(), total)
-    return objective.evaluate_conditioned(handles, total)
+    if handles[-1] == FALSE:
+        raise BbirError("the validity formula rules out this assignment")
+    return objective.evaluate_conditioned(handles, total, BoundMemo(bbir.mgr, total))
 
 
 def ub_f(objective, bbir: Bbir, partial: dict):
     """Upper bound of the objective over every completion of ``partial``."""
     _check_partial(bbir, partial)
     handles = _condition_handles(bbir.mgr, objective.initial_handles(), partial)
-    return objective.bound_conditioned(handles, partial)
+    return objective.bound_conditioned(handles, partial, BoundMemo(bbir.mgr, partial))
 
 
 def _condition_handles(mgr, handles, assignment):
@@ -331,7 +317,7 @@ class SearchStats:
     invalid: int = 0  # branches skipped because no completion is a policy
     base_cases: int = 0
     interior: int = 0
-    bound_memo_entries: int = 0  # size of the search's bound memos at its end
+    bound_memo_entries: int = 0  # size of the search's memos (bounds and leaves) at its end
     elapsed_ms: float = 0.0
 
     def to_dict(self):
@@ -365,7 +351,7 @@ def bb(
     """Maximize the objective over total branch assignments (Fig.-8 style).
 
     Branch variables are fixed in ``bbir.branch_vars`` order, so every
-    bound of the search shares one :class:`BoundMemo`.  At each variable
+    bound and leaf of the search shares one :class:`BoundMemo`.  At each variable
     both literals are conditioned and invalid ones skipped.  A child that
     fixes the last variable is a total assignment: it is evaluated exactly
     and never bounded.  Every other child is bounded, and the search dives
@@ -382,6 +368,8 @@ def bb(
     assignment comes first, and a child that comes before the incumbent's
     assignment is pruned only when its bound is strictly dominated.
     """
+    if literal_order not in ((True, False), (False, True)):
+        raise BbirError("literal_order must be (True, False) or (False, True)")
     sr = objective.semiring
     mgr = bbir.mgr
     t0 = time.perf_counter()
@@ -430,7 +418,7 @@ def bb(
             partial[var] = value
             if depth == last:
                 stats.base_cases += 1
-                consider(objective.evaluate_conditioned(child, partial))
+                consider(objective.evaluate_conditioned(child, partial, memo))
             elif prune:
                 stats.bound_calls += 1
                 bound = objective.bound_conditioned(child, partial, memo)
@@ -456,7 +444,7 @@ def bb(
             recurse(handles, 0)
         else:
             stats.base_cases += 1
-            consider(objective.evaluate_conditioned(handles, partial))
+            consider(objective.evaluate_conditioned(handles, partial, memo))
     finally:
         recurse = None  # it refers to itself; break the cycle
     stats.bound_memo_entries = memo.entries()

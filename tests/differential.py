@@ -1,0 +1,87 @@
+"""Differential dump of solver results over random and generated programs.
+
+Run it at two revisions and compare the outputs::
+
+    PYTHONPATH=src:tests python3 tests/differential.py > out.txt
+
+Each case prints one line: its tag, then its result with every float in
+``float.hex`` form (so two runs agree only when they are bit for bit equal),
+or ``ERR <type> <message>``.  Timings and memo sizes are left out; every
+other search statistic is printed.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import random
+
+from optppl import EV, MeuObjective, MmapObjective, bb, lb, ub, ub_f
+from optppl.dappl import solve_meu
+from optppl.gen import gen_dr, gen_gridworld, gen_ladder, gen_nested_mmap
+from optppl.pineappl import run_program
+
+from corpus import random_dappl_program, random_pineappl_program
+from helpers import random_meu_instance, random_mmap_instance
+
+# timings vary between runs; memo sizes are not results
+LEFT_OUT = ("elapsed_ms", "bound_memo_entries")
+
+
+def fmt(value) -> str:
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, EV):
+        return f"EV({fmt(value.prob)}, {fmt(value.util)})"
+    if isinstance(value, dict):
+        items = (f"{fmt(k)}: {fmt(v)}" for k, v in value.items() if k not in LEFT_OUT)
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(fmt(v) for v in value) + "]"
+    return repr(value)
+
+
+def case(tag: str, run):
+    try:
+        out = fmt(run())
+    except Exception as exc:  # every failure is part of the output
+        out = f"ERR {type(exc).__name__} {exc}"
+    print(tag, out)
+
+
+def search(objective_class, inst, partial_rng, literal_order):
+    objective = objective_class(inst)
+    result = bb(objective, inst, literal_order=literal_order)
+    stats = result.stats
+    branch = list(inst.branch_vars)
+    partial = {v: partial_rng.random() < 0.5
+               for v in partial_rng.sample(branch, k=partial_rng.randint(0, len(branch)))}
+    phi = inst.formulas[0]
+    return (result.value, result.witness, stats.prunes, stats.bound_calls, stats.invalid,
+            ub(inst, phi, partial), lb(inst, phi, partial), ub_f(objective, inst, partial))
+
+
+def main():
+    for seed in range(400):
+        case(f"dappl-random {seed}", lambda: solve_meu(random_dappl_program(seed)))
+    for seed in range(600):
+        src = random_pineappl_program(seed, max_flips=6, max_mmaps=4)
+        case(f"pineappl-random {seed}", lambda: run_program(src))
+    for seed in range(300):
+        inst = random_meu_instance(random.Random(seed))
+        if inst is not None:
+            case(f"meu-instance {seed}", lambda: search(
+                MeuObjective, inst, random.Random(10_000 + seed), (True, False)))
+        out = random_mmap_instance(random.Random(seed))
+        if out is not None:
+            case(f"mmap-instance {seed}", lambda: search(
+                MmapObjective, out[0], random.Random(20_000 + seed), (False, True)))
+    for n in range(3, 7):
+        case(f"dr {n}", lambda: solve_meu(gen_dr(n, seed=0)))
+        case(f"ladder {n}", lambda: solve_meu(gen_ladder(n, seed=0)))
+    case("ladder 2 k=2 seed=5", lambda: solve_meu(gen_ladder(2, 2, seed=5)))
+    case("gridworld 4 6", lambda: solve_meu(gen_gridworld(4, 6, 0.1, seed=0)))
+    for n in (5, 9, 14, 20):
+        case(f"nested-mmap {n}", lambda: run_program(gen_nested_mmap(n)))
+
+
+if __name__ == "__main__":
+    main()

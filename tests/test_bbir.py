@@ -23,6 +23,8 @@ from optppl import (
     ub,
     ub_f,
 )
+from optppl.bbir import BoundMemo, _div_bound, _policy_weight
+from optppl.bdd import CountSetup
 from optppl.dappl import prepare, solve_compiled, solve_meu
 from optppl.gen import gen_dr, gen_ladder, gen_nested_mmap
 from optppl.oracle import brute_amc, mmap_enum
@@ -39,6 +41,14 @@ from helpers import (
 )
 
 TOL = 1e-9
+
+
+def _bound_pass(bbir, root, validity, universe, conditioned, use_join):
+    """A one-off walk of ``root`` over ``universe`` in the problem's own
+    semiring, with joins (or meets) at the open branch variables."""
+    combine = bbir.semiring.join if use_join else bbir.semiring.meet
+    setup = CountSetup(universe, bbir.weights, bbir.semiring, bbir.branch_set, combine)
+    return bbir.mgr.count(root, validity, setup.fixing(conditioned), {})
 
 
 def le_tol(a, b, tol=TOL):
@@ -239,8 +249,6 @@ class TestUbF:
                 inst.mgr.condition_all(objective.gamma, P),
                 inst.mgr.condition_all(inst.validity, P),
             )
-            from optppl.bbir import _bound_pass, _policy_weight
-
             t = EXPECTATION.mul(
                 _policy_weight(inst, P),
                 _bound_pass(inst, handles[0], handles[2], objective.num_universe,
@@ -389,7 +397,7 @@ class TestSearch:
         objective = MeuObjective(problem)
         leaves, bounded = [], []
         leaf, bound = objective.evaluate_conditioned, objective.bound_conditioned
-        objective.evaluate_conditioned = lambda h, p: leaves.append(len(p)) or leaf(h, p)
+        objective.evaluate_conditioned = lambda h, p, m: leaves.append(len(p)) or leaf(h, p, m)
         objective.bound_conditioned = lambda h, p, m: bounded.append(len(p)) or bound(h, p, m)
         result = bb(objective, problem)
         del objective.evaluate_conditioned, objective.bound_conditioned
@@ -482,12 +490,63 @@ class TestTieWitness:
         assert out["policy"] == {"c0": "A", "c1": "U"}
 
 
+class TestRejectedInputs:
+    """Inputs that used to give silent wrong answers raise ``BbirError``."""
+
+    def test_meu_rejects_non_unit_branch_weights(self):
+        # with these weights the pruned search returned EV(1.8734, 40.7229)
+        # and the unpruned one EV(1.93449, 44.4657): the bound weighed the
+        # policy in and the leaves did not
+        inst = random_meu_instance(random.Random(6))
+        rng = random.Random(1006)
+        weights = WeightMap({v: inst.weights.get(v) for v in inst.weights.vars})
+        for v in inst.branch_vars:
+            weights.set(v, EV(rng.uniform(0.2, 1.5), rng.uniform(0, 10)),
+                        EV(rng.uniform(0.2, 1.5), rng.uniform(0, 10)))
+        weighted = dataclasses.replace(inst, weights=weights)
+        with pytest.raises(BbirError, match="unit weights on branch variables"):
+            MeuObjective(weighted)
+        MeuObjective(inst)  # the unit weights of the original are accepted
+
+    @pytest.mark.parametrize("literal_order", [(True,), (True, True), (), (1, 0, 1)])
+    def test_search_rejects_a_literal_order_that_is_not_a_permutation(self, literal_order):
+        # (True,) used to return -inf after 0 leaves
+        problem = prepare(gen_dr(4, seed=0))[2].finalize()
+        with pytest.raises(BbirError, match="literal_order"):
+            bb(MeuObjective(problem), problem, literal_order=literal_order)
+        for order in ((True, False), (False, True)):
+            result = bb(MeuObjective(problem), problem, literal_order=order)
+            assert result.scalar == 95.00033088689861
+
+    def test_meu_value_of_an_invalid_total_is_rejected(self):
+        # the all-true total used to evaluate to EV(0.41484, 6.76849)
+        inst = random_meu_instance(random.Random(1))
+        assert len(inst.branch_vars) == 2
+        inst = dataclasses.replace(inst, validity=inst.mgr.exactly_one(inst.branch_vars))
+        objective = MeuObjective(inst)
+        with pytest.raises(BbirError, match="validity formula rules out"):
+            evaluate_objective(objective, inst, {v: True for v in inst.branch_vars})
+        first, second = inst.branch_vars
+        evaluate_objective(objective, inst, {first: True, second: False})
+
+    def test_mmap_value_of_an_invalid_total_is_rejected(self):
+        # the all-true total used to evaluate to 0.6294572911393312
+        inst = random_mmap_instance(random.Random(1))[0]
+        assert len(inst.branch_vars) >= 2
+        inst = dataclasses.replace(inst, validity=inst.mgr.exactly_one(inst.branch_vars))
+        objective = MmapObjective(inst)
+        with pytest.raises(BbirError, match="validity formula rules out"):
+            evaluate_objective(objective, inst, {v: True for v in inst.branch_vars})
+        one_hot = {v: i == 0 for i, v in enumerate(inst.branch_vars)}
+        assert evaluate_objective(objective, inst, one_hot) >= 0.0
+
+
 def recorded_search(objective, inst, **kwargs):
     """Run ``bb`` and record every (handles, partial, bound) it computes."""
     calls = []
     inner = objective.bound_conditioned
 
-    def record(handles, partial, memo=None):
+    def record(handles, partial, memo):
         bound = inner(handles, partial, memo)
         calls.append((handles, dict(partial), bound))
         return bound
@@ -503,8 +562,8 @@ def fresh_memo_search(objective, inst, **kwargs):
     """Run ``bb`` with every bound computed from a fresh memo."""
     inner = objective.bound_conditioned
 
-    def fresh(handles, partial, memo=None):
-        return inner(handles, partial)
+    def fresh(handles, partial, memo):
+        return inner(handles, partial, BoundMemo(inst.mgr, partial))
 
     objective.bound_conditioned = fresh
     try:
@@ -514,16 +573,14 @@ def fresh_memo_search(objective, inst, **kwargs):
 
 
 def search_variants(inst, rng):
-    """The instance, then shuffled and non-unit-weighted, then also one-hot valid."""
+    """The instance, then shuffled (and, for MMAP, non-unit-weighted), then
+    also one-hot valid.  MEU takes unit branch weights only."""
     yield inst
     branch = list(inst.branch_vars)
     rng.shuffle(branch)
     weights = WeightMap({v: inst.weights.get(v) for v in inst.weights.vars})
-    for v in branch:
-        if inst.semiring is EXPECTATION:
-            weights.set(v, EV(rng.uniform(0.2, 1.5), rng.uniform(0, 10)),
-                        EV(rng.uniform(0.2, 1.5), rng.uniform(0, 10)))
-        else:
+    if inst.semiring is REAL:
+        for v in branch:
             weights.set(v, rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0))
     shuffled = dataclasses.replace(inst, branch_vars=branch, weights=weights)
     yield shuffled
@@ -533,8 +590,6 @@ def search_variants(inst, rng):
 
 def single_pass_bound(objective, handles, partial):
     """The objective's bound from one-off ``_bound_pass`` runs in its own semiring."""
-    from optppl.bbir import _bound_pass, _div_bound, _policy_weight
-
     inst = objective.bbir
     num_h, den_h, valid_h = handles
     conditioned = set(partial)
@@ -553,7 +608,8 @@ def assert_memo_matches_fresh(make_objective, inst):
         result, calls = recorded_search(objective, inst, literal_order=literal_order)
         assert len(calls) == result.stats.bound_calls
         for handles, partial, bound in calls:
-            assert objective.bound_conditioned(handles, partial) == bound
+            assert objective.bound_conditioned(
+                handles, partial, BoundMemo(inst.mgr, partial)) == bound
             assert single_pass_bound(objective, handles, partial) == bound
         fresh = fresh_memo_search(objective, inst, literal_order=literal_order)
         assert result.value == fresh.value
@@ -645,7 +701,6 @@ class TestSearchMemo:
             assert plain.value == pruned.value
             assert plain.witness == pruned.witness
             assert plain.stats.bound_calls == 0
-            assert plain.stats.bound_memo_entries == 0
 
     def test_bound_memo_entries_are_reported(self):
         out = solve_compiled(prepare(gen_dr(4, seed=0))[2])
@@ -656,11 +711,15 @@ class TestSearchMemo:
         inst = Bbir(mgr=mgr, formulas=[mgr.mk_var(x), mgr.mk_true()],
                     branch_vars=[], weights=wm, semiring=EXPECTATION)
         stats = bb(MeuObjective(inst), inst).stats
-        assert stats.bound_memo_entries == 0
-        assert stats.to_dict()["bound_memo_entries"] == 0
-        # one-variable searches evaluate their two leaf children and bound nothing
+        # the search's one leaf walks the one node x
+        assert stats.bound_calls == 0
+        assert stats.bound_memo_entries == 1
+        assert stats.to_dict()["bound_memo_entries"] == 1
+        # one-variable searches evaluate their two leaf children and bound
+        # nothing; the leaves fill the memo
         solves = run_program(gen_nested_mmap(3))["stats"]["mmap_solves"]
-        assert solves and all(s["bound_memo_entries"] == 0 for s in solves)
+        assert solves and all(s["bound_calls"] == 0 for s in solves)
+        assert all(s["bound_memo_entries"] > 0 for s in solves)
         src = "a = flip 0.3; b = flip 0.6; (x, y) = mmap(a, b) with { a || b }; pr(x)"
         solves = run_program(src)["stats"]["mmap_solves"]
         assert [s["bound_memo_entries"] > 0 for s in solves] == [True]
@@ -715,7 +774,7 @@ class TestFusedBound:
         for partial in valid_prefixes(problem, random.Random(n)):
             handles = conditioned_handles(objective, partial)
             before = spy.walks
-            bound = objective.bound_conditioned(handles, partial)
+            bound = objective.bound_conditioned(handles, partial, BoundMemo(problem.mgr, partial))
             assert spy.walks - before == 1
             assert single_pass_bound(objective, handles, partial) == bound
             depths += 1
@@ -735,7 +794,8 @@ class TestFusedBound:
             for partial in valid_prefixes(variant, rng):
                 handles = conditioned_handles(objective, partial)
                 before = spy.walks
-                bound = objective.bound_conditioned(handles, partial)
+                bound = objective.bound_conditioned(
+                    handles, partial, BoundMemo(variant.mgr, partial))
                 # conditioning can make the two handles equal
                 shared = (handles[0] == handles[1]
                           and objective.num_universe == objective.den_universe)
