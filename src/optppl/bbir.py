@@ -45,9 +45,10 @@ class Bbir:
     validity: int = TRUE
 
     def __post_init__(self):
+        self._supports = {}  # handle -> support, each swept once
         support = set()
         for f in self.formulas:
-            support |= self.mgr.support(f)
+            support |= self.support_of(f)
         extra = set(self.branch_vars) - support
         # branch variables must come from the formulas (validity aside)
         if extra and self.validity == TRUE:
@@ -62,6 +63,13 @@ class Bbir:
             repeated = sorted(v for v in self.branch_set if self.branch_vars.count(v) > 1)
             names = ", ".join(self.mgr.var_label(v) for v in repeated)
             raise BbirError(f"duplicate branch variable(s): {names}")
+
+    def support_of(self, handle: int) -> set:
+        """The support of ``handle``, swept only the first time it is asked for."""
+        support = self._supports.get(handle)
+        if support is None:
+            support = self._supports[handle] = self.mgr.support(handle)
+        return support
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +146,7 @@ def lb(bbir: Bbir, formula: int, partial: dict):
 def _bound(bbir: Bbir, formula: int, partial: dict, combine):
     _check_partial(bbir, partial)
     mgr = bbir.mgr
-    universe = sorted(mgr.support(formula) | bbir.branch_set)
+    universe = sorted(bbir.support_of(formula) | bbir.branch_set)
     setup = CountSetup(universe, bbir.weights, bbir.semiring, bbir.branch_set, combine)
     acc = BoundMemo(mgr, partial).bound(
         setup,
@@ -176,8 +184,8 @@ class MeuObjective:
         mgr = bbir.mgr
         self.phi, self.gamma = bbir.formulas
         self.num_root = mgr.apply("and", self.phi, self.gamma)
-        self.num_universe = sorted(mgr.support(self.num_root) | bbir.branch_set)
-        self.den_universe = sorted(mgr.support(self.gamma) | bbir.branch_set)
+        self.num_universe = sorted(bbir.support_of(self.num_root) | bbir.branch_set)
+        self.den_universe = sorted(bbir.support_of(self.gamma) | bbir.branch_set)
         # One EV_BOUND walk bounds a quotient: its (prob, util) is the
         # expectation walk with joins at X and ``low`` the probability walk
         # with meets.  The probability walk with joins is the ``prob`` of
@@ -253,7 +261,7 @@ class MmapObjective:
         mgr = bbir.mgr
         self.phi, self.gamma = bbir.formulas
         self.num_root = mgr.apply("and", self.phi, self.gamma)
-        self.num_universe = sorted(mgr.support(self.num_root) | bbir.branch_set)
+        self.num_universe = sorted(bbir.support_of(self.num_root) | bbir.branch_set)
         # the normalizer marginalizes the MAP variables, so it is constant
         # during the search and can be computed exactly once up front
         marginal = bbir.weights.restrict(self.num_universe)
@@ -351,16 +359,21 @@ def bb(
     """Maximize the objective over total branch assignments (Fig.-8 style).
 
     Branch variables are fixed in ``bbir.branch_vars`` order, so every
-    bound and leaf of the search shares one :class:`BoundMemo`.  At each variable
-    both literals are conditioned and invalid ones skipped.  A child that
-    fixes the last variable is a total assignment: it is evaluated exactly
-    and never bounded.  Every other child is bounded, and the search dives
-    first into the child whose bound is larger under ``total_le`` (equal
-    bounds keep ``literal_order``), so the first incumbent comes from a
-    bound-guided dive.  Just before its turn a child is pruned when its
-    bound is dominated by the incumbent in the lattice order; incomparable
-    bounds always recurse.  The root is never bounded, and without pruning
-    no bound is computed and children go in ``literal_order``.
+    bound and leaf of the search shares one :class:`BoundMemo`.  At each
+    variable the validity handle is conditioned on both literals first, and
+    an invalid literal is skipped before anything else is conditioned.  A
+    child that fixes the last variable is a total assignment: it is
+    evaluated exactly and never bounded.  Only a child whose sibling literal
+    is valid is bounded.  A forced child (its sibling is invalid) has the
+    valid completions of its parent, whose bound was checked against the
+    same incumbent just before, so it recurses at once.  Of two bounded
+    children the search dives first into the one whose bound is larger
+    under ``total_le`` (equal bounds keep ``literal_order``), so the first
+    incumbent comes from a bound-guided dive.  Just before its turn a
+    bounded child is pruned when its bound is dominated by the incumbent in
+    the lattice order; incomparable bounds always recurse.  The root is
+    never bounded, and without pruning no bound is computed and children go
+    in ``literal_order``.
 
     Among exact ties the witness is the assignment that comes first in
     ``literal_order`` along ``branch_vars``, whatever order the search
@@ -409,30 +422,39 @@ def bb(
     def recurse(handles, depth):
         stats.interior += 1
         var = order[depth]
-        children = []
+        # the validity handle first: an invalid literal conditions nothing else
+        valid = []
         for value in literal_order:
-            child = _condition_handles(mgr, handles, {var: value})
-            if child[-1] == FALSE:
+            literal = {var: value}
+            child_valid = mgr.condition_all(handles[-1], literal)
+            if child_valid == FALSE:
                 stats.invalid += 1
-                continue
+            else:
+                valid.append((value, literal, child_valid))
+        # a forced literal keeps every valid completion of this node, whose
+        # bound was just checked against the same incumbent
+        choice = prune and len(valid) == 2
+        children = []
+        for value, literal, child_valid in valid:
+            child = _condition_handles(mgr, handles[:-1], literal) + (child_valid,)
             partial[var] = value
             if depth == last:
                 stats.base_cases += 1
                 consider(objective.evaluate_conditioned(child, partial, memo))
-            elif prune:
+            elif choice:
                 stats.bound_calls += 1
                 bound = objective.bound_conditioned(child, partial, memo)
                 children.append((bound, value, child))
             else:
                 children.append((None, value, child))
             del partial[var]
-        if len(children) == 2 and prune:
+        if choice and len(children) == 2:
             first, second = children[0][0], children[1][0]
             if sr.total_le(first, second) and first != second:
                 children.reverse()
         for bound, value, child in children:
             partial[var] = value
-            if prune and pruned(bound):
+            if choice and pruned(bound):
                 stats.prunes += 1
             else:
                 recurse(child, depth + 1)

@@ -6,6 +6,12 @@ terminals are ``FALSE = 0`` and ``TRUE = 1``.  Handles from different
 managers must never be mixed; a manager and everything derived from it is
 confined to a single thread.
 
+Conjunction and disjunction share one apply recursion: both are idempotent
+and commutative, with an absorbing and a neutral terminal, so each keeps a
+computed table keyed on the ordered operand pair packed into one int
+(Brace, Rudell & Bryant, DAC 1990).  :meth:`BddManager.cube` builds a
+conjunction of literals bottom-up, one node per literal, without apply.
+
 One semiring walk, :meth:`BddManager.count`, sums literal-weight products
 over all models of a formula in a given variable universe; at branch
 variables a join or meet replaces the sum.  The algebraic model count
@@ -157,7 +163,8 @@ class BddManager:
         self._lo = [-1, -1]
         self._hi = [-1, -1]
         self._unique = {}
-        self._apply_cache = {}
+        # one computed table per operator; and/or keys are operand-ordered ints
+        self._apply_caches = {op: {} for op in _OPS}
         self._neg_cache = {}
         self._cond_cache = {}
         self._amc_caches = {}
@@ -222,23 +229,91 @@ class BddManager:
 
     # -- boolean combinators -------------------------------------------------
 
+    def cube(self, literals) -> int:
+        """Conjunction of ``(var, value)`` literals, one node per literal.
+
+        The chain is built bottom-up in descending variable order, so no
+        apply runs.  A repeated literal counts once; a variable given both
+        values makes the cube FALSE.
+        """
+        values = {}
+        clash = False
+        for var, value in literals:
+            if not 0 <= var < len(self._labels):
+                raise BddError(f"unknown variable {var}")
+            value = bool(value)
+            clash = clash or values.setdefault(var, value) != value
+        if clash:
+            return FALSE
+        acc = TRUE
+        for var in sorted(values, reverse=True):
+            acc = self._mk(var, FALSE, acc) if values[var] else self._mk(var, acc, FALSE)
+        return acc
+
     def apply(self, op: str, a: int, b: int) -> int:
+        if op == "and":
+            return self._and_or(a, b, FALSE, self._apply_caches["and"])
+        if op == "or":
+            return self._and_or(a, b, TRUE, self._apply_caches["or"])
         if op not in _OPS:
             raise BddError(f"unknown operator {op!r}")
         return self._apply(op, a, b)
 
     def drop_op_caches(self):
         """Release the apply/negate/condition caches (nodes are kept)."""
-        self._apply_cache.clear()
+        for cache in self._apply_caches.values():
+            cache.clear()
         self._neg_cache.clear()
         self._cond_cache.clear()
 
+    def _and_or(self, a: int, b: int, absorbing: int, cache: dict) -> int:
+        # conjunction (absorbing FALSE) or disjunction (absorbing TRUE); the
+        # other terminal is neutral.  Both are commutative, so the cache key
+        # orders the operands.
+        if a <= TRUE:
+            return a if a == absorbing else b
+        if b <= TRUE:
+            return b if b == absorbing else a
+        if a == b:
+            return a
+        if a > b:
+            a, b = b, a
+        key = a << _NODE_BITS | b
+        out = cache.get(key)
+        if out is not None:
+            return out
+        var, lo_of, hi_of = self._var, self._lo, self._hi
+        va, vb = var[a], var[b]
+        if va == vb:
+            top, alo, ahi, blo, bhi = va, lo_of[a], hi_of[a], lo_of[b], hi_of[b]
+        elif va < vb:
+            top, alo, ahi, blo, bhi = va, lo_of[a], hi_of[a], b, b
+        else:
+            top, alo, ahi, blo, bhi = vb, a, a, lo_of[b], hi_of[b]
+        lo = self._and_or(alo, blo, absorbing, cache)
+        hi = self._and_or(ahi, bhi, absorbing, cache)
+        if lo == hi:
+            out = lo
+        else:
+            # _mk, inlined
+            node_key = (top, lo, hi)
+            out = self._unique.get(node_key)
+            if out is None:
+                out = len(var)
+                var.append(top)
+                lo_of.append(lo)
+                hi_of.append(hi)
+                self._unique[node_key] = out
+        cache[key] = out
+        return out
+
     def _apply(self, op: str, a: int, b: int) -> int:
+        # xor and iff
         term = self._apply_terminal(op, a, b)
         if term is not None:
             return term
-        cache = self._apply_cache
-        key = (op, a, b)
+        cache = self._apply_caches[op]
+        key = (a, b)
         hit = cache.get(key)
         if hit is not None:
             return hit
@@ -258,32 +333,14 @@ class BddManager:
 
     @staticmethod
     def _apply_terminal(op, a, b):
-        if op == "and":
-            if a == FALSE or b == FALSE:
-                return FALSE
-            if a == TRUE:
-                return b
-            if b == TRUE:
-                return a
-            if a == b:
-                return a
-        elif op == "or":
-            if a == TRUE or b == TRUE:
-                return TRUE
-            if a == FALSE:
-                return b
-            if b == FALSE:
-                return a
-            if a == b:
-                return a
-        elif op == "xor":
+        if op == "xor":
             if a == b:
                 return FALSE
             if a == FALSE:
                 return b
             if b == FALSE:
                 return a
-        elif op == "iff":
+        else:
             if a == b:
                 return TRUE
             if a == TRUE:
@@ -303,15 +360,15 @@ class BddManager:
         return hit
 
     def conjoin(self, nodes: Iterable[int]) -> int:
-        acc = TRUE
+        acc, cache = TRUE, self._apply_caches["and"]
         for n in nodes:
-            acc = self._apply("and", acc, n)
+            acc = self._and_or(acc, n, FALSE, cache)
         return acc
 
     def disjoin(self, nodes: Iterable[int]) -> int:
-        acc = FALSE
+        acc, cache = FALSE, self._apply_caches["or"]
         for n in nodes:
-            acc = self._apply("or", acc, n)
+            acc = self._and_or(acc, n, TRUE, cache)
         return acc
 
     # -- conditioning and structure -----------------------------------------

@@ -59,7 +59,7 @@ class CompiledDappl:
         mass correctly.  The unnormalized side already entails the trace
         structure, so its count is unchanged.
         """
-        phi = self.mgr.conjoin([self.phi] + [self.mgr.mk_var(r) for r in self.pending])
+        phi = self.mgr.conjoin([self.mgr.cube((r, True) for r in self.pending), self.phi])
         gamma = self.mgr.apply("and", self.gamma, self.trace)
         used = self.mgr.support(phi) | self.mgr.support(gamma)
         branch_vars = []
@@ -334,17 +334,16 @@ class Compiler:
             t_phi, t_gam, t_tr, t_pend, t_rs = self.compile(e.then, env)
             e_phi, e_gam, e_tr, e_pend, e_rs = self.compile(e.els, env)
 
+            # each branch's discharged and pinned rewards go in as one cube:
+            # conjoined one at a time below the core, every reward literal
+            # would rebuild the whole diagram above it
+            then_cube = mgr.cube([(r, True) for r in t_pend] + [(r, False) for r in e_rs])
+            else_cube = mgr.cube([(r, True) for r in e_pend] + [(r, False) for r in t_rs])
+            not_guard = mgr.negate(guard)
+
             def mux(then_core, else_core):
-                then_part = mgr.conjoin(
-                    [guard, then_core]
-                    + [mgr.mk_var(r) for r in t_pend]
-                    + [mgr.negate(mgr.mk_var(r)) for r in sorted(e_rs)]
-                )
-                else_part = mgr.conjoin(
-                    [mgr.negate(guard), else_core]
-                    + [mgr.mk_var(r) for r in e_pend]
-                    + [mgr.negate(mgr.mk_var(r)) for r in sorted(t_rs)]
-                )
+                then_part = mgr.conjoin([then_cube, guard, then_core])
+                else_part = mgr.conjoin([else_cube, not_guard, else_core])
                 return mgr.apply("or", then_part, else_part)
 
             phi = mux(t_phi, e_phi)
@@ -352,7 +351,7 @@ class Compiler:
             gamma = mgr.apply(
                 "or",
                 mgr.apply("and", guard, t_gam),
-                mgr.apply("and", mgr.negate(guard), e_gam),
+                mgr.apply("and", not_guard, e_gam),
             )
             return phi, gamma, trace, (), t_rs | e_rs
         if isinstance(e, A.Bind):
@@ -394,13 +393,13 @@ class Compiler:
             all_rs = frozenset().union(*(rs for _, (_, _, _, _, rs) in compiled))
             phi_arms, trace_arms, gam_arms = [], [], []
             for avar, (a_phi, a_gam, a_tr, a_pend, a_rs) in compiled:
-                shared = (
-                    [mgr.mk_var(avar)]
-                    + [mgr.mk_var(r) for r in a_pend]
-                    + [mgr.negate(mgr.mk_var(r)) for r in sorted(all_rs - a_rs)]
+                shared = mgr.cube(
+                    [(avar, True)]
+                    + [(r, True) for r in a_pend]
+                    + [(r, False) for r in all_rs - a_rs]
                 )
-                phi_arms.append(mgr.conjoin(shared + [a_phi]))
-                trace_arms.append(mgr.conjoin(shared + [a_tr]))
+                phi_arms.append(mgr.apply("and", shared, a_phi))
+                trace_arms.append(mgr.apply("and", shared, a_tr))
                 gam_arms.append(mgr.apply("and", mgr.mk_var(avar), a_gam))
             phi = mgr.apply("and", site.eo, mgr.disjoin(phi_arms))
             trace = (

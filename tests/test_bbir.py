@@ -407,11 +407,33 @@ class TestSearch:
         # first leaf is the only one; the blind dive in literal order took
         # 57 bound calls, 14 prunes and 37 invalid branches
         assert leaves == [n] and result.stats.base_cases == 1
-        assert result.stats.bound_calls == len(bounded) == 26
+        assert result.stats.bound_calls == len(bounded) == 18
         assert (result.stats.prunes, result.stats.invalid) == (9, 9)
         plain = bb(objective, problem, prune=False)
         assert result.value == plain.value
         assert result.witness == plain.witness
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_only_children_with_a_valid_sibling_are_bounded(self, seed):
+        # a child whose sibling literal is invalid has its parent's valid
+        # completions, so it recurses without a bound
+        rng = random.Random(7300 + seed)
+        problems = [(MeuObjective, prepare(gen_dr(3 + seed % 4, seed=seed))[2].finalize())]
+        inst = random_meu_instance(rng)
+        if inst is not None:
+            problems.extend((MeuObjective, v) for v in search_variants(inst, rng))
+        out = random_mmap_instance(rng)
+        if out is not None:
+            problems.extend((MmapObjective, v) for v in search_variants(out[0], rng))
+        for make_objective, problem in problems:
+            objective = make_objective(problem)
+            result, calls = recorded_search(objective, problem)
+            for _, partial, _ in calls:
+                var = problem.branch_vars[len(partial) - 1]
+                sibling = {**partial, var: not partial[var]}
+                assert problem.mgr.condition_all(problem.validity, sibling) != FALSE
+            plain = bb(objective, problem, prune=False)
+            assert (result.value, result.witness) == (plain.value, plain.witness)
 
     def test_bound_guided_dive_scales_on_dr(self):
         # the blind dive in literal order made 25,319 bound calls here
@@ -723,6 +745,18 @@ class TestSearchMemo:
         src = "a = flip 0.3; b = flip 0.6; (x, y) = mmap(a, b) with { a || b }; pr(x)"
         solves = run_program(src)["stats"]["mmap_solves"]
         assert [s["bound_memo_entries"] > 0 for s in solves] == [True]
+
+
+class TestSupportSweeps:
+    def test_objective_sweeps_no_support_twice(self, monkeypatch):
+        problem = prepare(gen_dr(4, seed=0))[2].finalize()
+        swept = []
+        inner = BddManager.support
+        monkeypatch.setattr(BddManager, "support", lambda mgr, a: swept.append(a) or inner(mgr, a))
+        # the problem's own formulas, swept again by a new Bbir and its objective
+        objective = MeuObjective(dataclasses.replace(problem))
+        assert objective.num_root in swept and objective.gamma in swept
+        assert len(swept) == len(set(swept))
 
 
 class CountSpy:

@@ -184,6 +184,61 @@ class TestExactlyOne:
             mgr.exactly_one([v, v])
 
 
+class TestCube:
+    def test_empty_cube_is_true(self, mgr):
+        assert mgr.cube([]) == TRUE
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_cubes_equal_the_conjoined_literals(self, seed):
+        rng = random.Random(seed)
+        mgr = BddManager()
+        ids = fresh_vars(mgr, 8)
+        literals = [(v, rng.random() < 0.5) for v in rng.sample(ids, rng.randint(1, 8))]
+        before = mgr.num_nodes
+        node = mgr.cube(literals)
+        # built bottom-up: one new node per literal
+        assert mgr.num_nodes - before == len(literals)
+        assert node == mgr.conjoin(mk_lit(mgr, v, value) for v, value in literals)
+
+    def test_repeated_literal_counts_once(self, mgr):
+        x, y = mgr.new_var("x"), mgr.new_var("y")
+        assert mgr.cube([(y, False), (x, True), (y, False)]) == mgr.cube([(x, True), (y, False)])
+
+    def test_both_signs_give_false(self, mgr):
+        x, y = mgr.new_var("x"), mgr.new_var("y")
+        assert mgr.cube([(x, True), (y, True), (x, False)]) == FALSE
+
+    def test_unknown_variable_rejected(self, mgr):
+        x = mgr.new_var("x")
+        with pytest.raises(BddError):
+            mgr.cube([(x, True), (x + 1, False)])
+
+
+class TestAndOrKernel:
+    @pytest.mark.parametrize("op", ["and", "or"])
+    def test_operand_order_shares_one_cache_entry(self, op):
+        mgr = BddManager()
+        x, y, z = (mgr.mk_var(v) for v in fresh_vars(mgr, 3))
+        a, b = mgr.apply("or", x, z), mgr.apply("xor", y, z)
+        out = mgr.apply(op, a, b)
+        nodes, entries = mgr.num_nodes, len(mgr._apply_caches[op])
+        assert entries and mgr.apply(op, b, a) == out
+        # the swapped call is one cache hit: no node and no entry is added
+        assert (mgr.num_nodes, len(mgr._apply_caches[op])) == (nodes, entries)
+
+    def test_drop_op_caches_empties_every_operator_cache(self, mgr):
+        x, y = mgr.new_var("x"), mgr.new_var("y")
+        vx, vy = mgr.mk_var(x), mgr.mk_var(y)
+        for op in ("and", "or", "xor", "iff"):
+            mgr.apply(op, vx, vy)
+        mgr.condition(mgr.apply("and", vx, vy), y, True)
+        mgr.negate(vx)
+        assert all(mgr._apply_caches.values())
+        mgr.drop_op_caches()
+        assert not any(mgr._apply_caches.values())
+        assert not mgr._neg_cache and not mgr._cond_cache
+
+
 def section2_weights(mgr, ids):
     r, r10, r5, r100 = ids
     return WeightMap(

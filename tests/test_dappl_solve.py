@@ -70,6 +70,12 @@ class TestCompilation:
         problem = compiled.finalize()
         assert len(compiled.mgr.support(problem.formulas[0])) == 2
 
+    def test_compile_size_is_linear_on_dr(self):
+        # folding the rewards in one literal at a time rebuilt the diagram per
+        # literal: n=80 allocated 3.99 times the nodes of n=40
+        small, large = (prepare(gen_dr(n, seed=0))[2].mgr.num_nodes for n in (40, 80))
+        assert large < 2.5 * small
+
     def test_conditioned_formula_matches_hand_encoding(self):
         # conditioning the compiled formula on each decision literal must
         # count the same as the hand-built per-policy encodings
