@@ -25,9 +25,9 @@ which case everything reduces to the plain algorithm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .bdd import FALSE, TRUE, BddManager, CountSetup, WeightMap
+from .bdd import FALSE, TRUE, BddManager, CountSetup
 from .semiring import EV, EV_BOUND, EXPECTATION, REAL, EVBound
 
 
@@ -40,7 +40,7 @@ class Bbir:
     mgr: BddManager
     formulas: list
     branch_vars: list
-    weights: WeightMap
+    weights: dict  # var -> (positive literal weight, negative literal weight)
     semiring: object = EXPECTATION
     validity: int = TRUE
 
@@ -54,7 +54,8 @@ class Bbir:
         if extra and self.validity == TRUE:
             names = ", ".join(self.mgr.var_label(v) for v in sorted(extra))
             raise BbirError(f"branch variables not in any formula: {names}")
-        unweighted = (support | set(self.branch_vars)) - set(self.weights.vars)
+        # membership per needed variable: ``weights`` may cover a whole program
+        unweighted = [v for v in support | set(self.branch_vars) if v not in self.weights]
         if unweighted:
             names = ", ".join(self.mgr.var_label(v) for v in sorted(unweighted))
             raise BbirError(f"unweighted variable(s): {names}")
@@ -128,7 +129,7 @@ def _policy_weight(bbir: Bbir, partial: dict):
     acc = bbir.semiring.one
     for var in bbir.branch_vars:
         if var in partial:
-            pos, neg = bbir.weights.get(var)
+            pos, neg = bbir.weights[var]
             acc = bbir.semiring.mul(acc, pos if partial[var] else neg)
     return acc
 
@@ -176,7 +177,7 @@ class MeuObjective:
         if len(bbir.formulas) != 2:
             raise BbirError("MEU expects [unnormalized formula, accepting formula]")
         unit = (EXPECTATION.one, EXPECTATION.one)
-        weighted = [v for v in bbir.branch_vars if bbir.weights.get(v) != unit]
+        weighted = [v for v in bbir.branch_vars if bbir.weights[v] != unit]
         if weighted:
             names = ", ".join(bbir.mgr.var_label(v) for v in weighted)
             raise BbirError(f"MEU requires unit weights on branch variables: {names}")
@@ -191,10 +192,10 @@ class MeuObjective:
         # with meets.  The probability walk with joins is the ``prob`` of
         # the same walk, so when the numerator and denominator share their
         # handle and universe a bound walks the diagram once.
-        weights = WeightMap()
-        for v in set(self.num_universe) | set(self.den_universe):
-            pos, neg = bbir.weights.get(v)
-            weights.set(v, EVBound.lift(pos), EVBound.lift(neg))
+        weights = {
+            v: tuple(EVBound.lift(w) for w in bbir.weights[v])
+            for v in set(self.num_universe) | set(self.den_universe)
+        }
         branch = bbir.branch_set
         self.num_bound = CountSetup(self.num_universe, weights, EV_BOUND, branch, EV_BOUND.join)
         # equal universes share one bound setup, so its memo serves both parts
@@ -264,7 +265,7 @@ class MmapObjective:
         self.num_universe = sorted(bbir.support_of(self.num_root) | bbir.branch_set)
         # the normalizer marginalizes the MAP variables, so it is constant
         # during the search and can be computed exactly once up front
-        marginal = bbir.weights.restrict(self.num_universe)
+        marginal = {v: bbir.weights[v] for v in self.num_universe}
         self.evidence_mass = mgr.amc(self.num_root, marginal, REAL)
         if self.evidence_mass == 0.0:
             raise BbirError("evidence has zero mass")
@@ -329,16 +330,9 @@ class SearchStats:
     elapsed_ms: float = 0.0
 
     def to_dict(self):
-        return {
-            "nodes_created": self.nodes_created,
-            "bound_calls": self.bound_calls,
-            "prunes": self.prunes,
-            "invalid": self.invalid,
-            "base_cases": self.base_cases,
-            "interior": self.interior,
-            "bound_memo_entries": self.bound_memo_entries,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+        out = asdict(self)
+        out["elapsed_ms"] = round(self.elapsed_ms, 3)
+        return out
 
 
 @dataclass

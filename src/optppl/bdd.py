@@ -14,8 +14,11 @@ conjunction of literals bottom-up, one node per literal, without apply.
 
 One semiring walk, :meth:`BddManager.count`, sums literal-weight products
 over all models of a formula in a given variable universe; at branch
-variables a join or meet replaces the sum.  The algebraic model count
-(:meth:`BddManager.amc`, universe = the weight map's domain) and the
+variables a join or meet replaces the sum.  Literal weights are a plain
+dict ``{var: (positive weight, negative weight)}``, the labelling function
+of algebraic model counting (Kimmig, Van den Broeck & De Raedt, 2017).  The
+algebraic model count (:meth:`BddManager.amc`, universe = the dict's
+variables, one uncached walk per call) and the
 branch-and-bound bounds of ``bbir`` are both runs of it.  Universe
 variables skipped along a BDD edge (or missing from the diagram entirely)
 contribute a gap factor ``w(v) + w(~v)`` each; this keeps the count exact
@@ -28,7 +31,6 @@ setup and one memo can serve a whole chain of conditioned sets.
 from __future__ import annotations
 
 import copy
-import itertools
 import sys
 from typing import Iterable
 
@@ -37,9 +39,6 @@ TRUE = 1
 
 _OPS = ("and", "or", "xor", "iff")
 
-# Serials of weight-map contents; never reused, unlike ``id()`` of a freed map.
-_WEIGHT_SERIALS = itertools.count()
-
 # Low bits of a count memo key that hold the node handle; a manager holding
 # 2**32 nodes would need far more memory than any host has.
 _NODE_BITS = 32
@@ -47,46 +46,6 @@ _NODE_BITS = 32
 
 class BddError(Exception):
     pass
-
-
-class WeightMap:
-    """Map from variables to a (positive literal, negative literal) weight pair.
-
-    Weighting one literal of a variable always weights the other, so entries
-    are stored per variable.
-    """
-
-    def __init__(self, entries=None):
-        self._w = {}
-        self.serial = next(_WEIGHT_SERIALS)
-        if entries:
-            for var, (pos, neg) in entries.items():
-                self.set(var, pos, neg)
-
-    def set(self, var: int, pos, neg):
-        self._w[var] = (pos, neg)
-        self.serial = next(_WEIGHT_SERIALS)
-
-    def get(self, var: int):
-        return self._w[var]
-
-    def __contains__(self, var: int) -> bool:
-        return var in self._w
-
-    def __len__(self) -> int:
-        return len(self._w)
-
-    @property
-    def vars(self):
-        return self._w.keys()
-
-    def restrict(self, keep: Iterable[int]) -> "WeightMap":
-        sub = WeightMap()
-        sub._w = {v: self._w[v] for v in keep}
-        return sub
-
-    def key(self):
-        return self.serial
 
 
 class CountSetup:
@@ -106,7 +65,7 @@ class CountSetup:
 
     __slots__ = ("semiring", "combine", "pos_of", "levels", "valid_shift", "gaps", "suffix", "tiers")
 
-    def __init__(self, universe, weights: WeightMap, semiring, branch=frozenset(), combine=None):
+    def __init__(self, universe, weights: dict, semiring, branch=frozenset(), combine=None):
         one, add, mul = semiring.one, semiring.add, semiring.mul
         self.semiring = semiring
         self.combine = combine
@@ -114,7 +73,7 @@ class CountSetup:
         self.levels = []
         self.gaps = []
         for var in universe:
-            wpos, wneg = weights.get(var)
+            wpos, wneg = weights[var]
             at_branch = var in branch
             self.levels.append((var, wpos, wneg, at_branch))
             self.gaps.append(combine(wpos, wneg) if at_branch else add(wpos, wneg))
@@ -167,10 +126,9 @@ class BddManager:
         self._apply_caches = {op: {} for op in _OPS}
         self._neg_cache = {}
         self._cond_cache = {}
-        self._amc_caches = {}
         self._labels = []
         self._by_label = {}
-        self.amc_visits = 0  # memo entries the most recent amc call added
+        self.amc_visits = 0  # memo entries of the most recent amc call
 
     # -- variables ---------------------------------------------------------
 
@@ -439,26 +397,18 @@ class BddManager:
 
     # -- algebraic model counting ---------------------------------------------
 
-    def amc(self, root: int, weights: WeightMap, semiring):
-        """Semiring sum over all models of ``root`` in the weight-map universe.
+    def amc(self, root: int, weights: dict, semiring):
+        """Semiring sum over all models of ``root`` in the universe ``weights``.
 
-        Every variable in the support of ``root`` must be weighted; weighted
-        variables not tested on a path contribute their gap factor.  The
-        count setup and the node values are cached across calls per
-        weight-map contents and semiring.
+        ``weights`` maps each variable to its (positive literal, negative
+        literal) weight pair.  Every variable in the support of ``root``
+        must be weighted; weighted variables not tested on a path contribute
+        their gap factor.  Each call is one :meth:`count` walk with its own
+        setup and memo.
         """
-        cache_key = (weights.key(), semiring.name)
-        entry = self._amc_caches.get(cache_key)
-        if entry is None:
-            # keep at most a few live weight-map generations around
-            if len(self._amc_caches) >= 64:
-                self._amc_caches.clear()
-            setup = CountSetup(sorted(weights.vars), weights, semiring)
-            entry = self._amc_caches[cache_key] = (setup, {})
-        setup, cache = entry
-        before = len(cache)
-        value = self.count(root, TRUE, setup, cache)
-        self.amc_visits = len(cache) - before
+        memo = {}
+        value = self.count(root, TRUE, CountSetup(sorted(weights), weights, semiring), memo)
+        self.amc_visits = len(memo)
         return value
 
     def count(self, root, validity, setup: "CountSetup", memo):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..bdd import TRUE, BddManager, WeightMap
+from ..bdd import TRUE, BddManager
 from ..bbir import Bbir
 from ..semiring import EV, EXPECTATION
 from . import ast as A
@@ -46,7 +46,7 @@ class CompiledDappl:
     phi: int
     gamma: int
     trace: int
-    weights: WeightMap
+    weights: dict
     pending: tuple
     sites: list = field(default_factory=list)
 
@@ -256,7 +256,7 @@ def plan_variables(core: A.Expr) -> VarPlan:
 class Compiler:
     def __init__(self, plan: VarPlan, mgr: BddManager | None = None):
         self.mgr = mgr if mgr is not None else BddManager()
-        self.weights = WeightMap()
+        self.weights = {}  # var -> (positive, negative) literal weights
         self.sites = []
         handles = [0] * len(plan.labels)
         for i in plan.order:
@@ -267,18 +267,18 @@ class Compiler:
 
     def _fresh_flip(self, theta: float) -> int:
         v = next(self._created)
-        self.weights.set(v, EV(theta, 0.0), EV(1.0 - theta, 0.0))
+        self.weights[v] = (EV(theta, 0.0), EV(1.0 - theta, 0.0))
         return v
 
     def _fresh_reward(self, amount: float) -> int:
         v = next(self._created)
-        self.weights.set(v, EV(1.0, amount), EV(1.0, 0.0))
+        self.weights[v] = (EV(1.0, amount), EV(1.0, 0.0))
         return v
 
     def _fresh_site(self, names) -> ChoiceSite:
         vars_ = tuple(next(self._created) for _ in names)
         for v in vars_:
-            self.weights.set(v, EV(1.0, 0.0), EV(1.0, 0.0))
+            self.weights[v] = (EV(1.0, 0.0), EV(1.0, 0.0))
         site = ChoiceSite(
             site=len(self.sites), names=tuple(names), vars=vars_, eo=self.mgr.exactly_one(vars_)
         )

@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 
 from ..bbir import Bbir, BbirError, MmapObjective, bb
-from ..bdd import FALSE, TRUE, BddManager, WeightMap
+from ..bdd import FALSE, TRUE, BddManager
 from ..semiring import REAL
 from . import ast as A
 from .expand import expand
@@ -50,7 +50,7 @@ class PineapplRunError(Exception):
 class Compiler:
     def __init__(self, mgr: BddManager | None = None):
         self.mgr = mgr if mgr is not None else BddManager()
-        self.weights = WeightMap()
+        self.weights = {}  # var -> (positive, negative) literal weights
         self.env = {}  # program name -> its BDD variable, which mmap branches on
         # program name -> what a read of it compiles to: TRUE/FALSE when its
         # definition is constant, else its variable's node
@@ -129,7 +129,7 @@ class Compiler:
         if name in self.env:
             raise PineapplCompileError(f"duplicate binding of {name!r} after renaming")
         var = self.mgr.ensure_var(name)
-        self.weights.set(var, 1.0, 1.0)
+        self.weights[var] = (1.0, 1.0)
         self.env[name] = var
         node = self.mgr.mk_var(var)
         self._reads[name] = definition if definition in (TRUE, FALSE) else node
@@ -144,7 +144,7 @@ class Compiler:
         if isinstance(stmt, A.SFlip):
             self._flips += 1
             f = mgr.ensure_var(f"f_{stmt.theta:g}#{self._flips}")
-            self.weights.set(f, stmt.theta, 1.0 - stmt.theta)
+            self.weights[f] = (stmt.theta, 1.0 - stmt.theta)
             self._define(stmt.name, mgr.mk_var(f))
         elif isinstance(stmt, A.SAssign):
             self._define(stmt.name, self.compile_expr(stmt.value))
@@ -188,7 +188,7 @@ class Compiler:
             mgr=mgr,
             formulas=[constraint, mgr.apply("and", psi, constraint)],
             branch_vars=branch_vars,
-            weights=self.weights.restrict(mgr.support(constraint)),
+            weights=self.weights,
             semiring=REAL,
         )
         try:
@@ -210,7 +210,7 @@ class Compiler:
             support = mgr.support(chi) | mgr.support(psi)
             den_root = mgr.apply("and", psi, self._scoped(support))
             # the weights of other components would count their variables free
-            weights = self.weights.restrict(mgr.support(den_root) | support)
+            weights = {v: self.weights[v] for v in mgr.support(den_root) | support}
             den = mgr.amc(den_root, weights, REAL)
             if den == 0.0:
                 raise PineapplRunError(f"query evidence has zero probability: {q.text}")

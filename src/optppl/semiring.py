@@ -42,7 +42,6 @@ def _term(a: float, b: float) -> float:
 class ExpectationSemiring:
     """Pairs (p, u) with componentwise +, product (pq, pv+qu)."""
 
-    name = "expectation"
     zero = EV(0.0, 0.0)
     one = EV(1.0, 0.0)
     #: <=-least element, used to seed branch-and-bound incumbents.
@@ -98,7 +97,6 @@ class ExpectationSemiring:
 class RealSemiring:
     """The nonnegative reals with +, *; both orders are numeric <=."""
 
-    name = "real"
     zero = 0.0
     one = 1.0
     bottom = NEG_INF
@@ -166,7 +164,6 @@ class EVBoundSemiring:
     direction in which a quotient (prob, util) / low can grow.
     """
 
-    name = "ev-bound"
     zero = EVBound(0.0, 0.0, 0.0)
     one = EVBound(1.0, 0.0, 1.0)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 
-from optppl import EV, EXPECTATION, FALSE, REAL, Bbir, BddError, BddManager, WeightMap
+from optppl import EV, EXPECTATION, FALSE, REAL, Bbir, BddError, BddManager
 
 
 def random_formula(rng: random.Random, names, depth=3):
@@ -81,10 +81,9 @@ def model_count(mgr: BddManager, root: int, universe) -> int:
 
 def random_ev_weights(rng: random.Random, variables, util_lo=0.0, util_hi=10.0):
     """Expectation-semiring weights; utilities default to nonnegative."""
-    wm = WeightMap()
+    wm = {}
     for v in variables:
-        wm.set(
-            v,
+        wm[v] = (
             EV(rng.uniform(0.0, 1.5), rng.uniform(util_lo, util_hi)),
             EV(rng.uniform(0.0, 1.5), rng.uniform(util_lo, util_hi)),
         )
@@ -92,12 +91,12 @@ def random_ev_weights(rng: random.Random, variables, util_lo=0.0, util_hi=10.0):
 
 
 def random_real_weights(rng: random.Random, variables, unit_vars=()):
-    wm = WeightMap()
+    wm = {}
     for v in variables:
         if v in unit_vars:
-            wm.set(v, 1.0, 1.0)
+            wm[v] = (1.0, 1.0)
         else:
-            wm.set(v, rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+            wm[v] = (rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
     return wm
 
 
@@ -148,13 +147,12 @@ def random_meu_instance(rng: random.Random, util_lo=0.0, util_hi=10.0):
     if not support:
         return None
     branch = sorted(rng.sample(support, k=rng.randint(1, min(4, len(support)))))
-    wm = WeightMap()
+    wm = {}
     for v in ids:
         if v in branch:
-            wm.set(v, EV(1.0, 0.0), EV(1.0, 0.0))
+            wm[v] = (EV(1.0, 0.0), EV(1.0, 0.0))
         else:
-            wm.set(
-                v,
+            wm[v] = (
                 EV(rng.uniform(0, 1.2), rng.uniform(util_lo, util_hi)),
                 EV(rng.uniform(0, 1.2), rng.uniform(util_lo, util_hi)),
             )

@@ -21,7 +21,7 @@ from optppl import (
     lb,
     ub,
 )
-from optppl.bdd import BddManager, WeightMap
+from optppl.bdd import BddManager
 from optppl.dappl import prepare, reduce, solve_compiled, solve_meu
 from optppl.gen import gen_bn, gen_gridworld, gen_ladder, gen_nested_mmap
 from optppl.oracle import (
@@ -97,14 +97,12 @@ def test_criterion_2_amc_and_upper_bound_worked_examples():
         mgr.conjoin([lit(r, True), lit(r10, True), lit(r5, False), lit(r100, False)]),
         mgr.conjoin([lit(r, False), lit(r10, False), lit(r5, True), lit(r100, False)]),
     )
-    weights = WeightMap(
-        {
-            r: (EV(0.1, 0), EV(0.9, 0)),
-            r10: (EV(1, 10), EV(1, 0)),
-            r5: (EV(1, -5), EV(1, 0)),
-            r100: (EV(1, -100), EV(1, 0)),
-        }
-    )
+    weights = {
+        r: (EV(0.1, 0), EV(0.9, 0)),
+        r10: (EV(1, 10), EV(1, 0)),
+        r5: (EV(1, -5), EV(1, 0)),
+        r100: (EV(1, -100), EV(1, 0)),
+    }
     counted = mgr.amc(phi_u, weights, EXPECTATION)
     assert EXPECTATION.isclose(counted, EV(1.0, -3.5), 1e-9)
 
@@ -245,20 +243,19 @@ def test_criterion_6_bound_properties_exhaustive():
             rename_formula(formula, var_of),
             {v: False for v in set(var_of.values()) - set(universe)},
         )
-        wdict = {v: bbir.weights.get(v) for v in bbir.weights.vars}
         upper = ub(bbir, root, {})
         lower = lb(bbir, root, {})
         for bits in all_assignments(bbir.branch_vars):
             T = dict(bits)
             value = brute_amc(
                 substitute(masked, T),
-                wdict,
+                bbir.weights,
                 [v for v in universe if v not in T],
                 EXPECTATION,
             )
             pm = EXPECTATION.one
             for v in sorted(T):
-                pos, neg = wdict[v]
+                pos, neg = bbir.weights[v]
                 pm = EXPECTATION.mul(pm, pos if T[v] else neg)
             value = EXPECTATION.mul(value, pm)
             completions += 1

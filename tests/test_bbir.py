@@ -16,7 +16,6 @@ from optppl import (
     BddManager,
     MeuObjective,
     MmapObjective,
-    WeightMap,
     bb,
     evaluate_objective,
     lb,
@@ -57,14 +56,13 @@ def le_tol(a, b, tol=TOL):
 
 def exact_completion_value(bbir, base_formula, universe, T):
     """Independent oracle: AMC(formula|T) (x) weight of the assignment."""
-    wdict = {v: bbir.weights.get(v) for v in bbir.weights.vars}
     masked = substitute(base_formula, T)
     value = brute_amc(
-        masked, wdict, [v for v in universe if v not in T], bbir.semiring
+        masked, bbir.weights, [v for v in universe if v not in T], bbir.semiring
     )
     pm = bbir.semiring.one
     for v in sorted(T):
-        pos, neg = wdict[v]
+        pos, neg = bbir.weights[v]
         pm = bbir.semiring.mul(pm, pos if T[v] else neg)
     return bbir.semiring.mul(value, pm)
 
@@ -144,7 +142,7 @@ class TestBoundDominance:
         rng = random.Random(5)
         bbir, _, _ = random_bbir(rng, n_vars=5, n_branch=2)
         outside = next(
-            v for v in bbir.weights.vars if v not in bbir.branch_set
+            v for v in bbir.weights if v not in bbir.branch_set
         )
         with pytest.raises(BbirError):
             ub(bbir, bbir.formulas[0], {outside: True})
@@ -152,7 +150,7 @@ class TestBoundDominance:
     def test_duplicate_branch_variable_rejected(self):
         mgr = BddManager()
         x = mgr.new_var("x")
-        wm = WeightMap({x: (0.5, 0.5)})
+        wm = {x: (0.5, 0.5)}
         with pytest.raises(BbirError, match="duplicate branch variable"):
             Bbir(mgr=mgr, formulas=[mgr.mk_var(x), mgr.mk_true()],
                  branch_vars=[x, x], weights=wm, semiring=REAL)
@@ -313,8 +311,7 @@ class TestSearch:
             rename_formula(joint, var_of),
             {v: False for v in set(var_of.values()) - set(universe)},
         )
-        wdict = {v: inst.weights.get(v) for v in universe}
-        assignment, posterior = mmap_enum(base, list(inst.branch_set), wdict, universe)
+        assignment, posterior = mmap_enum(base, list(inst.branch_set), inst.weights, universe)
         assert result.witness == assignment
         assert abs(result.value - posterior) < 1e-6
         no_prune = bb(objective, inst, prune=False, literal_order=(False, True))
@@ -328,7 +325,7 @@ class TestSearch:
         if out is None:
             return
         inst, joint, var_of = out
-        free = sorted(set(inst.weights.vars) - inst.branch_set)
+        free = sorted(set(inst.weights) - inst.branch_set)
         prior_vars = rng.sample(free, k=min(2, len(free)))
         prior = {v: rng.random() < 0.5 for v in prior_vars}
         # the prior literals are conjoined into the evidence formula
@@ -349,9 +346,8 @@ class TestSearch:
             rename_formula(joint, var_of),
             {v: False for v in set(var_of.values()) - set(universe)},
         )
-        wdict = {v: inst.weights.get(v) for v in universe}
         assignment, posterior = mmap_enum(
-            base, list(inst.branch_set), wdict,
+            base, list(inst.branch_set), inst.weights,
             [v for v in universe if v not in prior], evidence=prior,
         )
         assert result.witness == assignment
@@ -360,7 +356,7 @@ class TestSearch:
     def test_empty_branch_set_evaluates_once(self):
         mgr = BddManager()
         x = mgr.new_var("x")
-        wm = WeightMap({x: (EV(0.25, 2.0), EV(0.75, 0.0))})
+        wm = {x: (EV(0.25, 2.0), EV(0.75, 0.0))}
         inst = Bbir(mgr=mgr, formulas=[mgr.mk_var(x), mgr.mk_true()],
                     branch_vars=[], weights=wm, semiring=EXPECTATION)
         result = bb(MeuObjective(inst), inst)
@@ -389,7 +385,7 @@ class TestSearch:
         x, y = mgr.new_var("x"), mgr.new_var("y")
         phi = mgr.apply("iff", mgr.mk_var(x), mgr.mk_var(y))
         inst = Bbir(mgr=mgr, formulas=[phi, mgr.mk_true()], branch_vars=[x],
-                    weights=WeightMap({x: (0.4, 0.6), y: (0.5, 0.5)}), semiring=REAL)
+                    weights={x: (0.4, 0.6), y: (0.5, 0.5)}, semiring=REAL)
         stats = bb(MmapObjective(inst), inst, literal_order=(False, True)).stats
         assert (stats.bound_calls, stats.prunes, stats.base_cases) == (0, 0, 2)
 
@@ -470,7 +466,7 @@ class TestTieWitness:
             mgr.conjoin([mgr.negate(A), mgr.negate(B), Y]),
             mgr.apply("and", A, mgr.apply("iff", B, Y)),
         )
-        weights = WeightMap({a: (1.0, 1.0), b: (1.0, 1.0), y: (0.5, 0.5)})
+        weights = {a: (1.0, 1.0), b: (1.0, 1.0), y: (0.5, 0.5)}
         inst = Bbir(mgr=mgr, formulas=[phi, mgr.mk_true()], branch_vars=[a, b],
                     weights=weights, semiring=REAL)
         objective = MmapObjective(inst)
@@ -521,10 +517,10 @@ class TestRejectedInputs:
         # policy in and the leaves did not
         inst = random_meu_instance(random.Random(6))
         rng = random.Random(1006)
-        weights = WeightMap({v: inst.weights.get(v) for v in inst.weights.vars})
+        weights = dict(inst.weights)
         for v in inst.branch_vars:
-            weights.set(v, EV(rng.uniform(0.2, 1.5), rng.uniform(0, 10)),
-                        EV(rng.uniform(0.2, 1.5), rng.uniform(0, 10)))
+            weights[v] = (EV(rng.uniform(0.2, 1.5), rng.uniform(0, 10)),
+                          EV(rng.uniform(0.2, 1.5), rng.uniform(0, 10)))
         weighted = dataclasses.replace(inst, weights=weights)
         with pytest.raises(BbirError, match="unit weights on branch variables"):
             MeuObjective(weighted)
@@ -600,10 +596,10 @@ def search_variants(inst, rng):
     yield inst
     branch = list(inst.branch_vars)
     rng.shuffle(branch)
-    weights = WeightMap({v: inst.weights.get(v) for v in inst.weights.vars})
+    weights = dict(inst.weights)
     if inst.semiring is REAL:
         for v in branch:
-            weights.set(v, rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0))
+            weights[v] = (rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0))
     shuffled = dataclasses.replace(inst, branch_vars=branch, weights=weights)
     yield shuffled
     if len(branch) >= 2:
@@ -729,7 +725,7 @@ class TestSearchMemo:
         assert out["stats"]["bound_memo_entries"] > 0
         mgr = BddManager()
         x = mgr.new_var("x")
-        wm = WeightMap({x: (EV(0.25, 2.0), EV(0.75, 0.0))})
+        wm = {x: (EV(0.25, 2.0), EV(0.75, 0.0))}
         inst = Bbir(mgr=mgr, formulas=[mgr.mk_var(x), mgr.mk_true()],
                     branch_vars=[], weights=wm, semiring=EXPECTATION)
         stats = bb(MeuObjective(inst), inst).stats

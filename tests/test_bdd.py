@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from optppl import EV, EXPECTATION, FALSE, REAL, TRUE, BddError, BddManager, WeightMap
+from optppl import EV, EXPECTATION, FALSE, REAL, TRUE, BddError, BddManager
 from optppl.oracle import brute_amc
 
 from helpers import (
@@ -241,14 +241,12 @@ class TestAndOrKernel:
 
 def section2_weights(mgr, ids):
     r, r10, r5, r100 = ids
-    return WeightMap(
-        {
-            r: (EV(0.1, 0), EV(0.9, 0)),
-            r10: (EV(1, 10), EV(1, 0)),
-            r5: (EV(1, -5), EV(1, 0)),
-            r100: (EV(1, -100), EV(1, 0)),
-        }
-    )
+    return {
+        r: (EV(0.1, 0), EV(0.9, 0)),
+        r10: (EV(1, 10), EV(1, 0)),
+        r5: (EV(1, -5), EV(1, 0)),
+        r100: (EV(1, -100), EV(1, 0)),
+    }
 
 
 class TestAmc:
@@ -270,7 +268,7 @@ class TestAmc:
 
     def test_true_gap_factors(self, mgr):
         x, r = mgr.new_var("x"), mgr.new_var("r")
-        wm = WeightMap({x: (EV(0.3, 0), EV(0.7, 0)), r: (EV(1, 5), EV(1, 0))})
+        wm = {x: (EV(0.3, 0), EV(0.7, 0)), r: (EV(1, 5), EV(1, 0))}
         value = mgr.amc(TRUE, wm, EXPECTATION)
         assert EXPECTATION.isclose(value, EV(2.0, 5.0))
 
@@ -278,7 +276,7 @@ class TestAmc:
         x, y = mgr.new_var("x"), mgr.new_var("y")
         node = mgr.apply("and", mgr.mk_var(x), mgr.mk_var(y))
         with pytest.raises(BddError, match=r"unweighted variable in formula: y$"):
-            mgr.amc(node, WeightMap({x: (EV(1, 0), EV(1, 0))}), EXPECTATION)
+            mgr.amc(node, {x: (EV(1, 0), EV(1, 0))}, EXPECTATION)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_formulas_match_brute_force(self, seed):
@@ -291,16 +289,13 @@ class TestAmc:
         formula = random_formula(rng, names, depth=4)
         node = build_bdd(mgr, formula, ids)
         universe = sorted(ids.values())
-        wm = WeightMap()
         wdict = {}
         for v in universe:
-            pair = (
+            wdict[v] = (
                 EV(rng.uniform(0, 2), rng.uniform(-10, 10)),
                 EV(rng.uniform(0, 2), rng.uniform(-10, 10)),
             )
-            wm.set(v, *pair)
-            wdict[v] = pair
-        got = mgr.amc(node, wm, EXPECTATION)
+        got = mgr.amc(node, wdict, EXPECTATION)
         want = brute_amc(rename_formula(formula, ids), wdict, universe, EXPECTATION)
         assert EXPECTATION.isclose(got, want, 1e-9)
 
@@ -313,8 +308,7 @@ class TestAmc:
         node = build_bdd(mgr, formula, ids)
         universe = sorted(ids.values())
         wdict = {v: (rng.uniform(0, 1), rng.uniform(0, 1)) for v in universe}
-        wm = WeightMap(wdict)
-        got = mgr.amc(node, wm, REAL)
+        got = mgr.amc(node, wdict, REAL)
         want = brute_amc(rename_formula(formula, ids), wdict, universe, REAL)
         assert abs(got - want) < 1e-9
 
@@ -324,13 +318,14 @@ class TestAmc:
         names = [f"v{i}" for i in range(8)]
         ids = dict(zip(names, fresh_vars(mgr, 8)))
         node = build_bdd(mgr, random_formula(rng, names, depth=6), ids)
-        wm = WeightMap({v: (EV(0.5, 1), EV(0.5, 0)) for v in ids.values()})
+        wm = {v: (EV(0.5, 1), EV(0.5, 0)) for v in ids.values()}
         mgr.amc(node, wm, EXPECTATION)
         reachable = len(mgr.reachable_nodes([node]))
-        assert mgr.amc_visits <= reachable
-        # a second count over the same weights is fully cached
+        visits = mgr.amc_visits
+        assert visits <= reachable
+        # every call walks afresh, so a repeat call reports the same visits
         mgr.amc(node, wm, EXPECTATION)
-        assert mgr.amc_visits == 0
+        assert mgr.amc_visits == visits
 
 
     def test_fresh_weight_maps_never_hit_a_stale_cache(self, mgr):
@@ -340,9 +335,13 @@ class TestAmc:
         rng = random.Random(5)
         for _ in range(200):
             p = rng.random()
-            w = WeightMap()
-            w.set(x, p, 1 - p)
-            assert abs(mgr.amc(node, w.restrict([x]), REAL) - p) < 1e-12
+            w = {x: (p, 1 - p)}
+            assert abs(mgr.amc(node, {x: w[x]}, REAL) - p) < 1e-12
+        # one map mutated between two calls counts with its new weights
+        w = {x: (0.25, 0.75)}
+        assert mgr.amc(node, w, REAL) == 0.25
+        w[x] = (0.625, 0.375)
+        assert mgr.amc(node, w, REAL) == 0.625
 
 
 class TestEnumerationAndDot:

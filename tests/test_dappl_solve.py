@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 
 from optppl import EV, EXPECTATION, MeuObjective, bb, evaluate_objective
-from optppl.bdd import BddManager, WeightMap
+from optppl.bdd import BddManager
 from optppl.dappl import (
     DapplCompileError, compile_program, prepare, reduce, solve_compiled, solve_meu,
 )
@@ -59,7 +59,7 @@ class TestCompilation:
         support = mgr.support(compiled.phi)
         assert len(support) == 1
         (v,) = support
-        assert compiled.weights.get(v) == (EV(0.5, 0.0), EV(0.5, 0.0))
+        assert compiled.weights[v] == (EV(0.5, 0.0), EV(0.5, 0.0))
 
     def test_syntactically_equal_flips_stay_distinct(self):
         _, _, compiled = prepare("x <- flip 0.5; y <- flip 0.5; return (x && y)")
@@ -88,14 +88,12 @@ class TestCompilation:
         hand = BddManager()
         ids = [hand.new_var(x) for x in ["r", "R10", "R-5", "R-100"]]
         r, r10, r5, r100 = ids
-        wm = WeightMap(
-            {
-                r: (EV(0.1, 0), EV(0.9, 0)),
-                r10: (EV(1, 10), EV(1, 0)),
-                r5: (EV(1, -5), EV(1, 0)),
-                r100: (EV(1, -100), EV(1, 0)),
-            }
-        )
+        wm = {
+            r: (EV(0.1, 0), EV(0.9, 0)),
+            r10: (EV(1, 10), EV(1, 0)),
+            r5: (EV(1, -5), EV(1, 0)),
+            r100: (EV(1, -100), EV(1, 0)),
+        }
         lit = partial(mk_lit, hand)
         phi_u = hand.apply(
             "or",
@@ -111,7 +109,7 @@ class TestCompilation:
             conditioned = mgr.condition_all(phi, {u_var: policy[0], n_var: policy[1]})
             got = mgr.amc(
                 conditioned,
-                problem.weights.restrict(mgr.support(conditioned)),
+                {v: problem.weights[v] for v in mgr.support(conditioned)},
                 EXPECTATION,
             )
             want = hand.amc(reference, wm, EXPECTATION)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from optppl import REAL
+from optppl import REAL, BddManager
 from optppl.oracle import OracleError, pineappl_interp
 from optppl.pineappl import (
     PineapplExpandError,
@@ -269,7 +269,7 @@ class TestStagedSolving:
         constraint = compiler.constraint
         disease = compiler.env["disease"]
         headache = compiler.env["headache@3"]  # the joined definition
-        flips = {mgr.var_label(v).split("#")[0]: v for v in compiler.weights.vars}
+        flips = {mgr.var_label(v).split("#")[0]: v for v in compiler.weights}
         f05, f07, f01 = flips["f_0.5"], flips["f_0.7"], flips["f_0.1"]
         universe = sorted(mgr.support(constraint))
         models = list(enumerate_models(mgr, constraint, universe))
@@ -340,6 +340,22 @@ class TestComponentScoping:
             "pr(m && d) with { a }\n"
             "mmap(a, c) with { a || c }"
         )
+
+    def test_staged_solve_sweeps_each_handle_once(self, monkeypatch):
+        # restricting the weights to the scoped constraint's support swept
+        # it once more than the search problem's own check does
+        program, compiler = compile_source(gen_nested_mmap(3))
+        stmt = [s for s in _flat(program.statements) if isinstance(s, P.SMmap)][-1]
+        swept = []
+        support = BddManager.support
+
+        def spy(mgr, a):
+            swept.append(a)
+            return support(mgr, a)
+
+        monkeypatch.setattr(BddManager, "support", spy)
+        compiler.solve_mmap(stmt.queried, stmt.evidence)
+        assert swept and len(swept) == len(set(swept))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_programs_with_several_staged_mmaps_match_interpreter(self, seed):
@@ -481,7 +497,7 @@ class TestInternalNames:
             "m = mmap(x); pr(y)"
         )
         mgr = compiler.mgr
-        labels = [mgr.var_label(v) for v in compiler.weights.vars]
+        labels = [mgr.var_label(v) for v in compiler.weights]
         internal = [label for label in labels if label.split("@")[0] not in ("x", "y", "m")]
         assert internal and all("#" in label for label in internal)
 
@@ -514,11 +530,11 @@ class TestSimulationInvariant:
         for sigma, mass in dist.items():
             assignment = {compiler.env[name]: value for name, value in sigma}
             conditioned = mgr.condition_all(constraint, assignment)
-            keep = [v for v in wm.vars if v not in assignment]
-            residual = mgr.amc(conditioned, wm.restrict(keep), REAL)
+            keep = {v: w for v, w in wm.items() if v not in assignment}
+            residual = mgr.amc(conditioned, keep, REAL)
             weight = 1.0
             for name, value in sigma:
-                pos, neg = wm.get(compiler.env[name])
+                pos, neg = wm[compiler.env[name]]
                 weight *= pos if value else neg
             assert abs(mass - weight * residual) < 1e-9
             total += 1
