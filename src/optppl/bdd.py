@@ -26,6 +26,11 @@ even when a variable's two literal weights do not sum to the unit.  A
 :class:`CountSetup` holds a universe's positions, weights and gap factors;
 variables conditioned away keep their positions with the unit gap, so one
 setup and one memo can serve a whole chain of conditioned sets.
+
+The walk does no semiring operation whose result it already knows: it
+multiplies by no unit weight or unit gap (1 (x) x = x) and adds no dead
+literal's zero (0 (+) x = x).  Only a join or a meet still sees a dead
+literal's zero, since 0 is no identity for them.
 """
 
 from __future__ import annotations
@@ -60,10 +65,14 @@ class CountSetup:
     one universe serves every conditioned set, and ``tiers[i]`` is the
     number of fixed positions from ``i`` on, shifted into its field of a
     memo key.  Only positions whose gap was not the unit already count as
-    fixed.
+    fixed.  A literal weight that is the unit is None in ``levels``, and
+    ``nonunit[i]`` is the first position from ``i`` on whose gap is not the
+    unit (``n`` if none), so the walk multiplies neither in.
     """
 
-    __slots__ = ("semiring", "combine", "pos_of", "levels", "valid_shift", "gaps", "suffix", "tiers")
+    __slots__ = (
+        "semiring", "combine", "pos_of", "levels", "valid_shift", "gaps", "suffix", "tiers", "nonunit",
+    )
 
     def __init__(self, universe, weights: dict, semiring, branch=frozenset(), combine=None):
         one, add, mul = semiring.one, semiring.add, semiring.mul
@@ -75,15 +84,27 @@ class CountSetup:
         for var in universe:
             wpos, wneg = weights[var]
             at_branch = var in branch
-            self.levels.append((var, wpos, wneg, at_branch))
             self.gaps.append(combine(wpos, wneg) if at_branch else add(wpos, wneg))
+            # a unit weight is None: the walk takes the child's value as it is
+            self.levels.append(
+                (var, None if wpos == one else wpos, None if wneg == one else wneg, at_branch)
+            )
         n = len(universe)
         self.suffix = [one] * (n + 1)
         for i in range(n - 1, -1, -1):
             self.suffix[i] = mul(self.gaps[i], self.suffix[i + 1])
         self.tiers = [0] * n
+        self.nonunit = self._nonunit()
         # memo key fields: node | fixed count << _NODE_BITS | validity << valid_shift
         self.valid_shift = _NODE_BITS + n.bit_length()
+
+    def _nonunit(self) -> list:
+        # nonunit[i]: the first position from i on whose gap is not the unit
+        one, gaps = self.semiring.one, self.gaps
+        out = [len(gaps)] * (len(gaps) + 1)
+        for i in range(len(gaps) - 1, -1, -1):
+            out[i] = out[i + 1] if gaps[i] == one else i
+        return out
 
     def fixing(self, variables) -> "CountSetup":
         """This unfixed setup with ``variables`` (universe members) fixed.
@@ -110,6 +131,7 @@ class CountSetup:
                 tier += 1 << _NODE_BITS
             suffix[i] = mul(gaps[i], suffix[i + 1])
             tiers[i] = tier
+        out.nonunit = out._nonunit()
         return out
 
 
@@ -437,13 +459,26 @@ class BddManager:
         skipped above it are multiplied in by the same call.  Counts that
         share a walk run as one count over a product semiring (see
         ``semiring.EV_BOUND``), whose components each equal their own walk.
+
+        No operation with a known result is done: a unit literal weight
+        passes its child's value on unmultiplied, only the skipped gaps that
+        are not the unit are multiplied (left to right, then into the node's
+        value), and a dead literal (formula or validity child FALSE) adds no
+        zero.  At a branch variable whose two validity children are both
+        live, a literal with a FALSE formula child still enters the
+        ``combine`` as ``zero``: the join or meet with zero is not the other
+        value.  The skipped operations would only turn a ``-0.0`` component
+        into ``0.0``, and no count value holds one unless a product
+        underflows, so the values are those of the full recurrence bit for
+        bit.
         """
         semiring = setup.semiring
         mul, add, combine = semiring.mul, semiring.add, setup.combine
-        one, zero = semiring.one, semiring.zero
+        zero = semiring.zero
         var_of, lo_of, hi_of, labels = self._var, self._lo, self._hi, self._labels
         pos_of, levels, gaps = setup.pos_of, setup.levels, setup.gaps
         suffix, tiers, valid_shift = setup.suffix, setup.tiers, setup.valid_shift
+        nonunit = setup.nonunit
         n = len(levels)
 
         def rec(f: int, v: int, i: int):
@@ -474,24 +509,37 @@ class BddManager:
                     vlo, vhi = lo_of[v], hi_of[v]
                 else:
                     vlo = vhi = v
-                hi = zero if fhi == FALSE or vhi == FALSE else mul(wpos, rec(fhi, vhi, j + 1))
-                lo = zero if flo == FALSE or vlo == FALSE else mul(wneg, rec(flo, vlo, j + 1))
-                if not at_branch:
-                    out = add(hi, lo)
-                elif vhi == FALSE:
-                    # a literal no valid completion takes is left out of the combine
-                    out = lo
-                elif vlo == FALSE:
+                # None marks a dead literal: its formula or validity child is FALSE
+                hi = lo = None
+                if fhi != FALSE and vhi != FALSE:
+                    hi = rec(fhi, vhi, j + 1)
+                    if wpos is not None:
+                        hi = mul(wpos, hi)
+                if flo != FALSE and vlo != FALSE:
+                    lo = rec(flo, vlo, j + 1)
+                    if wneg is not None:
+                        lo = mul(wneg, lo)
+                if at_branch and vhi != FALSE and vlo != FALSE:
+                    # both literals have valid completions: a dead one is a
+                    # zero that the join or meet must see
+                    out = combine(zero if hi is None else hi, zero if lo is None else lo)
+                elif hi is None:
+                    out = zero if lo is None else lo
+                elif lo is None:
                     out = hi
                 else:
-                    out = combine(hi, lo)
+                    out = add(hi, lo)
                 memo[key] = out
-            if j == i:
+            # the positions i..j-1 that both diagrams skip each add their gap;
+            # only the gaps that are not the unit are multiplied in
+            k = nonunit[i]
+            if k >= j:
                 return out
-            # the positions i..j-1 that both diagrams skip each add their gap
-            acc = one
-            for k in range(i, j):
+            acc = gaps[k]
+            k = nonunit[k + 1]
+            while k < j:
                 acc = mul(acc, gaps[k])
+                k = nonunit[k + 1]
             return mul(acc, out)
 
         if root == FALSE or validity == FALSE:

@@ -391,21 +391,22 @@ class Compiler:
                     raise DapplCompileError(f"{name!r} is not an alternative of the choice")
             compiled = [(by_name[name], self.compile(body, env)) for name, body in e.arms]
             all_rs = frozenset().union(*(rs for _, (_, _, _, _, rs) in compiled))
+            # each arm sits on its site's one-hot cube (eo and its choice), so
+            # the disjunction of the arms already implies eo
             phi_arms, trace_arms, gam_arms = [], [], []
             for avar, (a_phi, a_gam, a_tr, a_pend, a_rs) in compiled:
+                one_hot = [(c, c == avar) for c in site.vars]
                 shared = mgr.cube(
-                    [(avar, True)]
+                    one_hot
                     + [(r, True) for r in a_pend]
                     + [(r, False) for r in all_rs - a_rs]
                 )
                 phi_arms.append(mgr.apply("and", shared, a_phi))
                 trace_arms.append(mgr.apply("and", shared, a_tr))
-                gam_arms.append(mgr.apply("and", mgr.mk_var(avar), a_gam))
-            phi = mgr.apply("and", site.eo, mgr.disjoin(phi_arms))
-            trace = (
-                mgr.apply("and", site.eo, mgr.disjoin(trace_arms)) if all_rs else TRUE
-            )
-            gamma = mgr.apply("and", site.eo, mgr.disjoin(gam_arms))
+                gam_arms.append(mgr.apply("and", mgr.cube(one_hot), a_gam))
+            phi = mgr.disjoin(phi_arms)
+            trace = mgr.disjoin(trace_arms) if all_rs else TRUE
+            gamma = mgr.disjoin(gam_arms)
             return phi, gamma, trace, (), all_rs
         raise DapplCompileError(f"cannot compile {e!r}")
 

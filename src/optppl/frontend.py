@@ -8,6 +8,8 @@ symbol tables, and error class.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 
 
@@ -45,57 +47,62 @@ class Token:
         return f"Token({self.kind}, {self.text!r})"
 
 
+@functools.lru_cache(maxsize=32)
+def _token_regex(symbols: tuple, digits: str, numerals: str):
+    """The lexer's one regex for a symbol table.
+
+    Each match skips the blanks before one token, a newline or a comment;
+    its named groups are tried in order.
+
+    ``\\d`` is ``str.isdecimal`` and ``\\w`` is ``str.isalnum`` or ``_``, so
+    ``digits`` adds the characters ``str.isdigit`` accepts beyond ``\\d``, and
+    ``numerals`` the numeric non-letters that ``[^\\W\\d]`` would take as a
+    name's first character.  Both are empty for ASCII sources.
+    """
+    digit = r"\d" + re.escape(digits)
+    not_numeral = f"(?![{re.escape(numerals)}])" if numerals else ""
+    return re.compile(
+        rf"[ \t\r]*(?:(?P<nl>\n)|(?P<comment>//[^\n]*)"
+        rf"|(?P<num>\.?[{digit}][{digit}.]*)"
+        rf"|(?P<word>{not_numeral}[^\W\d]\w*)"
+        rf"|(?P<sym>{'|'.join(map(re.escape, symbols))})"
+        rf"|(?P<bad>[^ \t\r]))"
+    )
+
+
 def tokenize(source: str, keywords, symbols, error) -> list:
     """Split ``source`` into num/kw/ident/sym tokens, ending with an eof token.
 
+    A number starts with a digit (``str.isdigit``) or a dot and a digit and
+    runs over digits and dots; a name starts with a letter (``str.isalpha``)
+    or ``_`` and runs over ``str.isalnum`` characters and ``_``.
     ``symbols`` are tried in order, so a longer symbol must precede its
     prefixes; ``//`` starts a line comment.  An unknown character raises
     ``error(message, line, col)``.
     """
+    digits = numerals = ""
+    if not source.isascii():
+        wide = sorted({c for c in source if not c.isascii()})
+        digits = "".join(c for c in wide if c.isdigit() and not c.isdecimal())
+        numerals = "".join(c for c in wide if c.isnumeric() and not (c.isdigit() or c.isalpha()))
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
+    line, line_start, m = 1, 0, None
+    for m in _token_regex(tuple(symbols), digits, numerals).finditer(source):
+        kind = m.lastgroup
+        if kind == "nl":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            tokens.append(Token("num", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            tokens.append(Token("kw" if word in keywords else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in symbols:
-            if source.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise error(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            line_start = m.end()
+        elif kind != "comment":
+            text = m.group(kind)
+            col = m.start(kind) - line_start + 1
+            if kind == "word":
+                kind = "kw" if text in keywords else "ident"
+            elif kind == "bad":
+                raise error(f"unexpected character {text!r}", line, col)
+            tokens.append(Token(kind, text, line, col))
+    # the column does not move over a comment, which ends its line
+    end = m.start("comment") if m is not None and m.lastgroup == "comment" else len(source)
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -113,6 +120,9 @@ class TokenParser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, ahead=0) -> Token:
+        # pos never passes the eof token, so ahead == 0 needs no clamp
+        if not ahead:
+            return self.tokens[self.pos]
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def next(self) -> Token:
@@ -122,12 +132,12 @@ class TokenParser:
         return tok
 
     def at(self, kind, text=None, ahead=0) -> bool:
-        tok = self.peek(ahead)
+        tok = self.peek(ahead) if ahead else self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def expect(self, kind, text=None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
             want = text or kind
             self.error(f"expected {want!r}, found {tok.text!r}")
         return self.next()

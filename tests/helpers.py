@@ -1,12 +1,12 @@
 """Shared builders: random tuple formulas mirrored into BDDs, random search problems,
-BDD literals and model enumeration, and a quadratic least-squares fit for
-scaling-shape checks."""
+BDD literals and model enumeration, a textbook weighted count, and a quadratic
+least-squares fit for scaling-shape checks."""
 
 from __future__ import annotations
 
 import random
 
-from optppl import EV, EXPECTATION, FALSE, REAL, Bbir, BddError, BddManager
+from optppl import EV, EXPECTATION, FALSE, REAL, TRUE, Bbir, BddError, BddManager
 
 
 def random_formula(rng: random.Random, names, depth=3):
@@ -183,6 +183,79 @@ def random_mmap_instance(rng: random.Random):
         semiring=REAL,
     )
     return bbir, ("and", f_phi, f_gam), var_of
+
+
+def textbook_count(mgr: BddManager, root: int, validity: int, universe, weights: dict,
+                   semiring, branch=frozenset(), combine=None, fixed=frozenset()):
+    """The weighted count of ``BddManager.count``, with no operation skipped.
+
+    Every literal weight is multiplied in and every pair of literal values
+    is added (or combined at ``branch`` variables), even when one side is
+    the semiring's one or zero.  The gaps of the positions skipped above a
+    node are multiplied together from ``one`` and then into the node's
+    value; below the last tested position they are multiplied from the
+    bottom.  ``fixed`` variables have the unit gap.  These are the
+    associations ``count`` uses, so its values must match bit for bit.
+    """
+    universe = sorted(universe)
+    n = len(universe)
+    one, zero, add, mul = semiring.one, semiring.zero, semiring.add, semiring.mul
+    pos_of = {var: i for i, var in enumerate(universe)}
+
+    def gap(i):
+        var = universe[i]
+        if var in fixed:
+            return one
+        return (combine if var in branch else add)(*weights[var])
+
+    def split(h, var):
+        if h > TRUE and mgr._var[h] == var:
+            return mgr._lo[h], mgr._hi[h]
+        return h, h
+
+    memo = {}
+
+    def rec(f, v, i):
+        key = (f, v, i)
+        if key in memo:
+            return memo[key]
+        top = min([pos_of[mgr._var[h]] for h in (f, v) if h > TRUE], default=n)
+        if top == n:
+            out = one
+            for k in range(n - 1, i - 1, -1):
+                out = mul(gap(k), out)
+        else:
+            var = universe[top]
+            wpos, wneg = weights[var]
+            (flo, fhi), (vlo, vhi) = split(f, var), split(v, var)
+            hi = zero if FALSE in (fhi, vhi) else mul(wpos, rec(fhi, vhi, top + 1))
+            lo = zero if FALSE in (flo, vlo) else mul(wneg, rec(flo, vlo, top + 1))
+            if var not in branch:
+                out = add(hi, lo)
+            elif vhi == FALSE:
+                out = lo
+            elif vlo == FALSE:
+                out = hi
+            else:
+                out = combine(hi, lo)
+            if top > i:
+                acc = one
+                for k in range(i, top):
+                    acc = mul(acc, gap(k))
+                out = mul(acc, out)
+        memo[key] = out
+        return out
+
+    if root == FALSE or validity == FALSE:
+        return zero
+    return rec(root, validity, 0)
+
+
+def float_hex(value):
+    """A count value with every float in ``float.hex`` form."""
+    if isinstance(value, tuple):
+        return tuple(x.hex() for x in value)
+    return value.hex()
 
 
 def all_assignments(variables):

@@ -1,23 +1,28 @@
 """Decision-diagram engine: canonicity, combinators, and model counting."""
 
+import math
 import random
 from functools import partial
 
 import pytest
 
 from optppl import EV, EXPECTATION, FALSE, REAL, TRUE, BddError, BddManager
+from optppl.bdd import CountSetup
 from optppl.oracle import brute_amc
+from optppl.semiring import EV_BOUND, EVBound
 
 from helpers import (
     all_assignments,
     build_bdd,
     enumerate_models,
+    float_hex,
     fresh_vars,
     ite,
     mk_lit,
     model_count,
     random_formula,
     rename_formula,
+    textbook_count,
 )
 
 
@@ -342,6 +347,131 @@ class TestAmc:
         assert mgr.amc(node, w, REAL) == 0.25
         w[x] = (0.625, 0.375)
         assert mgr.amc(node, w, REAL) == 0.625
+
+
+# Weight pairs for the count-walk tests: unit weights, non-unit weights whose
+# gap is the unit, a reward of -0 (a utility of -0.0 beside the unit
+# probability), and weights with nothing special about them.
+_REAL_PAIRS = ((1.0, 1.0), (0.25, 0.75), (1.0, 0.5), (0.0, 1.0), (0.5, 2.0))
+_EV_PAIRS = (
+    (EV(1.0, 0.0), EV(1.0, 0.0)),
+    (EV(0.25, 0.0), EV(0.75, 0.0)),
+    (EV(1.0, -0.0), EV(1.0, 0.0)),
+    (EV(1.0, 7.5), EV(1.0, 0.0)),
+    (EV(0.5, -3.0), EV(0.25, 2.0)),
+    (EV(0.0, 1.0), EV(1.0, -0.0)),
+)
+
+
+def _random_pair(rng, semiring):
+    if rng.random() < 0.3:  # no shortcut applies
+        if semiring is REAL:
+            return rng.uniform(0, 1.5), rng.uniform(0, 1.5)
+        pair = tuple(EV(rng.uniform(0, 1.5), rng.uniform(-10, 10)) for _ in range(2))
+    elif semiring is REAL:
+        return rng.choice(_REAL_PAIRS)
+    else:
+        pair = rng.choice(_EV_PAIRS)
+    return pair if semiring is EXPECTATION else tuple(EVBound.lift(w) for w in pair)
+
+
+class TestCountShortcuts:
+    """``count`` skips the products by one and the sums with zero that a
+    textbook count does, and must still agree with it in ``float.hex``."""
+
+    @staticmethod
+    def random_problem(rng, semiring):
+        mgr = BddManager()
+        n = rng.randint(3, 10)
+        names = [f"v{i}" for i in range(n)]
+        ids = dict(zip(names, fresh_vars(mgr, n)))
+        # a formula over a few of the variables leaves runs of skipped positions
+        tested = rng.sample(names, k=rng.randint(1, n))
+        root = build_bdd(mgr, random_formula(rng, tested, depth=4), ids)
+        branch = sorted(rng.sample(list(ids.values()), k=rng.randint(0, min(4, n))))
+        roll = rng.random()
+        if roll < 0.3 or not branch:
+            validity = TRUE
+        elif roll < 0.6:
+            validity = mgr.exactly_one(branch)
+        else:
+            validity = build_bdd(mgr, random_formula(rng, names, depth=2), ids)
+        weights = {v: _random_pair(rng, semiring) for v in ids.values()}
+        if semiring is EV_BOUND:
+            combine = EV_BOUND.join
+        else:
+            combine = rng.choice((semiring.join, semiring.meet))
+        return mgr, root, validity, weights, branch, combine
+
+    @pytest.mark.parametrize("semiring", [REAL, EXPECTATION, EV_BOUND], ids=["real", "ev", "ev_bound"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_counts_match_the_textbook_bit_for_bit(self, semiring, seed):
+        rng = random.Random(seed)
+        mgr, root, validity, weights, branch, combine = self.random_problem(rng, semiring)
+        universe = sorted(weights)
+        base = CountSetup(universe, weights, semiring, frozenset(branch), combine)
+        # fix a growing prefix of a random order, as a search does, in one memo
+        order = rng.sample(universe, k=len(universe))
+        values = {v: rng.random() < 0.5 for v in order}
+        memo = {}
+        for depth in range(len(order) + 1):
+            fixed = {v: values[v] for v in order[:depth]}
+            f = mgr.condition_all(root, fixed)
+            v = mgr.condition_all(validity, fixed)
+            got = mgr.count(f, v, base.fixing(fixed), memo)
+            want = textbook_count(
+                mgr, f, v, universe, weights, semiring, frozenset(branch), combine, set(fixed)
+            )
+            assert float_hex(got) == float_hex(want), depth
+
+    def test_skipped_gaps_mix_unit_and_non_unit_runs(self, mgr):
+        xs = fresh_vars(mgr, 9)
+        unit, half = (0.25, 0.75), (0.5, 0.75)
+        # the gaps are 1, 1, 1.25, 1 above the tested x4 and 1.25, 1.25, 1, 1 below
+        pairs = [unit, unit, half, unit, None, half, half, unit, unit]
+        weights = {x: pair or (0.375, 0.5) for x, pair in zip(xs, pairs)}
+        setup = CountSetup(xs, weights, REAL)
+        for root in (mgr.mk_var(xs[4]), TRUE, mgr.negate(mgr.mk_var(xs[4]))):
+            got = mgr.count(root, TRUE, setup, {})
+            assert got.hex() == textbook_count(mgr, root, TRUE, xs, weights, REAL).hex()
+        assert mgr.count(mgr.mk_var(xs[4]), TRUE, setup, {}) == 1.25 ** 3 * 0.375
+
+    def test_fixing_skips_the_fixed_gaps(self, mgr):
+        xs = fresh_vars(mgr, 5)
+        weights = {x: (0.5, 0.75) for x in xs}
+        weights[xs[1]] = (0.5, 0.5)
+        setup = CountSetup(xs, weights, REAL)
+        assert setup.nonunit == [0, 2, 2, 3, 4, 5]
+        # a fixed variable has the unit gap, so the walk multiplies no gap there
+        fixed = setup.fixing([xs[0], xs[2], xs[3]])
+        assert fixed.nonunit == [4, 4, 4, 4, 4, 5]
+        assert setup.nonunit == [0, 2, 2, 3, 4, 5]
+
+    def test_dead_formula_child_enters_the_join_as_zero(self, mgr):
+        b, c = fresh_vars(mgr, 2)
+        weights = {b: (EV(1.0, 0.0), EV(1.0, 0.0)), c: (EV(0.5, -3.0), EV(0.5, -1.0))}
+        f = mgr.apply("and", mgr.mk_var(b), mgr.mk_var(c))
+        setup = CountSetup([b, c], weights, EXPECTATION, frozenset([b]), EXPECTATION.join)
+        # b = 0 is valid but f is FALSE there: the join sees zero beside c's count
+        got = mgr.count(f, TRUE, setup, {})
+        assert got == EV(0.5, 0.0)
+        assert float_hex(got) == float_hex(
+            textbook_count(mgr, f, TRUE, [b, c], weights, EXPECTATION, {b}, EXPECTATION.join)
+        )
+        # with b = 0 ruled out by the validity, the dead literal is left out
+        assert mgr.count(f, mgr.mk_var(b), setup, {}) == EV(0.5, -3.0)
+
+    def test_reward_of_minus_zero_keeps_the_sign(self, mgr):
+        # a unit weight is skipped instead of multiplied in; a product with
+        # it would turn a -0.0 into 0.0, but no count value carries a -0.0
+        r, x = fresh_vars(mgr, 2)
+        weights = {r: (EV(1.0, -0.0), EV(1.0, 0.0)), x: (EV(0.5, -0.0), EV(0.5, 0.0))}
+        universe = [r, x]
+        for f in (mgr.mk_var(r), mgr.apply("and", mgr.mk_var(r), mgr.mk_var(x)), TRUE):
+            got = mgr.count(f, TRUE, CountSetup(universe, weights, EXPECTATION), {})
+            want = textbook_count(mgr, f, TRUE, universe, weights, EXPECTATION)
+            assert float_hex(got) == float_hex(want)
+            assert math.copysign(1.0, got.util) == 1.0
 
 
 class TestEnumerationAndDot:

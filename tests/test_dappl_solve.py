@@ -13,7 +13,7 @@ from optppl.dappl import (
     DapplCompileError, compile_program, prepare, reduce, solve_compiled, solve_meu,
 )
 from optppl.dappl import ast as A
-from optppl.dappl.compile import plan_variables
+from optppl.dappl.compile import Compiler, plan_variables
 from optppl.gen import gen_bn, gen_dr, gen_gridworld, gen_ladder
 from optppl.oracle import dappl_meu_enum, policy_space, util_eu
 
@@ -273,6 +273,42 @@ def test_per_policy_amc_ratio_matches_interpreter(seed):
 def _core(src):
     core, _, _ = prepare(src)
     return core
+
+
+class _ChooseChecker(Compiler):
+    """Checks that every choose compiles to handles that imply its site's eo."""
+
+    checked = 0
+
+    def compile(self, e, env):
+        out = super().compile(e, env)
+        if isinstance(e, A.Choose):
+            phi, gamma, trace, _, rewards = out
+            eo = env[e.scrutinee.name].site.eo
+            # with no reward in any arm the trace is TRUE by design
+            for handle in (phi, gamma, trace) if rewards else (phi, gamma):
+                assert self.mgr.apply("and", handle, eo) == handle
+            self.checked += 1
+        return out
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [[random_dappl_program(seed) for seed in range(300)],
+     [UMBRELLA, UMBRELLA_OBS, gen_ladder(3, 2, seed=0), gen_ladder(2, 2, seed=5),
+      gen_dr(6, seed=0), gen_gridworld(3, 4, 0.1, seed=0)]],
+    ids=["corpus", "families"],
+)
+def test_every_choose_implies_its_exactly_one_constraint(sources):
+    # each arm is built on its site's one-hot cube, and no conjunction with
+    # eo follows, so the cube alone must keep the compiled handles inside eo
+    checked = 0
+    for src in sources:
+        core = _core(src)
+        compiler = _ChooseChecker(plan_variables(core))
+        compiler.compile(core, {})
+        checked += compiler.checked
+    assert checked >= len(sources) // 2
 
 
 def _registration_order_meu(core):
