@@ -2,17 +2,25 @@
 statements are solved mid-compilation, and queries evaluate as ratios of
 real-semiring model counts.
 
-Every program variable ``x`` gets a BDD variable and a definition ``x <-> phi``.
 A flip's randomness lives in its own weighted variable, labelled
-``f_<theta>#<n>`` (``#`` is in no program name), and program variables carry
-unit weights on both literals.  A solved mmap answer is a known value, so
-each output is defined as the constant it was decided to be.  A name whose
-definition compiles to a constant (a decided output, ``m = tt``, or a
-contradiction such as ``x && !x``) compiles to that constant wherever it is
-read, as a partial evaluator folds a known value into the rest of a program:
-later guards on a decision keep one arm instead of both.  The name keeps its
-own variable and definition ``x <-> const``, so ``mmap(x)`` still branches
-on it and :attr:`Compiler.constraint` still defines it.
+``f_<theta>#<n>`` (``#`` is in no program name).  A name whose definition
+compiles to one variable is that variable, as Dice compiles a name to the
+diagram it is bound to: a flip, and a copy ``y = x`` or a join point that
+folds to one version, add no variable and no definition.  Every other name
+gets its own BDD variable, with unit weights on both literals, and a
+definition ``x <-> phi``.  An mmap sums over a flip's variable, so it
+branches on the flip's program variable instead: that variable is
+registered just above its flip, where an MMAP query variable belongs, and
+gets its definition ``x <-> f`` when an mmap first branches on the flip.
+
+A solved mmap answer is a known value, so each output is defined as the
+constant it was decided to be.  A name whose definition compiles to a
+constant (a decided output, ``m = tt``, or a contradiction such as
+``x && !x``) compiles to that constant wherever it is read, as a partial
+evaluator folds a known value into the rest of a program: later guards on a
+decision keep one arm instead of both.  The name keeps its own variable and
+definition ``x <-> const``, so ``mmap(x)`` still branches on it and
+:attr:`Compiler.constraint` still defines it.
 
 Definitions are filed into independent components, as knowledge compilers
 decompose a formula: a union-find over variables joins ``x`` with every
@@ -51,10 +59,15 @@ class Compiler:
     def __init__(self, mgr: BddManager | None = None):
         self.mgr = mgr if mgr is not None else BddManager()
         self.weights = {}  # var -> (positive, negative) literal weights
-        self.env = {}  # program name -> its BDD variable, which mmap branches on
+        # program name -> the variable it reads as: its flip's for a flip or
+        # an alias of one, the aliased name's for a copy, else its own
+        self.env = {}
         # program name -> what a read of it compiles to: TRUE/FALSE when its
-        # definition is constant, else its variable's node
+        # definition is constant, else its env variable's node
         self._reads = {}
+        # flip variable -> its flip's program variable, defined x <-> f once
+        # an mmap branches on the flip
+        self._flip_owner = {}
         self._definitions = []  # the definitions, oldest first
         self._parent = {}  # union-find over variables
         self._members = {}  # component root -> indices of its definitions
@@ -128,23 +141,37 @@ class Compiler:
     def _define(self, name: str, definition: int):
         if name in self.env:
             raise PineapplCompileError(f"duplicate binding of {name!r} after renaming")
-        var = self.mgr.ensure_var(name)
-        self.weights[var] = (1.0, 1.0)
+        mgr = self.mgr
+        support = mgr.support(definition)
+        if len(support) == 1:
+            (u,) = support
+            if definition == mgr.mk_var(u):
+                # a positive literal: the name is an alias of u
+                self.env[name] = u
+                self._reads[name] = definition
+                return
+        var = mgr.ensure_var(name)
         self.env[name] = var
-        node = self.mgr.mk_var(var)
-        self._reads[name] = definition if definition in (TRUE, FALSE) else node
+        self._reads[name] = definition if definition in (TRUE, FALSE) else mgr.mk_var(var)
+        self._constrain(var, definition, support)
+
+    def _constrain(self, var: int, definition: int, support):
+        """Weight ``var`` with the unit and file ``var <-> definition``
+        into the component of ``support``."""
+        self.weights[var] = (1.0, 1.0)
         self._members[self._find(var)] = [len(self._definitions)]
-        self._definitions.append(self.mgr.apply("iff", node, definition))
-        for v in self.mgr.support(definition):
+        self._definitions.append(self.mgr.apply("iff", self.mgr.mk_var(var), definition))
+        for v in support:
             self._union(var, v)
-        return var
 
     def compile_stmt(self, stmt: A.Stmt):
         mgr = self.mgr
         if isinstance(stmt, A.SFlip):
             self._flips += 1
+            var = mgr.ensure_var(stmt.name)  # first, so it sits just above its flip
             f = mgr.ensure_var(f"f_{stmt.theta:g}#{self._flips}")
             self.weights[f] = (stmt.theta, 1.0 - stmt.theta)
+            self._flip_owner[f] = var
             self._define(stmt.name, mgr.mk_var(f))
         elif isinstance(stmt, A.SAssign):
             self._define(stmt.name, self.compile_expr(stmt.value))
@@ -178,11 +205,9 @@ class Compiler:
         """
         mgr = self.mgr
         psi = mgr.mk_true() if evidence is None else self.compile_expr(evidence)
-        for name in queried:
-            if name not in self.env:
-                raise PineapplCompileError(f"mmap over undefined variable {name!r}")
-        # a name queried twice is one branch variable
-        branch_vars = sorted({self.env[name] for name in queried})
+        # a name queried twice, or two aliases of one flip, is one branch variable
+        branch = {name: self._branch_var(name) for name in queried}
+        branch_vars = sorted(set(branch.values()))
         constraint = self._scoped(mgr.support(psi) | set(branch_vars))
         problem = Bbir(
             mgr=mgr,
@@ -197,8 +222,25 @@ class Compiler:
             raise PineapplRunError(f"mmap evidence is impossible: {exc}") from exc
         # false tried first: argmax ties resolve to the smallest assignment
         result = bb(objective, problem, literal_order=(False, True))
-        by_name = {name: result.witness[self.env[name]] for name in queried}
+        by_name = {name: result.witness[branch[name]] for name in queried}
         return by_name, result.scalar, result
+
+    def _branch_var(self, name: str) -> int:
+        """The variable an mmap over ``name`` branches on.
+
+        A flip's variable is summed over, so a name that reads as one
+        branches on the flip's program variable, defined the first time an
+        mmap needs it.
+        """
+        if name not in self.env:
+            raise PineapplCompileError(f"mmap over undefined variable {name!r}")
+        u = self.env[name]
+        var = self._flip_owner.get(u)
+        if var is None:
+            return u
+        if var not in self.weights:
+            self._constrain(var, self.mgr.mk_var(u), (u,))
+        return var
 
     # -- queries -----------------------------------------------------------------
 
