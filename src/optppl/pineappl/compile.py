@@ -156,8 +156,10 @@ class Compiler:
         self._constrain(var, definition, support)
 
     def _constrain(self, var: int, definition: int, support):
-        """Weight ``var`` with the unit and file ``var <-> definition``
-        into the component of ``support``."""
+        """Define ``var <-> definition``, with unit weights on ``var``.
+
+        The definition joins the component of the variables in ``support``.
+        """
         self.weights[var] = (1.0, 1.0)
         self._members[self._find(var)] = [len(self._definitions)]
         self._definitions.append(self.mgr.apply("iff", self.mgr.mk_var(var), definition))
