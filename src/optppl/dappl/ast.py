@@ -1,45 +1,14 @@
-"""AST for the decision-theoretic language (pure terms, effectful terms, sugar)."""
+"""AST for the decision-theoretic language: effectful terms and sugar.
+
+Pure terms are the shared Boolean terms of :mod:`optppl.frontend`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..frontend import NO_SPAN, Span
-
-
-# -- pure (Boolean) terms ---------------------------------------------------
-
-@dataclass
-class Pure:
-    span: Span = field(default=NO_SPAN, repr=False, compare=False)
-
-
-@dataclass
-class PVar(Pure):
-    name: str = ""
-
-
-@dataclass
-class PLit(Pure):
-    value: bool = False
-
-
-@dataclass
-class PAnd(Pure):
-    left: Pure = None
-    right: Pure = None
-
-
-@dataclass
-class POr(Pure):
-    left: Pure = None
-    right: Pure = None
-
-
-@dataclass
-class PNot(Pure):
-    operand: Pure = None
+from ..frontend import NO_SPAN, And, Lit, Not, Or, Span, Term, Var  # noqa: F401  (pure terms)
 
 
 # -- effectful terms ---------------------------------------------------------
@@ -51,7 +20,7 @@ class Expr:
 
 @dataclass
 class Return(Expr):
-    pure: Pure = None
+    pure: Term = None
 
 
 @dataclass
@@ -67,7 +36,7 @@ class Reward(Expr):
 
 @dataclass
 class Ite(Expr):
-    guard: Pure = None
+    guard: Term = None
     then: Expr = None
     els: Expr = None
 
@@ -81,7 +50,7 @@ class Bind(Expr):
 
 @dataclass
 class Observe(Expr):
-    guard: Pure = None
+    guard: Term = None
     body: Expr = None
 
 
@@ -93,7 +62,7 @@ class ChoiceIntro(Expr):
 
 @dataclass
 class Choose(Expr):
-    scrutinee: Expr = None  # PVar-like via Return, a ChoiceIntro, or a Disc
+    scrutinee: Expr = None  # a ScrutVar, a ChoiceIntro, or a Disc
     arms: tuple = ()  # ((name, Expr), ...)
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from ..bdd import TRUE, BddManager
 from ..bbir import Bbir
+from ..frontend import compile_term, term_vars
 from ..semiring import EV, EXPECTATION
 from . import ast as A
 
@@ -92,6 +93,18 @@ class _ChoiceVal:
         self.site = site
 
 
+def _reader(env):
+    """What a pure term's names compile to under ``env``."""
+
+    def read(name):
+        val = env.get(name)
+        if not isinstance(val, _BoolVal):
+            raise DapplCompileError(f"{name!r} is not a Boolean binding")
+        return val.handle
+
+    return read
+
+
 # -- variable order -----------------------------------------------------------
 
 _ABOVE, _HERE, _BELOW = 0, 1, 2
@@ -147,7 +160,12 @@ class _Planner:
         return _PlanSite(first, names, vars_)
 
     def pure(self, p, env, refs) -> frozenset:
-        deps = _pure_deps(p, env)
+        deps = frozenset()
+        for name in term_vars(p):
+            # a Boolean binding maps to a frozenset, a choice binding to a site
+            bound = env.get(name)
+            if isinstance(bound, frozenset):
+                deps = deps | bound if deps else bound
         if refs is not None:
             refs |= deps
         return deps
@@ -230,17 +248,6 @@ class _Planner:
         return sorted(range(len(keys)), key=keys.__getitem__)
 
 
-def _pure_deps(p, env) -> frozenset:
-    if isinstance(p, A.PVar):
-        deps = env.get(p.name)
-        return deps if isinstance(deps, frozenset) else frozenset()
-    if isinstance(p, (A.PAnd, A.POr)):
-        return _pure_deps(p.left, env) | _pure_deps(p.right, env)
-    if isinstance(p, A.PNot):
-        return _pure_deps(p.operand, env)
-    return frozenset()
-
-
 def plan_variables(core: A.Expr) -> VarPlan:
     """Label a core program's variables and plan their registration order.
 
@@ -285,28 +292,6 @@ class Compiler:
         self.sites.append(site)
         return site
 
-    # -- pure terms -------------------------------------------------------------
-
-    def compile_pure(self, p: A.Pure, env: dict) -> int:
-        if isinstance(p, A.PLit):
-            return self.mgr.mk_true() if p.value else self.mgr.mk_false()
-        if isinstance(p, A.PVar):
-            val = env.get(p.name)
-            if not isinstance(val, _BoolVal):
-                raise DapplCompileError(f"{p.name!r} is not a Boolean binding")
-            return val.handle
-        if isinstance(p, A.PAnd):
-            return self.mgr.apply(
-                "and", self.compile_pure(p.left, env), self.compile_pure(p.right, env)
-            )
-        if isinstance(p, A.POr):
-            return self.mgr.apply(
-                "or", self.compile_pure(p.left, env), self.compile_pure(p.right, env)
-            )
-        if isinstance(p, A.PNot):
-            return self.mgr.negate(self.compile_pure(p.operand, env))
-        raise DapplCompileError(f"bad pure term {p!r}")
-
     # -- expressions ---------------------------------------------------------------
 
     def compile(self, e: A.Expr, env: dict):
@@ -318,7 +303,7 @@ class Compiler:
         """
         mgr = self.mgr
         if isinstance(e, A.Return):
-            return self.compile_pure(e.pure, env), TRUE, TRUE, (), frozenset()
+            return compile_term(mgr, e.pure, _reader(env)), TRUE, TRUE, (), frozenset()
         if isinstance(e, A.Flip):
             return mgr.mk_var(self._fresh_flip(e.theta)), TRUE, TRUE, (), frozenset()
         if isinstance(e, A.Reward):
@@ -326,11 +311,11 @@ class Compiler:
             r = self._fresh_reward(e.amount)
             return phi, gamma, trace, pending + (r,), rset | {r}
         if isinstance(e, A.Observe):
-            guard = self.compile_pure(e.guard, env)
+            guard = compile_term(mgr, e.guard, _reader(env))
             phi, gamma, trace, pending, rset = self.compile(e.body, env)
             return phi, mgr.apply("and", gamma, guard), trace, pending, rset
         if isinstance(e, A.Ite):
-            guard = self.compile_pure(e.guard, env)
+            guard = compile_term(mgr, e.guard, _reader(env))
             t_phi, t_gam, t_tr, t_pend, t_rs = self.compile(e.then, env)
             e_phi, e_gam, e_tr, e_pend, e_rs = self.compile(e.els, env)
 

@@ -26,29 +26,22 @@ class _Desugarer:
 
     # -- helpers ---------------------------------------------------------------
 
-    def chain_probs(self, pairs):
-        """Conditional biases for a one-hot flip chain over a categorical."""
-        probs = [p for _, p in pairs]
-        total = sum(probs)
-        if abs(total - 1.0) > 1e-9:
-            raise DapplDesugarError(f"categorical probabilities sum to {total}, not 1")
-        if any(p < 0 for p in probs):
-            raise DapplDesugarError("categorical probabilities must be nonnegative")
-        return chain_biases(probs)
-
     def expand_cat_choose(self, flips, names, arms_by_name):
         """Nested conditionals over chain flips selecting the matching arm."""
         if len(names) == 1:
             return arms_by_name[names[0]]
         return A.Ite(
-            guard=A.PVar(name=flips[0]),
+            guard=A.Var(name=flips[0]),
             then=arms_by_name[names[0]],
             els=self.expand_cat_choose(flips[1:], names[1:], arms_by_name),
         )
 
     def bind_chain_flips(self, pairs, body_fn):
         """Bind len(pairs)-1 chain flips, then build the body from their names."""
-        biases = self.chain_probs(pairs)
+        try:
+            biases = chain_biases([p for _, p in pairs])
+        except ValueError as exc:
+            raise DapplDesugarError(str(exc)) from None
         flip_names = [self.fresh("cat") for _ in biases]
 
         def nest(i):
@@ -68,9 +61,9 @@ class _Desugarer:
         if isinstance(e, (A.Return, A.Flip)):
             return e
         if isinstance(e, A.Unit):
-            return A.Return(span=e.span, pure=A.PLit(value=True))
+            return A.Return(span=e.span, pure=A.Lit(value=True))
         if isinstance(e, A.Reward):
-            body = A.Return(pure=A.PLit(value=True)) if e.body is None else self.walk(e.body)
+            body = A.Return(pure=A.Lit(value=True)) if e.body is None else self.walk(e.body)
             return A.Reward(span=e.span, amount=e.amount, body=body)
         if isinstance(e, A.Observe):
             return self.normalize_guard(
@@ -154,14 +147,14 @@ class _Desugarer:
             raise DapplDesugarError("a categorical must be bound or matched with choose")
         raise DapplDesugarError(f"cannot desugar {e!r}")
 
-    def normalize_guard(self, guard: A.Pure, rebuild):
-        if isinstance(guard, A.PVar):
+    def normalize_guard(self, guard: A.Term, rebuild):
+        if isinstance(guard, A.Var):
             return rebuild(guard)
         name = self.fresh("g")
         return A.Bind(
             name=name,
             value=A.Return(pure=guard),
-            body=rebuild(A.PVar(name=name)),
+            body=rebuild(A.Var(name=name)),
         )
 
 

@@ -10,7 +10,7 @@ Grammar sketch (sugar included; ``//`` starts a line comment)::
            | 'flip' NUM | 'return' pure | 'loop' INT '{' expr '}'
            | '[' IDENT (',' IDENT)* ']' | 'disc' '[' IDENT ':' NUM , ... ']'
            | '(' ')' | '(' expr ')' | pure        -- bare pure means return
-    pure  := or-tier of '&&' '||' '!' over IDENT, 'tt', 'ff', parens
+    pure  := term                 -- TokenParser.term, shared with pineappl
 
 A guard may also be a one-name choice introduction, desugared later into a
 binary decision.  Nested ``choose`` inside an arm must be parenthesized.
@@ -52,7 +52,7 @@ class Parser(TokenParser):
             return A.Bind(span=sp, name=name, value=value, body=body)
         if self.at("kw", "observe"):
             self.next()
-            guard = self.parse_pure()
+            guard = self.term()
             self.expect("sym", ";")
             body = self.parse_expr()
             return A.Observe(span=sp, guard=guard, body=body)
@@ -72,13 +72,13 @@ class Parser(TokenParser):
             return A.Reward(span=sp, amount=amount, body=None)
         if self.at("kw", "flip"):
             self.next()
-            theta = self.number(allow_negative=False)
+            theta = self.number()
             if not 0.0 <= theta <= 1.0:
                 self.error(f"flip bias {theta} outside [0, 1]", sp)
             return A.Flip(span=sp, theta=theta)
         if self.at("kw", "return"):
             self.next()
-            return A.Return(span=sp, pure=self.parse_pure())
+            return A.Return(span=sp, pure=self.term())
         if self.at("kw", "loop"):
             self.next()
             count = self.loop_count()
@@ -104,11 +104,11 @@ class Parser(TokenParser):
             self.expect("sym", ")")
             if isinstance(inner, A.Return) and (self.at("sym", "&&") or self.at("sym", "||")):
                 self.pos = start
-                return A.Return(span=sp, pure=self.parse_pure())
+                return A.Return(span=sp, pure=self.term())
             return inner
         if self.at("ident") or self.at("kw", "tt") or self.at("kw", "ff") \
                 or self.at("kw", "true") or self.at("kw", "false") or self.at("sym", "!"):
-            return A.Return(span=sp, pure=self.parse_pure())
+            return A.Return(span=sp, pure=self.term())
         self.error(f"expected an expression, found {self.peek().text!r}")
 
     def starts_expr(self) -> bool:
@@ -133,7 +133,7 @@ class Parser(TokenParser):
                 self.error("an if-guard decision must have exactly one alternative", sp)
             guard = intro
         else:
-            guard = self.parse_pure()
+            guard = self.term()
         self.expect("kw", "then")
         then = self.parse_expr_no_seq()
         self.expect("kw", "else")
@@ -172,45 +172,7 @@ class Parser(TokenParser):
 
     def parse_disc(self) -> A.Disc:
         sp = self.span()
-        return A.Disc(span=sp, pairs=self.disc_pairs(sp, allow_negative=False))
-
-    # -- pure terms ---------------------------------------------------------------
-
-    def parse_pure(self) -> A.Pure:
-        left = self.parse_pure_and()
-        while self.at("sym", "||"):
-            sp = self.span()
-            self.next()
-            left = A.POr(span=sp, left=left, right=self.parse_pure_and())
-        return left
-
-    def parse_pure_and(self) -> A.Pure:
-        left = self.parse_pure_unary()
-        while self.at("sym", "&&"):
-            sp = self.span()
-            self.next()
-            left = A.PAnd(span=sp, left=left, right=self.parse_pure_unary())
-        return left
-
-    def parse_pure_unary(self) -> A.Pure:
-        sp = self.span()
-        if self.at("sym", "!"):
-            self.next()
-            return A.PNot(span=sp, operand=self.parse_pure_unary())
-        if self.at("kw", "tt") or self.at("kw", "true"):
-            self.next()
-            return A.PLit(span=sp, value=True)
-        if self.at("kw", "ff") or self.at("kw", "false"):
-            self.next()
-            return A.PLit(span=sp, value=False)
-        if self.at("ident"):
-            return A.PVar(span=sp, name=self.next().text)
-        if self.at("sym", "("):
-            self.next()
-            inner = self.parse_pure()
-            self.expect("sym", ")")
-            return inner
-        self.error(f"expected a Boolean term, found {self.peek().text!r}")
+        return A.Disc(span=sp, pairs=self.disc_pairs(sp))
 
 
 def parse(source: str) -> A.Expr:

@@ -34,7 +34,7 @@ def _reduce(e, policy, site_env):
     if isinstance(e, A.Observe):
         return A.Observe(span=e.span, guard=e.guard, body=_reduce(e.body, policy, site_env))
     if isinstance(e, A.ChoiceIntro):
-        return A.Return(span=e.span, pure=A.PLit(value=True))
+        return A.Return(span=e.span, pure=A.Lit(value=True))
     if isinstance(e, A.Bind):
         inner = dict(site_env)
         if isinstance(e.value, A.ChoiceIntro):

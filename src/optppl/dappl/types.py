@@ -72,21 +72,21 @@ BOOL = TBool()
 DIST = TDist()
 
 
-def check_pure(p: A.Pure, env: dict):
-    if isinstance(p, A.PLit):
-        return BOOL
-    if isinstance(p, A.PVar):
+def check_pure(p: A.Term, env: dict):
+    if isinstance(p, A.Var):
         if p.name not in env:
             raise DapplTypeError(f"unbound variable {p.name!r}", p.span)
         t = env[p.name]
         if t != BOOL:
             raise DapplTypeError(f"{p.name!r} has type {t}, expected Bool", p.span)
         return BOOL
-    if isinstance(p, (A.PAnd, A.POr)):
+    if isinstance(p, A.Lit):
+        return BOOL
+    if isinstance(p, (A.And, A.Or)):
         check_pure(p.left, env)
         check_pure(p.right, env)
         return BOOL
-    if isinstance(p, A.PNot):
+    if isinstance(p, A.Not):
         check_pure(p.operand, env)
         return BOOL
     raise DapplTypeError(f"not a Boolean term: {p!r}")

@@ -1,16 +1,17 @@
 """What the dappl and pineappl front ends share.
 
 Source positions, the lexer, a recursive-descent base class over its tokens
-with the rules both grammars spell the same way, and the flip-chain encoding
-of categoricals.  Each language keeps its own grammar, AST, keyword and
-symbol tables, and error class.
+with the rules both grammars spell the same way, the Boolean term language
+(its AST, grammar, variables and compilation to a BDD), and the flip-chain
+encoding of categoricals.  Each language adds its own statements or
+effectful terms, keyword and symbol tables, and error class.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,73 @@ class Span:
 
 
 NO_SPAN = Span()
+
+
+# -- Boolean terms ---------------------------------------------------------------
+
+@dataclass
+class Term:
+    span: Span = field(default=NO_SPAN, repr=False, compare=False)
+
+
+@dataclass
+class Var(Term):
+    name: str = ""
+
+
+@dataclass
+class Lit(Term):
+    value: bool = False
+
+
+@dataclass
+class And(Term):
+    left: Term = None
+    right: Term = None
+
+
+@dataclass
+class Or(Term):
+    left: Term = None
+    right: Term = None
+
+
+@dataclass
+class Not(Term):
+    operand: Term = None
+
+
+def term_vars(t: Term) -> set:
+    """The names a term reads.
+
+    A language's own atoms read none here: pineappl's ``x is o`` is renamed
+    to a plain name before any caller asks.
+    """
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, (And, Or)):
+        return term_vars(t.left) | term_vars(t.right)
+    if isinstance(t, Not):
+        return term_vars(t.operand)
+    return set()
+
+
+def compile_term(mgr, t: Term, read) -> int:
+    """Compile a term to a BDD in ``mgr``; ``read(name)`` compiles a name.
+
+    The left operand compiles before the right one.
+    """
+    if isinstance(t, Var):
+        return read(t.name)
+    if isinstance(t, Lit):
+        return mgr.mk_true() if t.value else mgr.mk_false()
+    if isinstance(t, And):
+        return mgr.apply("and", compile_term(mgr, t.left, read), compile_term(mgr, t.right, read))
+    if isinstance(t, Or):
+        return mgr.apply("or", compile_term(mgr, t.left, read), compile_term(mgr, t.right, read))
+    if isinstance(t, Not):
+        return mgr.negate(compile_term(mgr, t.operand, read))
+    raise TypeError(f"not a Boolean term: {t!r}")
 
 
 class SourceSyntaxError(Exception):
@@ -154,9 +222,9 @@ class TokenParser:
 
     # -- shared rules ---------------------------------------------------------
 
-    def number(self, allow_negative=True) -> float:
+    def number(self) -> float:
         neg = False
-        if allow_negative and self.at("sym", "-"):
+        if self.at("sym", "-"):
             self.next()
             neg = True
         tok = self.expect("num")
@@ -180,7 +248,7 @@ class TokenParser:
             names.append(self.expect("ident").text)
         return tuple(names)
 
-    def disc_pairs(self, sp: Span, allow_negative=True) -> tuple:
+    def disc_pairs(self, sp: Span) -> tuple:
         """``'disc' '[' IDENT ':' NUM (',' IDENT ':' NUM)* ']'`` as ``((name, p), ...)``.
 
         Duplicate outcome names are reported at ``sp``.
@@ -191,7 +259,7 @@ class TokenParser:
         while True:
             name = self.expect("ident").text
             self.expect("sym", ":")
-            pairs.append((name, self.number(allow_negative)))
+            pairs.append((name, self.number()))
             if not self.at("sym", ","):
                 break
             self.next()
@@ -200,14 +268,74 @@ class TokenParser:
             self.error("duplicate outcome names", sp)
         return tuple(pairs)
 
+    # -- Boolean terms ----------------------------------------------------------
+
+    def term(self) -> Term:
+        """The Boolean term rule both grammars share::
+
+            term  := and ('||' and)*
+            and   := unary ('&&' unary)*
+            unary := '!' unary | atom
+            atom  := IDENT | 'tt' | 'ff' | 'true' | 'false' | '(' term ')'
+
+        A language adds atoms by extending :meth:`term_atom`.  Only a symbol
+        token can spell an operator or a parenthesis, and both languages make
+        the literals keywords, so the rules test a token's text alone.
+        """
+        left = self.term_and()
+        while self.tokens[self.pos].text == "||":
+            sp = self.span()
+            self.pos += 1
+            left = Or(span=sp, left=left, right=self.term_and())
+        return left
+
+    def term_and(self) -> Term:
+        left = self.term_unary()
+        while self.tokens[self.pos].text == "&&":
+            sp = self.span()
+            self.pos += 1
+            left = And(span=sp, left=left, right=self.term_unary())
+        return left
+
+    def term_unary(self) -> Term:
+        tok = self.tokens[self.pos]
+        sp = Span(tok.line, tok.col)
+        if tok.text == "!":
+            self.pos += 1
+            return Not(span=sp, operand=self.term_unary())
+        return self.term_atom(sp)
+
+    def term_atom(self, sp: Span) -> Term:
+        tok = self.tokens[self.pos]
+        if tok.kind == "ident":
+            self.pos += 1
+            return Var(span=sp, name=tok.text)
+        if tok.text in _LITERALS:
+            self.pos += 1
+            return Lit(span=sp, value=_LITERALS[tok.text])
+        if tok.text == "(":
+            self.pos += 1
+            inner = self.term()
+            self.expect("sym", ")")
+            return inner
+        self.error(f"expected a Boolean term, found {tok.text!r}")
+
+
+_LITERALS = {"tt": True, "true": True, "ff": False, "false": False}
+
 
 def chain_biases(probs) -> list:
     """Conditional flip biases that encode a categorical as a one-hot chain.
 
     Outcome ``i < n-1`` is taken when flips ``0..i-1`` fail and flip ``i``
-    succeeds; the last outcome takes the rest.  ``probs`` must already be a
-    distribution.
+    succeeds; the last outcome takes the rest.  ``probs`` that are negative
+    or do not sum to 1 raise ``ValueError``.
     """
+    total = sum(probs)
+    if abs(total - 1.0) > 1e-9 or any(p < 0 for p in probs):
+        raise ValueError(
+            f"categorical probabilities must be nonnegative and sum to 1, got {list(probs)}"
+        )
     biases = []
     remaining = 1.0
     for p in probs[:-1]:

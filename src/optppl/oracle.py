@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .semiring import NEG_INF
 from .dappl import ast as D
+from .frontend import And, Lit, Not, Or, Term, Var, term_vars
+from .semiring import NEG_INF
 
 BOT = "bot"
 
@@ -84,22 +85,30 @@ def brute_amc(formula, weights: dict, universe, semiring):
 
 
 # ---------------------------------------------------------------------------
-# Denotational interpreter for the decision-free core
+# Boolean terms, shared by both languages
 # ---------------------------------------------------------------------------
 
-def _eval_pure(p: D.Pure, env: dict) -> bool:
-    if isinstance(p, D.PLit):
-        return p.value
-    if isinstance(p, D.PVar):
-        return env[p.name]
-    if isinstance(p, D.PAnd):
-        return _eval_pure(p.left, env) and _eval_pure(p.right, env)
-    if isinstance(p, D.POr):
-        return _eval_pure(p.left, env) or _eval_pure(p.right, env)
-    if isinstance(p, D.PNot):
-        return not _eval_pure(p.operand, env)
-    raise OracleError(f"bad pure term {p!r}")
+def eval_term(t: Term, env: dict) -> bool:
+    """The value of a Boolean term under an assignment of its names."""
+    if isinstance(t, Var):
+        try:
+            return env[t.name]
+        except KeyError:
+            raise OracleError(f"unbound variable {t.name!r}") from None
+    if isinstance(t, Lit):
+        return t.value
+    if isinstance(t, And):
+        return eval_term(t.left, env) and eval_term(t.right, env)
+    if isinstance(t, Or):
+        return eval_term(t.left, env) or eval_term(t.right, env)
+    if isinstance(t, Not):
+        return not eval_term(t.operand, env)
+    raise OracleError(f"not a Boolean term: {t!r}")
 
+
+# ---------------------------------------------------------------------------
+# Denotational interpreter for the decision-free core
+# ---------------------------------------------------------------------------
 
 def util_eval(e: D.Expr, env: dict | None = None) -> dict:
     """Exact outcome distribution: {(bool, reward): mass} plus possibly {BOT: mass}.
@@ -109,7 +118,7 @@ def util_eval(e: D.Expr, env: dict | None = None) -> dict:
     """
     env = {} if env is None else env
     if isinstance(e, D.Return):
-        return {(_eval_pure(e.pure, env), 0.0): 1.0}
+        return {(eval_term(e.pure, env), 0.0): 1.0}
     if isinstance(e, D.Flip):
         return {(True, 0.0): e.theta, (False, 0.0): 1.0 - e.theta}
     if isinstance(e, D.Reward):
@@ -119,10 +128,10 @@ def util_eval(e: D.Expr, env: dict | None = None) -> dict:
             out[shifted] = out.get(shifted, 0.0) + mass
         return out
     if isinstance(e, D.Ite):
-        branch = e.then if _eval_pure(e.guard, env) else e.els
+        branch = e.then if eval_term(e.guard, env) else e.els
         return util_eval(branch, env)
     if isinstance(e, D.Observe):
-        if _eval_pure(e.guard, env):
+        if eval_term(e.guard, env):
             return util_eval(e.body, env)
         return {BOT: 1.0}
     if isinstance(e, D.Bind):
@@ -199,24 +208,6 @@ def dappl_meu_enum(core: D.Expr, sites=None):
 # Imperative language: explicit-distribution interpreter
 # ---------------------------------------------------------------------------
 
-def _peval(e, sigma) -> bool:
-    from .pineappl import ast as P
-
-    if isinstance(e, P.ELit):
-        return e.value
-    if isinstance(e, P.EVar):
-        if e.name not in sigma:
-            raise OracleError(f"unbound variable {e.name!r}")
-        return sigma[e.name]
-    if isinstance(e, P.EAnd):
-        return _peval(e.left, sigma) and _peval(e.right, sigma)
-    if isinstance(e, P.EOr):
-        return _peval(e.left, sigma) or _peval(e.right, sigma)
-    if isinstance(e, P.ENot):
-        return not _peval(e.operand, sigma)
-    raise OracleError(f"bad expression {e!r}")
-
-
 class Distribution:
     """Finite map from assignments (frozen item sets) to probabilities."""
 
@@ -231,7 +222,7 @@ class Distribution:
 
     def prob(self, expr) -> float:
         return sum(
-            mass for sigma, mass in self.table.items() if _peval(expr, dict(sigma))
+            mass for sigma, mass in self.table.items() if eval_term(expr, dict(sigma))
         )
 
     def project(self, keep: set) -> "Distribution":
@@ -266,7 +257,7 @@ class Distribution:
         z = 0.0
         for sigma, mass in self.table.items():
             env = dict(sigma)
-            if evidence is not None and not _peval(evidence, env):
+            if evidence is not None and not eval_term(evidence, env):
                 continue
             z += mass
             key = tuple(env[n] for n in names)
@@ -306,7 +297,7 @@ def pineappl_interp(program, support_limit=2 ** 16):
                 dist = dist.flip(stmt.name, stmt.theta)
             elif isinstance(stmt, P.SAssign):
                 expr = stmt.value
-                dist = dist.extend(stmt.name, lambda env, e=expr: _peval(e, env))
+                dist = dist.extend(stmt.name, lambda env, e=expr: eval_term(e, env))
             elif isinstance(stmt, P.SIf):
                 # branches bind disjoint fresh names after expansion; their
                 # effects are guarded downstream through explicit join points
@@ -336,7 +327,7 @@ def pineappl_interp(program, support_limit=2 ** 16):
                 denom = dist.prob(q.evidence)
                 if denom == 0.0:
                     raise OracleError("query evidence has zero probability")
-                joint = dist.prob(P.EAnd(left=q.expr, right=q.evidence))
+                joint = dist.prob(And(left=q.expr, right=q.evidence))
                 values.append(joint / denom)
         elif isinstance(q, P.QMmap):
             marg = dist.marginal(list(q.queried), q.evidence)
@@ -354,13 +345,13 @@ def _liveness(program):
     needed = set()
     for q in program.queries:
         if isinstance(q, P.QPr):
-            needed |= P.expr_vars(q.expr)
+            needed |= term_vars(q.expr)
             if q.evidence is not None:
-                needed |= P.expr_vars(q.evidence)
+                needed |= term_vars(q.evidence)
         else:
             needed |= set(q.queried)
             if q.evidence is not None:
-                needed |= P.expr_vars(q.evidence)
+                needed |= term_vars(q.evidence)
 
     live_after = {}
 
@@ -372,17 +363,17 @@ def _liveness(program):
                 live.discard(stmt.name)
             elif isinstance(stmt, P.SAssign):
                 live.discard(stmt.name)
-                live |= P.expr_vars(stmt.value)
+                live |= term_vars(stmt.value)
             elif isinstance(stmt, P.SIf):
                 live = backward(stmt.els, path + (idx, "e"), live)
                 live = backward(stmt.then, path + (idx, "t"), set(live))
-                live |= P.expr_vars(stmt.guard)
+                live |= term_vars(stmt.guard)
             elif isinstance(stmt, P.SMmap):
                 for name in stmt.outputs:
                     live.discard(name)
                 live |= set(stmt.queried)
                 if stmt.evidence is not None:
-                    live |= P.expr_vars(stmt.evidence)
+                    live |= term_vars(stmt.evidence)
         return live
 
     backward(program.statements, (), set(needed))

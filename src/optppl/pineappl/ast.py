@@ -5,45 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..frontend import NO_SPAN, Span
+from ..frontend import NO_SPAN, And, Lit, Not, Or, Span, Term, Var  # noqa: F401  (expressions)
 
 
-# -- expressions -------------------------------------------------------------
-
-@dataclass
-class Expr:
-    span: Span = field(default=NO_SPAN, repr=False, compare=False)
-
+# -- expressions: the shared Boolean terms and a membership test ------------------
 
 @dataclass
-class EVar(Expr):
-    name: str = ""
-
-
-@dataclass
-class ELit(Expr):
-    value: bool = False
-
-
-@dataclass
-class EAnd(Expr):
-    left: Expr = None
-    right: Expr = None
-
-
-@dataclass
-class EOr(Expr):
-    left: Expr = None
-    right: Expr = None
-
-
-@dataclass
-class ENot(Expr):
-    operand: Expr = None
-
-
-@dataclass
-class EIs(Expr):
+class EIs(Term):
     """Categorical membership test ``x is a`` (sugar)."""
 
     name: str = ""
@@ -66,12 +34,12 @@ class SFlip(Stmt):
 @dataclass
 class SAssign(Stmt):
     name: str = ""
-    value: Expr = None
+    value: Term = None
 
 
 @dataclass
 class SIf(Stmt):
-    guard: Expr = None
+    guard: Term = None
     then: list = field(default_factory=list)
     els: list = field(default_factory=list)
 
@@ -80,7 +48,7 @@ class SIf(Stmt):
 class SMmap(Stmt):
     outputs: tuple = ()
     queried: tuple = ()
-    evidence: Optional[Expr] = None
+    evidence: Optional[Term] = None
 
 
 @dataclass
@@ -99,15 +67,15 @@ class SDisc(Stmt):
 
 @dataclass
 class QPr:
-    expr: Expr = None
-    evidence: Optional[Expr] = None
+    expr: Term = None
+    evidence: Optional[Term] = None
     text: str = ""  # source rendering for reports
 
 
 @dataclass
 class QMmap:
     queried: tuple = ()
-    evidence: Optional[Expr] = None
+    evidence: Optional[Term] = None
     text: str = ""
 
 
@@ -115,31 +83,3 @@ class QMmap:
 class Program:
     statements: list = field(default_factory=list)
     queries: list = field(default_factory=list)
-
-
-def expr_vars(e: Expr) -> set:
-    if isinstance(e, EVar):
-        return {e.name}
-    if isinstance(e, (EAnd, EOr)):
-        return expr_vars(e.left) | expr_vars(e.right)
-    if isinstance(e, ENot):
-        return expr_vars(e.operand)
-    if isinstance(e, EIs):
-        return {e.name}
-    return set()
-
-
-def render_expr(e: Expr) -> str:
-    if isinstance(e, EVar):
-        return e.name
-    if isinstance(e, ELit):
-        return "tt" if e.value else "ff"
-    if isinstance(e, EAnd):
-        return f"({render_expr(e.left)} && {render_expr(e.right)})"
-    if isinstance(e, EOr):
-        return f"({render_expr(e.left)} || {render_expr(e.right)})"
-    if isinstance(e, ENot):
-        return f"!{render_expr(e.operand)}"
-    if isinstance(e, EIs):
-        return f"{e.name} is {e.outcome}"
-    raise TypeError(f"not an expression: {e!r}")

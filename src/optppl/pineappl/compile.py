@@ -41,6 +41,7 @@ import time
 
 from ..bbir import Bbir, BbirError, MmapObjective, bb
 from ..bdd import FALSE, TRUE, BddManager
+from ..frontend import compile_term
 from ..semiring import REAL
 from . import ast as A
 from .expand import expand
@@ -120,21 +121,11 @@ class Compiler:
 
     # -- expression compilation -------------------------------------------------
 
-    def compile_expr(self, e: A.Expr) -> int:
-        mgr = self.mgr
-        if isinstance(e, A.ELit):
-            return mgr.mk_true() if e.value else mgr.mk_false()
-        if isinstance(e, A.EVar):
-            if e.name not in self._reads:
-                raise PineapplCompileError(f"unbound variable {e.name!r}")
-            return self._reads[e.name]
-        if isinstance(e, A.EAnd):
-            return mgr.apply("and", self.compile_expr(e.left), self.compile_expr(e.right))
-        if isinstance(e, A.EOr):
-            return mgr.apply("or", self.compile_expr(e.left), self.compile_expr(e.right))
-        if isinstance(e, A.ENot):
-            return mgr.negate(self.compile_expr(e.operand))
-        raise PineapplCompileError(f"bad expression {e!r}")
+    def _read(self, name: str) -> int:
+        try:
+            return self._reads[name]
+        except KeyError:
+            raise PineapplCompileError(f"unbound variable {name!r}") from None
 
     # -- statement compilation ------------------------------------------------------
 
@@ -176,7 +167,7 @@ class Compiler:
             self._flip_owner[f] = var
             self._define(stmt.name, mgr.mk_var(f))
         elif isinstance(stmt, A.SAssign):
-            self._define(stmt.name, self.compile_expr(stmt.value))
+            self._define(stmt.name, compile_term(mgr, stmt.value, self._read))
         elif isinstance(stmt, A.SIf):
             # branches bind disjoint names after expansion; join points are
             # ordinary assignments, so both sides extend the same state
@@ -206,10 +197,11 @@ class Compiler:
         the evidence touch; the rest cancel out of the posterior.
         """
         mgr = self.mgr
-        psi = mgr.mk_true() if evidence is None else self.compile_expr(evidence)
-        # a name queried twice, or two aliases of one flip, is one branch variable
+        psi = mgr.mk_true() if evidence is None else compile_term(mgr, evidence, self._read)
+        # a name queried twice, or two aliases of one flip, is one branch
+        # variable; they go in query order, so ties break along the query
         branch = {name: self._branch_var(name) for name in queried}
-        branch_vars = sorted(set(branch.values()))
+        branch_vars = list(dict.fromkeys(branch.values()))
         constraint = self._scoped(mgr.support(psi) | set(branch_vars))
         problem = Bbir(
             mgr=mgr,
@@ -222,7 +214,8 @@ class Compiler:
             objective = MmapObjective(problem)
         except BbirError as exc:
             raise PineapplRunError(f"mmap evidence is impossible: {exc}") from exc
-        # false tried first: argmax ties resolve to the smallest assignment
+        # false tried first: argmax ties resolve to the smallest assignment,
+        # read in query order as the interpreter reads it
         result = bb(objective, problem, literal_order=(False, True))
         by_name = {name: result.witness[branch[name]] for name in queried}
         return by_name, result.scalar, result
@@ -249,8 +242,10 @@ class Compiler:
     def run_query(self, q) -> dict:
         mgr = self.mgr
         if isinstance(q, A.QPr):
-            chi = self.compile_expr(q.expr)
-            psi = mgr.mk_true() if q.evidence is None else self.compile_expr(q.evidence)
+            chi = compile_term(mgr, q.expr, self._read)
+            psi = mgr.mk_true()
+            if q.evidence is not None:
+                psi = compile_term(mgr, q.evidence, self._read)
             support = mgr.support(chi) | mgr.support(psi)
             den_root = mgr.apply("and", psi, self._scoped(support))
             # the weights of other components would count their variables free

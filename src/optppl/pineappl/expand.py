@@ -19,7 +19,7 @@ never equal a program's own names.
 
 from __future__ import annotations
 
-from ..frontend import chain_biases
+from ..frontend import chain_biases, term_vars
 from . import ast as A
 
 
@@ -59,32 +59,26 @@ class _Renamer:
             )
         return env[name]
 
-    def rename_expr(self, e: A.Expr, env: dict) -> A.Expr:
-        if isinstance(e, A.EVar):
-            return A.EVar(span=e.span, name=self.lookup(env, e.name, e.span))
-        if isinstance(e, A.ELit):
+    def rename_expr(self, e: A.Term, env: dict) -> A.Term:
+        if isinstance(e, A.Var):
+            return A.Var(span=e.span, name=self.lookup(env, e.name, e.span))
+        if isinstance(e, A.Lit):
             return e
-        if isinstance(e, A.EAnd):
-            return A.EAnd(
+        if isinstance(e, (A.And, A.Or)):
+            return type(e)(
                 span=e.span,
                 left=self.rename_expr(e.left, env),
                 right=self.rename_expr(e.right, env),
             )
-        if isinstance(e, A.EOr):
-            return A.EOr(
-                span=e.span,
-                left=self.rename_expr(e.left, env),
-                right=self.rename_expr(e.right, env),
-            )
-        if isinstance(e, A.ENot):
-            return A.ENot(span=e.span, operand=self.rename_expr(e.operand, env))
+        if isinstance(e, A.Not):
+            return A.Not(span=e.span, operand=self.rename_expr(e.operand, env))
         if isinstance(e, A.EIs):
             mangled = f"{e.name}${e.outcome}"
             if mangled not in env:
                 raise PineapplExpandError(
                     f"{e.name!r} is not a categorical with outcome {e.outcome!r}", e.span
                 )
-            return A.EVar(span=e.span, name=self.lookup(env, mangled, e.span))
+            return A.Var(span=e.span, name=self.lookup(env, mangled, e.span))
         raise PineapplExpandError(f"bad expression {e!r}")
 
     def rename_stmts(self, stmts: list, env: dict) -> list:
@@ -116,10 +110,10 @@ class _Renamer:
     def rename_if(self, stmt: A.SIf, env: dict) -> list:
         out = []
         guard = self.rename_expr(stmt.guard, env)
-        if not isinstance(guard, A.EVar):
+        if not isinstance(guard, A.Var):
             gname = self.bind(env, self.fresh("_g"))
             out.append(A.SAssign(span=stmt.span, name=gname, value=guard))
-            guard = A.EVar(span=stmt.span, name=gname)
+            guard = A.Var(span=stmt.span, name=gname)
         then_env = dict(env)
         else_env = dict(env)
         then_stmts = self.rename_stmts(stmt.then, then_env)
@@ -141,11 +135,9 @@ class _Renamer:
                 A.SAssign(
                     span=stmt.span,
                     name=joined,
-                    value=A.EOr(
-                        left=A.EAnd(left=guard, right=A.EVar(name=tv)),
-                        right=A.EAnd(
-                            left=A.ENot(operand=guard), right=A.EVar(name=ev)
-                        ),
+                    value=A.Or(
+                        left=A.And(left=guard, right=A.Var(name=tv)),
+                        right=A.And(left=A.Not(operand=guard), right=A.Var(name=ev)),
                     ),
                 )
             )
@@ -182,30 +174,28 @@ def _desugar_disc(stmts: list) -> list:
     out = []
     for stmt in stmts:
         if isinstance(stmt, A.SDisc):
-            probs = [p for _, p in stmt.pairs]
-            if abs(sum(probs) - 1.0) > 1e-9 or any(p < 0 for p in probs):
-                raise PineapplExpandError(
-                    f"categorical probabilities of {stmt.name!r} must be nonnegative and sum to 1",
-                    stmt.span,
-                )
+            try:
+                biases = chain_biases([p for _, p in stmt.pairs])
+            except ValueError as exc:
+                raise PineapplExpandError(f"{stmt.name!r}: {exc}", stmt.span) from None
             chain = []
-            for (outcome, _), theta in zip(stmt.pairs, chain_biases(probs)):
+            for (outcome, _), theta in zip(stmt.pairs, biases):
                 flip_name = f"{stmt.name}${outcome}$flip"
                 out.append(A.SFlip(span=stmt.span, name=flip_name, theta=theta))
                 chain.append((outcome, flip_name))
-            prefix: A.Expr | None = None
+            prefix: A.Term | None = None
             for outcome, flip_name in chain:
-                hit = A.EVar(name=flip_name)
-                indicator = hit if prefix is None else A.EAnd(left=prefix, right=hit)
+                hit = A.Var(name=flip_name)
+                indicator = hit if prefix is None else A.And(left=prefix, right=hit)
                 out.append(A.SAssign(span=stmt.span, name=f"{stmt.name}${outcome}", value=indicator))
-                miss = A.ENot(operand=A.EVar(name=flip_name))
-                prefix = miss if prefix is None else A.EAnd(left=prefix, right=miss)
+                miss = A.Not(operand=A.Var(name=flip_name))
+                prefix = miss if prefix is None else A.And(left=prefix, right=miss)
             last_outcome = stmt.pairs[-1][0]
             out.append(
                 A.SAssign(
                     span=stmt.span,
                     name=f"{stmt.name}${last_outcome}",
-                    value=prefix if prefix is not None else A.ELit(value=True),
+                    value=prefix if prefix is not None else A.Lit(value=True),
                 )
             )
         elif isinstance(stmt, A.SIf):
@@ -253,7 +243,7 @@ def expand(program: A.Program) -> A.Program:
 
 def _check_evidence_restriction(program: A.Program, mmap_bound: set):
     def check_expr(e, where):
-        bad = A.expr_vars(e) & mmap_bound
+        bad = term_vars(e) & mmap_bound
         if bad:
             raise PineapplExpandError(
                 f"observed expression in {where} references mmap-bound "

@@ -13,8 +13,8 @@ accepted and optional after braces)::
     lhs     := IDENT | '(' IDENT , ... ')'
     query   := 'pr' '(' expr ')' ('with' '{' expr '}')? ';'?
              | 'mmap' '(' IDENT , ... ')' ('with' '{' expr '}')? ';'?
-    expr    := '||' / '&&' / '!' tiers over IDENT, IDENT 'is' IDENT,
-               'tt'/'ff'/'true'/'false', parens
+    expr    := term               -- TokenParser.term, shared with dappl
+    atom    += IDENT 'is' IDENT   -- the one term atom dappl lacks
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class Parser(TokenParser):
             return A.SDisc(span=sp, name=name_tok.text, pairs=self.disc_pairs(sp))
         if self.at("kw", "mmap"):
             return self.parse_mmap_rhs(sp, (name_tok.text,))
-        return A.SAssign(span=sp, name=name_tok.text, value=self.parse_expr())
+        return A.SAssign(span=sp, name=name_tok.text, value=self.term())
 
     def parse_mmap_rhs(self, sp, outs) -> A.SMmap:
         queried, evidence = self.parse_mmap_call()
@@ -107,14 +107,14 @@ class Parser(TokenParser):
             return None
         self.next()
         self.expect("sym", "{")
-        expr = self.parse_expr()
+        expr = self.term()
         self.expect("sym", "}")
         return expr
 
     def parse_if(self) -> A.SIf:
         sp = self.span()
         self.expect("kw", "if")
-        guard = self.parse_expr()
+        guard = self.term()
         then = self.parse_block()
         els = []
         if self.at("kw", "else"):
@@ -142,7 +142,7 @@ class Parser(TokenParser):
         if self.at("kw", "pr"):
             self.next()
             self.expect("sym", "(")
-            expr = self.parse_expr()
+            expr = self.term()
             self.expect("sym", ")")
             evidence = self.parse_with()
             return A.QPr(expr=expr, evidence=evidence, text=self._slice(start))
@@ -154,46 +154,14 @@ class Parser(TokenParser):
 
     # -- expressions ----------------------------------------------------------------
 
-    def parse_expr(self) -> A.Expr:
-        left = self.parse_and()
-        while self.at("sym", "||"):
-            sp = self.span()
-            self.next()
-            left = A.EOr(span=sp, left=left, right=self.parse_and())
-        return left
-
-    def parse_and(self) -> A.Expr:
-        left = self.parse_unary()
-        while self.at("sym", "&&"):
-            sp = self.span()
-            self.next()
-            left = A.EAnd(span=sp, left=left, right=self.parse_unary())
-        return left
-
-    def parse_unary(self) -> A.Expr:
-        sp = self.span()
-        if self.at("sym", "!"):
-            self.next()
-            return A.ENot(span=sp, operand=self.parse_unary())
-        if self.at("kw", "tt") or self.at("kw", "true"):
-            self.next()
-            return A.ELit(span=sp, value=True)
-        if self.at("kw", "ff") or self.at("kw", "false"):
-            self.next()
-            return A.ELit(span=sp, value=False)
-        if self.at("ident"):
-            name = self.next().text
-            if self.at("kw", "is"):
-                self.next()
-                outcome = self.expect("ident").text
-                return A.EIs(span=sp, name=name, outcome=outcome)
-            return A.EVar(span=sp, name=name)
-        if self.at("sym", "("):
-            self.next()
-            inner = self.parse_expr()
-            self.expect("sym", ")")
-            return inner
-        self.error(f"expected an expression, found {self.peek().text!r}")
+    def term_atom(self, sp):
+        # an ident token is never the last one, and only the keyword spells "is"
+        pos = self.pos
+        if self.tokens[pos].kind == "ident" and self.tokens[pos + 1].text == "is":
+            name = self.tokens[pos].text
+            self.pos += 2
+            return A.EIs(span=sp, name=name, outcome=self.expect("ident").text)
+        return super().term_atom(sp)
 
 
 def parse(source: str) -> A.Program:

@@ -1,12 +1,14 @@
 """Shared builders: random tuple formulas mirrored into BDDs, random search problems,
-BDD literals and model enumeration, a textbook weighted count, and a quadratic
-least-squares fit for scaling-shape checks."""
+BDD literals and model enumeration, a textbook weighted count, a quadratic
+least-squares fit for scaling-shape checks, and a Boolean term printer."""
 
 from __future__ import annotations
 
 import random
 
 from optppl import EV, EXPECTATION, FALSE, REAL, TRUE, Bbir, BddError, BddManager
+from optppl.frontend import And, Lit, Not, Or, Var
+from optppl.pineappl.ast import EIs
 
 
 def random_formula(rng: random.Random, names, depth=3):
@@ -304,3 +306,20 @@ def fit_quadratic(xs, ys):
     ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return coeffs.tolist(), r2
+
+
+def render_term(t) -> str:
+    """A Boolean term as source text, every binary operation parenthesized."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Lit):
+        return "tt" if t.value else "ff"
+    if isinstance(t, And):
+        return f"({render_term(t.left)} && {render_term(t.right)})"
+    if isinstance(t, Or):
+        return f"({render_term(t.left)} || {render_term(t.right)})"
+    if isinstance(t, Not):
+        return f"!{render_term(t.operand)}"
+    if isinstance(t, EIs):
+        return f"{t.name} is {t.outcome}"
+    raise TypeError(f"not a Boolean term: {t!r}")

@@ -15,6 +15,7 @@ from optppl.dappl import (
 from optppl.dappl import ast as A
 from optppl.dappl.ast import number_sites
 from optppl.dappl.types import BOOL, DIST, TChoice
+from optppl.frontend import Lit, Var
 from optppl.oracle import util_eu, util_eval
 
 UMBRELLA = """
@@ -58,6 +59,10 @@ class TestParser:
         with pytest.raises(DapplSyntaxError):
             parse("flip 1.5")
 
+    def test_negative_flip_bias_names_the_bias(self):
+        with pytest.raises(DapplSyntaxError, match=r"flip bias -0\.2 outside \[0, 1\]"):
+            parse("flip -0.2")
+
     def test_error_carries_location(self):
         with pytest.raises(DapplSyntaxError) as err:
             parse("x <- flip 0.5;\nchoose x |")
@@ -86,10 +91,10 @@ class TestTypes:
         assert check(parse(UMBRELLA), {}) == DIST
 
     def test_tt_is_bool(self):
-        assert check(A.Return(pure=A.PLit(value=True)), {}) == DIST
+        assert check(A.Return(pure=Lit(value=True)), {}) == DIST
         from optppl.dappl.types import check_pure
 
-        assert check_pure(A.PLit(value=True), {}) == BOOL
+        assert check_pure(Lit(value=True), {}) == BOOL
 
     def test_choice_intro_type(self):
         assert check(parse("[A, B]"), {}) == TChoice(["A", "B"])
@@ -138,9 +143,10 @@ class TestDesugar:
         # expected utility separates the three outcome masses
         assert abs(solve_eu(src) - (0.5 * 1 + 0.3 * 2 + 0.2 * 4)) < 1e-9
 
-    def test_disc_probabilities_must_sum_to_one(self):
-        with pytest.raises(DapplDesugarError):
-            desugar(parse("x <- disc[a: 0.5, b: 0.2]; return tt"))
+    @pytest.mark.parametrize("pairs", ["a: 0.5, b: 0.2", "a: 1.2, b: -0.2"])
+    def test_disc_probabilities_must_be_a_distribution(self, pairs):
+        with pytest.raises(DapplDesugarError, match="categorical probabilities"):
+            desugar(parse(f"x <- disc[{pairs}]; return tt"))
 
     def test_disc_consulted_twice_is_one_sample(self):
         src = """
@@ -174,7 +180,7 @@ class TestDesugar:
             return None
 
         ite = find_ite(tree)
-        assert isinstance(ite.guard, A.PVar)
+        assert isinstance(ite.guard, Var)
 
     def test_decision_guard_becomes_binary_choice(self):
         tree = desugar(parse("if [Act] then reward 3 else reward 1"))

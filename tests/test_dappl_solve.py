@@ -14,6 +14,7 @@ from optppl.dappl import (
 )
 from optppl.dappl import ast as A
 from optppl.dappl.compile import Compiler, plan_variables
+from optppl.frontend import Lit, Var
 from optppl.gen import gen_bn, gen_dr, gen_gridworld, gen_ladder
 from optppl.oracle import dappl_meu_enum, policy_space, util_eu
 
@@ -388,8 +389,8 @@ class TestVariableOrder:
     def test_malformed_core_fails_in_the_compiler(self, scrutinee, arm, message):
         # b <- flip 0.5; c <- [X, Y]; choose <scrutinee> | X -> reward 1 | <arm> -> return b
         # the arms test b, so the planner would move their choice variables
-        tt = A.Return(pure=A.PLit(value=True))
-        arms = (("X", A.Reward(amount=1.0, body=tt)), (arm, A.Return(pure=A.PVar(name="b"))))
+        tt = A.Return(pure=Lit(value=True))
+        arms = (("X", A.Reward(amount=1.0, body=tt)), (arm, A.Return(pure=Var(name="b"))))
         choose = A.Choose(scrutinee=A.ScrutVar(name=scrutinee), arms=arms)
         core = A.Bind(name="b", value=A.Flip(theta=0.5), body=A.Bind(
             name="c", value=A.ChoiceIntro(names=("X", "Y"), site=0), body=choose))

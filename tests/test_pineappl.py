@@ -7,6 +7,7 @@ import random
 import pytest
 
 from optppl import REAL, BddManager
+from optppl.frontend import Var, term_vars
 from optppl.oracle import OracleError, pineappl_interp
 from optppl.pineappl import (
     PineapplExpandError,
@@ -18,12 +19,11 @@ from optppl.pineappl import (
     run_program,
 )
 from optppl.pineappl import ast as P
-from optppl.pineappl.ast import render_expr
 
 from optppl.gen import gen_nested_mmap
 
 from corpus import random_pineappl_program
-from helpers import enumerate_models
+from helpers import enumerate_models, render_term
 
 DIAGNOSIS = """
 disease = flip 0.5;
@@ -46,7 +46,7 @@ class TestParser:
         mm = prog.statements[2]
         assert isinstance(mm, P.SMmap)
         assert mm.outputs == ("diagnosis",) and mm.queried == ("disease",)
-        assert isinstance(mm.evidence, P.EVar)
+        assert isinstance(mm.evidence, Var)
         assert len(prog.queries) == 1 and isinstance(prog.queries[0], P.QPr)
 
     def test_multi_output_mmap(self):
@@ -94,7 +94,7 @@ class TestExpansion:
         """))
         names = [s.name for s in prog.statements]
         assert names == ["a", "tmp", "a@2", "tmp@2", "a@3", "tmp@3", "a@4"]
-        assert render_expr(prog.queries[0].expr) == "a@4"
+        assert render_term(prog.queries[0].expr) == "a@4"
 
     def test_loop_of_one_only_renames(self):
         prog = expand(parse("a = flip 0.5; loop 1 { a = !a; } pr(a)"))
@@ -112,9 +112,9 @@ class TestExpansion:
         joined = {s.name.split("@")[0] for s in tail}
         assert joined == {"y", "tmp"}
         y_join = next(s for s in tail if s.name.startswith("y@"))
-        rendered = render_expr(y_join.value)
+        rendered = render_term(y_join.value)
         assert "x &&" in rendered and "!x &&" in rendered
-        assert render_expr(prog.queries[0].expr) == y_join.name
+        assert render_term(prog.queries[0].expr) == y_join.name
 
     def test_one_sided_binding_is_error_only_when_used(self):
         ok = expand(parse("x = flip 0.5; if x { t = flip 0.2; } else { }  pr(x)"))
@@ -162,6 +162,11 @@ class TestExpansion:
             pr(happy)
         """)
         assert abs(out["queries"][0]["value"] - 0.7) < 1e-9
+
+    @pytest.mark.parametrize("pairs", ["a: 0.5, b: 0.2", "a: 1.2, b: -0.2"])
+    def test_categorical_must_be_a_distribution(self, pairs):
+        with pytest.raises(PineapplExpandError, match="'w': categorical probabilities"):
+            expand(parse(f"w = disc[{pairs}]; pr(tt)"))
 
     def test_categorical_inside_branch(self):
         out = run_program("""
@@ -390,7 +395,7 @@ def _mmap_outputs_feed_guards(src) -> bool:
             if isinstance(stmt, P.SMmap):
                 outputs.update(stmt.outputs)
             elif isinstance(stmt, P.SAssign):
-                reads[stmt.name] = P.expr_vars(stmt.value)
+                reads[stmt.name] = term_vars(stmt.value)
             elif isinstance(stmt, P.SIf):
                 g = stmt.guard.name
                 found |= bool(({g} | reads.get(g, set())) & outputs)
@@ -520,6 +525,26 @@ class TestAliases:
         assert_matches_interpreter(src)
 
 
+class TestMmapTies:
+    """Exact MMAP ties resolve to the smallest assignment in query order."""
+
+    @pytest.mark.parametrize(
+        "src, want",
+        [
+            # the query order is the reverse of the variable order
+            ("x = flip 0.5; y = flip 0.5; mmap(y, x) with { x || y }", {"y": False, "x": True}),
+            # y reads as a's variable, which sits above b's
+            (
+                "a = flip 0.5; b = flip 0.5; y = a; mmap(b, y) with { a || b }",
+                {"b": False, "y": True},
+            ),
+        ],
+    )
+    def test_ties_follow_the_query_order(self, src, want):
+        assert run_program(src)["queries"][0]["assignment"] == want
+        assert_matches_interpreter(src)
+
+
 class TestInternalNames:
     """Names the compiler and the expander make never equal a program's."""
 
@@ -569,14 +594,14 @@ class TestSimulationInvariant:
         mgr = compiler.mgr
         wm = compiler.weights
         constraint = compiler.constraint
-        from optppl.oracle import Distribution, _peval
+        from optppl.oracle import Distribution, eval_term
 
         dist = Distribution()
         for stmt in _flat(program.statements):
             if isinstance(stmt, P.SFlip):
                 dist = dist.flip(stmt.name, stmt.theta)
             elif isinstance(stmt, P.SAssign):
-                dist = dist.extend(stmt.name, lambda env, e=stmt.value: _peval(e, env))
+                dist = dist.extend(stmt.name, lambda env, e=stmt.value: eval_term(e, env))
             elif isinstance(stmt, P.SMmap):
                 return  # handled by the end-to-end differential instead
         total = 0
