@@ -25,7 +25,7 @@ which case everything reduces to the plain algorithm.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .bdd import FALSE, TRUE, BddManager, CountSetup
 from .semiring import EV, EV_BOUND, EXPECTATION, REAL, EVBound
@@ -330,7 +330,8 @@ class SearchStats:
     elapsed_ms: float = 0.0
 
     def to_dict(self):
-        out = asdict(self)
+        # the fields in order, as asdict gives them, without its deep copy
+        out = dict(vars(self))
         out["elapsed_ms"] = round(self.elapsed_ms, 3)
         return out
 

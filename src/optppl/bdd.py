@@ -207,6 +207,12 @@ class BddManager:
             raise BddError(f"unknown variable {var}")
         return self._mk(var, FALSE, TRUE)
 
+    def literal_var(self, a: int):
+        """The variable ``a`` is the positive literal of, else None (no sweep)."""
+        if a > TRUE and self._lo[a] == FALSE and self._hi[a] == TRUE:
+            return self._var[a]
+        return None
+
     # -- boolean combinators -------------------------------------------------
 
     def cube(self, literals) -> int:

@@ -17,10 +17,15 @@ A solved mmap answer is a known value, so each output is defined as the
 constant it was decided to be.  A name whose definition compiles to a
 constant (a decided output, ``m = tt``, or a contradiction such as
 ``x && !x``) compiles to that constant wherever it is read, as a partial
-evaluator folds a known value into the rest of a program: later guards on a
-decision keep one arm instead of both.  The name keeps its own variable and
-definition ``x <-> const``, so ``mmap(x)`` still branches on it and
-:attr:`Compiler.constraint` still defines it.
+evaluator folds a known value into the rest of a program.  The name keeps
+its own variable and definition ``x <-> const``, so ``mmap(x)`` still
+branches on it and :attr:`Compiler.constraint` still defines it.  An ``if``
+whose guard reads as a constant compiles only its live arm.  Every name the
+dead arm binds reads as FALSE and adds no variable, weight or definition:
+after expansion only the join points right after the ``if`` read it, under
+the guard that rules it out.  The dead arm's flips still count, so every
+live flip keeps its label ``f_<theta>#<n>``.  A dead arm that holds an
+``mmap`` compiles all the same, since its decision is reported.
 
 Definitions are filed into independent components, as knowledge compilers
 decompose a formula: a union-find over variables joins ``x`` with every
@@ -133,18 +138,16 @@ class Compiler:
         if name in self.env:
             raise PineapplCompileError(f"duplicate binding of {name!r} after renaming")
         mgr = self.mgr
-        support = mgr.support(definition)
-        if len(support) == 1:
-            (u,) = support
-            if definition == mgr.mk_var(u):
-                # a positive literal: the name is an alias of u
-                self.env[name] = u
-                self._reads[name] = definition
-                return
+        u = mgr.literal_var(definition)
+        if u is not None:
+            # a positive literal: the name is an alias of u
+            self.env[name] = u
+            self._reads[name] = definition
+            return
         var = mgr.ensure_var(name)
         self.env[name] = var
         self._reads[name] = definition if definition in (TRUE, FALSE) else mgr.mk_var(var)
-        self._constrain(var, definition, support)
+        self._constrain(var, definition, mgr.support(definition))
 
     def _constrain(self, var: int, definition: int, support):
         """Define ``var <-> definition``, with unit weights on ``var``.
@@ -170,15 +173,43 @@ class Compiler:
             self._define(stmt.name, compile_term(mgr, stmt.value, self._read))
         elif isinstance(stmt, A.SIf):
             # branches bind disjoint names after expansion; join points are
-            # ordinary assignments, so both sides extend the same state
-            for inner in stmt.then:
-                self.compile_stmt(inner)
-            for inner in stmt.els:
-                self.compile_stmt(inner)
+            # ordinary assignments, so both sides extend the same state; a
+            # guard that reads as a constant rules one arm out
+            known = self._reads.get(stmt.guard.name)  # a name after expansion
+            for arm, taken_on in ((stmt.then, TRUE), (stmt.els, FALSE)):
+                if known in (TRUE, FALSE) and known != taken_on and self._skip(arm):
+                    continue
+                for inner in arm:
+                    self.compile_stmt(inner)
         elif isinstance(stmt, A.SMmap):
             self.compile_mmap(stmt)
         else:
             raise PineapplCompileError(f"unexpected statement {stmt!r}")
+
+    def _skip(self, dead: list) -> bool:
+        """Read every name ``dead`` binds as FALSE, unless it holds an mmap.
+
+        The names of a dead arm are read only by the join points after its
+        ``if``, under the guard that rules them out.  Its flips still count,
+        so every later flip keeps its label.  An arm that holds an mmap is
+        not skipped: its decision is reported.
+        """
+        names, flips = [], 0
+        stack = list(dead)
+        while stack:
+            stmt = stack.pop()
+            if isinstance(stmt, A.SIf):
+                stack.extend(stmt.then)
+                stack.extend(stmt.els)
+            elif isinstance(stmt, (A.SFlip, A.SAssign)):
+                names.append(stmt.name)
+                flips += isinstance(stmt, A.SFlip)
+            else:  # an mmap, or a statement compile_stmt rejects
+                return False
+        self._flips += flips
+        for name in names:
+            self._reads[name] = FALSE
+        return True
 
     def compile_mmap(self, stmt: A.SMmap):
         assignment, _, result = self.solve_mmap(stmt.queried, stmt.evidence)
@@ -202,10 +233,15 @@ class Compiler:
         # variable; they go in query order, so ties break along the query
         branch = {name: self._branch_var(name) for name in queried}
         branch_vars = list(dict.fromkeys(branch.values()))
-        constraint = self._scoped(mgr.support(psi) | set(branch_vars))
+        gamma = mgr.apply("and", psi, self._scoped(mgr.support(psi) | set(branch_vars)))
+        if gamma == FALSE:
+            # checked first: a FALSE formula would leave the branch variables out
+            raise PineapplRunError("mmap evidence is impossible: evidence has zero mass")
+        # gamma holds the definitions, so it is also the model formula and
+        # the objective's numerator phi & gamma is gamma, built here once
         problem = Bbir(
             mgr=mgr,
-            formulas=[constraint, mgr.apply("and", psi, constraint)],
+            formulas=[gamma, gamma],
             branch_vars=branch_vars,
             weights=self.weights,
             semiring=REAL,

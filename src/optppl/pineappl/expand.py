@@ -111,7 +111,8 @@ class _Renamer:
         out = []
         guard = self.rename_expr(stmt.guard, env)
         if not isinstance(guard, A.Var):
-            gname = self.bind(env, self.fresh("_g"))
+            # unique and never looked up, so it stays out of the scope
+            gname = self.fresh("_g")
             out.append(A.SAssign(span=stmt.span, name=gname, value=guard))
             guard = A.Var(span=stmt.span, name=gname)
         then_env = dict(env)

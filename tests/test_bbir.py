@@ -742,6 +742,14 @@ class TestSearchMemo:
         solves = run_program(src)["stats"]["mmap_solves"]
         assert [s["bound_memo_entries"] > 0 for s in solves] == [True]
 
+    def test_stats_dict_is_the_asdict_form(self):
+        inst = prepare(gen_dr(4, seed=0))[2].finalize()
+        stats = bb(MeuObjective(inst), inst).stats
+        stats.elapsed_ms = 1.23456789
+        want = dataclasses.asdict(stats)
+        want["elapsed_ms"] = 1.235
+        assert list(stats.to_dict().items()) == list(want.items())
+
 
 class TestSupportSweeps:
     def test_objective_sweeps_no_support_twice(self, monkeypatch):

@@ -19,6 +19,8 @@ from optppl.pineappl import (
     run_program,
 )
 from optppl.pineappl import ast as P
+from optppl.pineappl.compile import Compiler
+from optppl.pineappl.expand import _Renamer, _unroll
 
 from optppl.gen import gen_nested_mmap
 
@@ -141,6 +143,18 @@ class TestExpansion:
         assert expand(prog) == first
         assert prog == before
 
+    def test_guard_names_stay_out_of_the_scope(self):
+        # each compound guard's name was bound into the scope, so every
+        # later if copied and scanned a scope that grew with the program
+        def scope(n):
+            env = {}
+            _Renamer().rename_stmts(_unroll(parse(gen_nested_mmap(n)).statements), env)
+            return env
+
+        small, large = scope(10), scope(200)
+        assert not [name for name in large if "#" in name]
+        assert small.keys() == large.keys()
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_nested_mmap_matches_interpreter(self, n):
         assert_matches_interpreter(gen_nested_mmap(n))
@@ -256,6 +270,10 @@ class TestStagedSolving:
     def test_impossible_mmap_evidence(self):
         with pytest.raises(PineapplRunError):
             run_program("x = flip 0.5; y = x && !x; m = mmap(x) with { y }; pr(x)")
+
+    def test_satisfiable_mmap_evidence_of_zero_mass(self):
+        with pytest.raises(PineapplRunError, match="mmap evidence is impossible"):
+            run_program("x = flip 0.0; m = mmap(x) with { x }; pr(x)")
 
     def test_multiple_queries_in_order(self):
         out = run_program("x = flip 0.25; y = flip 0.5; pr(x) pr(y) pr(x && y)")
@@ -471,6 +489,91 @@ class TestDecidedConstants:
             run_program(src)
 
 
+class TestDeadArms:
+    """A guard that reads as a constant compiles only its live arm."""
+
+    DECIDED = (
+        # x ties, so m is decided false and the then arm is dead
+        "x = flip 0.5; m = mmap(x);\n"
+        "if m {{ y = flip 0.2; z = flip 0.3; w = y && z; }} else {{ y = flip 0.7; }}\n"
+        "{rest}"
+    )
+
+    def _compile_both_arms(self, src, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(Compiler, "_skip", lambda self, dead: False)
+            return compile_source(src)[1]
+
+    def test_dead_arm_adds_no_variable_weight_or_definition(self, monkeypatch):
+        src = self.DECIDED.format(rest="pr(y)")
+        both = self._compile_both_arms(src, monkeypatch)
+        program, compiler = compile_source(src)
+        mgr = compiler.mgr
+        dead = {"y", "z", "w", "f_0.2#2", "f_0.3#3"}
+        assert dead <= set(both.mgr._labels)
+        assert not dead & set(mgr._labels)
+        assert not dead & {mgr.var_label(v) for v in compiler.weights}
+        assert len(compiler._definitions) < len(both._definitions)
+        assert mgr.num_nodes < both.mgr.num_nodes
+        assert run_program(src)["queries"][0]["value"] == pytest.approx(0.7, abs=1e-12)
+
+    def test_live_flips_keep_their_labels(self, monkeypatch):
+        # the dead arm's flips are counted, before and after a live arm
+        for src, live in [
+            (self.DECIDED.format(rest="c = flip 0.9; mmap(c)"), ["f_0.7#4", "f_0.9#5"]),
+            (
+                "x = flip 0.6; m = mmap(x);\n"
+                "if m { a = flip 0.2; } else { a = flip 0.7; b = flip 0.1; }\n"
+                "c = flip 0.9; mmap(c)",
+                ["f_0.2#2", "f_0.9#5"],
+            ),
+        ]:
+            labels = compile_source(src)[1].mgr._labels
+            both = self._compile_both_arms(src, monkeypatch).mgr._labels
+            assert all(label in labels for label in live)
+            # the labels left keep their order
+            assert [label for label in both if label in labels] == labels
+            assert_matches_interpreter(src)
+
+    def test_dead_arm_with_an_mmap_still_reports_its_decision(self):
+        src = (
+            "x = flip 0.5; m = mmap(x);\n"
+            "if m { y = flip 0.8; if y { n = mmap(y); } else { } } else { y = flip 0.3; }\n"
+            "pr(y)"
+        )
+        out = run_program(src)
+        assert out["decisions"] == {"m": False, "n": True}
+        assert_matches_interpreter(src)
+
+    def test_nested_mmap_compiles_one_arm_per_iteration(self):
+        # both arms of every iteration made 64,009 nodes
+        assert run_program(gen_nested_mmap(1280))["stats"]["bdd_nodes"] < 45_000
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_programs_with_dead_arms_match_interpreter(self, seed, monkeypatch):
+        skipped = []
+        skip = Compiler._skip
+
+        def spy(compiler, dead):
+            out = skip(compiler, dead)
+            skipped.append(out)
+            return out
+
+        monkeypatch.setattr(Compiler, "_skip", spy)
+        for k in range(1000):
+            src = random_pineappl_program(4889 * seed + k, max_flips=6, max_mmaps=4)
+            skipped.clear()
+            try:
+                compile_source(src)
+            except PineapplRunError:
+                continue
+            if True in skipped:
+                break
+        else:
+            pytest.fail("no program in the window skips a dead arm")
+        assert_matches_interpreter(src)
+
+
 class TestAliases:
     """A name that compiles to one variable is that variable."""
 
@@ -478,6 +581,18 @@ class TestAliases:
         program, compiler = compile_source("x = flip 0.5; y = x; z = y; pr(z)")
         assert compiler.env["z"] == compiler.env["y"] == compiler.env["x"]
         assert compiler.constraint == compiler.mgr.mk_true()
+
+    def test_an_alias_sweeps_nothing(self, monkeypatch):
+        swept = []
+        support = BddManager.support
+
+        def spy(mgr, a):
+            swept.append(a)
+            return support(mgr, a)
+
+        monkeypatch.setattr(BddManager, "support", spy)
+        compile_source("x = flip 0.5; y = x; z = y; pr(z)")
+        assert swept == []
 
     def test_nested_mmap_defines_only_what_it_queries(self):
         # a definition per flip and per join point that folds to one
