@@ -2,24 +2,30 @@
 
 A :class:`Bbir` packages formulas (as BDD handles), an ordered set of branch
 variables ``X``, and a literal weight map over a branch-and-bound semiring.
-Every objective value is one count walk, :meth:`BoundMemo.bound` over
-:meth:`BddManager.count`, that replaces the sum at each open branch
-variable by a join (resp. meet).  With every branch variable fixed no join
-is left and the walk is the exact count, so leaves, bounds, :func:`ub`,
-:func:`lb`, :func:`ub_f` and :func:`evaluate_objective` all run it.
+Every objective value is a count, :meth:`BddManager.count`, that replaces
+the sum at each open branch variable by a join (resp. meet).  With every
+branch variable fixed no join is left and the count is exact, so leaves,
+bounds, :func:`ub`, :func:`lb`, :func:`ub_f` and :func:`evaluate_objective`
+all run it.  The one-off values condition the diagrams on their partial
+assignment and count over the universe without its variables.
+
 :func:`bb` searches the space of total branch assignments, pruning a branch
 whenever its bound is dominated by the incumbent under the lattice order.
-All bound and leaf walks of one search share a :class:`BoundMemo`, since
-the search fixes branch variables in one order.  An MEU bound divides an
-expectation bound by probability bounds; one walk over the product
-semiring ``EV_BOUND`` computes the numerator and the denominator's lower
-and upper bounds together.
+It fixes the branch variables in variable order and carries each diagram
+down as a :class:`~optppl.bdd.Frontier`, so it conditions no formula and
+builds no node; all its counts share one memo per setup in a
+:class:`BoundMemo`, as context caching does in AND/OR branch and bound
+(Marinescu & Dechter, AIJ 2009).  An MEU bound divides an expectation bound
+by probability bounds; one walk over the product semiring ``EV_BOUND``
+computes the numerator and the denominator's lower and upper bounds
+together.
 
-An optional validity formula restricts which branch assignments count as
-policies (the surface compiler uses it for its one-hot choice encoding);
-bounds then range over valid completions only and the search skips invalid
-branches outright.  The default validity is the constant true formula, in
-which case everything reduces to the plain algorithm.
+An optional validity formula over the branch variables restricts which
+branch assignments count as policies (the surface compiler uses it for its
+one-hot choice encoding); bounds then range over valid completions only and
+the search skips invalid branches outright.  The default validity is the
+constant true formula, in which case everything reduces to the plain
+algorithm.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .bdd import FALSE, TRUE, BddManager, CountSetup
+from .bdd import FALSE, TRUE, BddManager, CountSetup, Frontier
 from .semiring import EV, EV_BOUND, EXPECTATION, REAL, EVBound
 
 
@@ -64,6 +70,12 @@ class Bbir:
             repeated = sorted(v for v in self.branch_set if self.branch_vars.count(v) > 1)
             names = ", ".join(self.mgr.var_label(v) for v in repeated)
             raise BbirError(f"duplicate branch variable(s): {names}")
+        # the search conditions the validity one literal at a time, in
+        # variable order, which takes one step only on branch variables
+        tested = self.validity != TRUE and self.support_of(self.validity) - self.branch_set
+        if tested:
+            names = ", ".join(self.mgr.var_label(v) for v in sorted(tested))
+            raise BbirError(f"validity formula tests non-branch variable(s): {names}")
 
     def support_of(self, handle: int) -> set:
         """The support of ``handle``, swept only the first time it is asked for."""
@@ -77,44 +89,99 @@ class Bbir:
 # The count walk (join or meet at open branch variables)
 # ---------------------------------------------------------------------------
 
-class BoundMemo:
-    """The memos and fixed-prefix setups shared by the count walks of one search.
+class _Tables:
+    """One bound setup's count memo and frontier tables in a search."""
 
-    Each objective part's bound setup (a :class:`CountSetup` with joins or
-    meets at X) gets one memo, which serves the search's bounds and its
-    leaves: a leaf is the walk with every branch variable fixed.  ``bb``
-    fixes the branch variables along one ``order``, so every partial policy
-    it walks holds a prefix of that order, and the conditioned sets of its
-    walks form a chain.  A diagram
-    node's bound from its top position depends only on which conditioned
-    variables lie below it, and along a chain their number names that set,
-    whatever the order or the literals tried.  :meth:`BddManager.count`
-    keys its entries on (node, validity, that number), so an entry stays
-    valid for the whole search.  Each setup is fixed once per prefix length.
+    __slots__ = ("memo", "counts", "fixed", "pushed", "stops")
+
+    def __init__(self, setup: CountSetup, order):
+        self.memo = {}  # the count memo, keyed on node and validity
+        self.counts = {}  # (frontier id, validity) -> the frontier's count
+        self.fixed = {}  # frontier id << 1 | value -> the fixed frontier's id
+        self.pushed = {}  # fixed frontier id -> the id of it pushed down
+        self.stops = [setup.pos_of[v] for v in order]  # the branch positions
+
+
+class BoundMemo:
+    """The count memos and frontier tables shared by the walks of one search.
+
+    ``setups`` holds one :class:`CountSetup` per objective part, and
+    ``order`` the branch variables in variable order, the order in which
+    ``bb`` fixes them.  Each setup gets one count memo, which serves every
+    bound and leaf of the search: a count from a frontier's start on only
+    visits positions below every fixed variable, where nothing is fixed.
+
+    Many partial policies leave the same frontier, so frontiers are
+    interned: the search holds the id of each part's frontier, and per
+    setup the fixed and pushed frontiers and the counts are kept by id.
     """
 
-    def __init__(self, mgr: BddManager, order):
+    def __init__(self, mgr: BddManager, setups, order=()):
         self.mgr = mgr
-        self.order = list(order)
-        self._memos = {}  # base setup -> (setups by prefix length, memo)
+        self.setups = tuple(setups)
+        self.order = order
+        self._frontiers = []  # id -> Frontier
+        self._ids = {}  # Frontier -> id
+        tables = {}  # a setup shared by two parts shares its tables
+        self._tables = [tables.setdefault(s, _Tables(s, order)) for s in self.setups]
 
-    def bound(self, base: CountSetup, root: int, validity: int, depth: int):
-        """Walk ``root`` with the first ``depth`` variables of the order fixed.
+    def intern(self, frontier: Frontier) -> int:
+        """The id of ``frontier``, new if it is not known yet."""
+        fid = self._ids.get(frontier)
+        if fid is None:
+            fid = self._ids[frontier] = len(self._frontiers)
+            self._frontiers.append(frontier)
+        return fid
 
-        It joins (or meets) at the branch variables left open, so with all
-        of them fixed it is the exact count.
+    def start(self, roots):
+        """The frontier ids of ``roots``, one per part, at the first branch variable."""
+        fids = tuple(
+            self.intern(Frontier.of(root, setup.semiring.one))
+            for root, setup in zip(roots, self.setups)
+        )
+        return self.push(fids, 0) if self.order else fids
+
+    def fix(self, fids, value: bool):
+        """The parts' frontiers past their branch variable, fixed to ``value``."""
+        out = []
+        for fid, setup, tables in zip(fids, self.setups, self._tables):
+            key = fid << 1 | value
+            got = tables.fixed.get(key)
+            if got is None:
+                frontier = self.mgr.fix(self._frontiers[fid], setup, value)
+                got = tables.fixed[key] = self.intern(frontier)
+            out.append(got)
+        return tuple(out)
+
+    def push(self, fids, depth: int):
+        """Frontiers moved down to the ``depth``-th branch variable."""
+        out = []
+        for fid, setup, tables in zip(fids, self.setups, self._tables):
+            got = tables.pushed.get(fid)
+            if got is None:
+                frontier = self.mgr.push(self._frontiers[fid], setup, tables.stops[depth])
+                got = tables.pushed[fid] = self.intern(frontier)
+            out.append(got)
+        return tuple(out)
+
+    def count(self, part: int, fid: int, validity: int):
+        """The count of frontier ``fid`` under ``validity`` in the part's setup.
+
+        It joins (or meets) at the branch variables below the frontier's
+        start, so below the last one it is exact.
         """
-        entry = self._memos.get(base)
-        if entry is None:
-            entry = self._memos[base] = ({0: base}, {})
-        setups, memo = entry
-        setup = setups.get(depth)
-        if setup is None:
-            setup = setups[depth] = base.fixing(self.order[:depth])
-        return self.mgr.count(root, validity, setup, memo)
+        tables = self._tables[part]
+        key = (fid, validity)
+        out = tables.counts.get(key)
+        if out is None:
+            frontier = self._frontiers[fid]
+            out = self.mgr.count(frontier, validity, self.setups[part], tables.memo)
+            tables.counts[key] = out
+        return out
 
     def entries(self) -> int:
-        return sum(len(memo) for _, memo in self._memos.values())
+        """The count memos' entries."""
+        return sum(len(tables.memo) for tables in set(self._tables))
 
 
 def _check_partial(bbir: Bbir, partial: dict):
@@ -147,15 +214,28 @@ def lb(bbir: Bbir, formula: int, partial: dict):
 def _bound(bbir: Bbir, formula: int, partial: dict, combine):
     _check_partial(bbir, partial)
     mgr = bbir.mgr
-    universe = sorted(bbir.support_of(formula) | bbir.branch_set)
+    # the conditioned diagrams test no variable of ``partial``
+    universe = sorted((bbir.support_of(formula) | bbir.branch_set) - partial.keys())
     setup = CountSetup(universe, bbir.weights, bbir.semiring, bbir.branch_set, combine)
-    acc = BoundMemo(mgr, partial).bound(
-        setup,
-        mgr.condition_all(formula, partial),
+    acc = mgr.count(
+        Frontier.of(mgr.condition_all(formula, partial), bbir.semiring.one),
         mgr.condition_all(bbir.validity, partial),
-        len(partial),
+        setup,
+        {},
     )
     return bbir.semiring.mul(_policy_weight(bbir, partial), acc)
+
+
+def _conditioned(objective, bbir: Bbir, partial: dict):
+    """Frontier ids, validity and memo of the objective conditioned on ``partial``.
+
+    The parts' universes leave out the variables of ``partial``, which the
+    conditioned diagrams no longer test.
+    """
+    mgr = bbir.mgr
+    memo = BoundMemo(mgr, objective.setups(partial.keys()))
+    fids = memo.start([mgr.condition_all(root, partial) for root in objective.roots])
+    return fids, mgr.condition_all(bbir.validity, partial), memo
 
 
 # ---------------------------------------------------------------------------
@@ -191,42 +271,54 @@ class MeuObjective:
         # expectation walk with joins at X and ``low`` the probability walk
         # with meets.  The probability walk with joins is the ``prob`` of
         # the same walk, so when the numerator and denominator share their
-        # handle and universe a bound walks the diagram once.
-        weights = {
+        # root and universe a bound walks the diagram once.
+        self._weights = {
             v: tuple(EVBound.lift(w) for w in bbir.weights[v])
             for v in set(self.num_universe) | set(self.den_universe)
         }
-        branch = bbir.branch_set
-        self.num_bound = CountSetup(self.num_universe, weights, EV_BOUND, branch, EV_BOUND.join)
+        self._shared = self.den_universe == self.num_universe
+        if self._shared and self.num_root == self.gamma:
+            self.roots = (self.num_root,)
+        else:
+            self.roots = (self.num_root, self.gamma)
+        self.bound_setups = self.setups()
+
+    def setups(self, fixed=()):
+        """The bound setups of the parts, over their universes without ``fixed``.
+
+        ``bound_setups`` holds those of the whole universes, which ``bb``
+        walks.
+        """
+
+        def setup(universe):
+            kept = [v for v in universe if v not in fixed] if fixed else universe
+            return CountSetup(kept, self._weights, EV_BOUND, self.bbir.branch_set, EV_BOUND.join)
+
+        num = setup(self.num_universe)
+        if len(self.roots) == 1:
+            return [num]
         # equal universes share one bound setup, so its memo serves both parts
-        self.den_bound = self.num_bound
-        if self.den_universe != self.num_universe:
-            self.den_bound = CountSetup(self.den_universe, weights, EV_BOUND, branch, EV_BOUND.join)
+        return [num, num if self._shared else setup(self.den_universe)]
 
-    def initial_handles(self):
-        return (self.num_root, self.gamma, self.bbir.validity)
-
-    def _counts(self, handles, partial, memo: BoundMemo):
-        """The numerator and denominator walks over the completions of ``partial``."""
-        num_h, den_h, valid_h = handles
-        depth = len(partial)
-        num = memo.bound(self.num_bound, num_h, valid_h, depth)
-        if den_h == num_h and self.den_bound is self.num_bound:
+    def _counts(self, fids, validity, memo: BoundMemo):
+        """The numerator and denominator counts of the parts' frontiers."""
+        num = memo.count(0, fids[0], validity)
+        if len(fids) == 1:
             return num, num
-        return num, memo.bound(self.den_bound, den_h, valid_h, depth)
+        return num, memo.count(1, fids[1], validity)
 
-    def evaluate_conditioned(self, handles, partial, memo: BoundMemo):
-        """Exact value at the total ``partial``; ``handles`` are conditioned on it."""
-        num, den = self._counts(handles, partial, memo)
+    def evaluate_conditioned(self, fids, validity, partial, memo: BoundMemo):
+        """Exact value at the total ``partial``; its frontiers ``fids`` are past all of it."""
+        num, den = self._counts(fids, validity, memo)
         return EXPECTATION.scalar_div(EV(num.prob, num.util), den.prob)
 
-    def bound_conditioned(self, handles, partial, memo: BoundMemo):
-        """Bound over the completions of ``partial``; ``handles`` are conditioned on it.
+    def bound_conditioned(self, fids, validity, partial, memo: BoundMemo):
+        """Bound over the completions of ``partial``.
 
-        ``memo`` is the search's store, whose order ``partial`` must be a
-        prefix of.
+        ``fids`` name the parts' frontiers in ``memo``, past every variable
+        of ``partial``, and ``validity`` is conditioned on it.
         """
-        num, den = self._counts(handles, partial, memo)
+        num, den = self._counts(fids, validity, memo)
         t = EV(num.prob, num.util)
         return EXPECTATION.join(_div_bound(t, den.low), _div_bound(t, den.prob))
 
@@ -269,17 +361,18 @@ class MmapObjective:
         self.evidence_mass = mgr.amc(self.num_root, marginal, REAL)
         if self.evidence_mass == 0.0:
             raise BbirError("evidence has zero mass")
-        self.num_bound = CountSetup(self.num_universe, bbir.weights, REAL, bbir.branch_set, REAL.join)
+        self.roots = (self.num_root,)
+        self.bound_setups = self.setups()
 
-    def initial_handles(self):
-        return (self.num_root, None, self.bbir.validity)
+    def setups(self, fixed=()):
+        """The bound setup of the one part, over its universe without ``fixed``."""
+        universe = self.num_universe
+        kept = [v for v in universe if v not in fixed] if fixed else universe
+        return [CountSetup(kept, self.bbir.weights, REAL, self.bbir.branch_set, REAL.join)]
 
-    def bound_conditioned(self, handles, partial, memo: BoundMemo):
+    def bound_conditioned(self, fids, validity, partial, memo: BoundMemo):
         """Bound over the completions of ``partial`` (see :class:`MeuObjective`)."""
-        num_h, _, valid_h = handles
-        t = _policy_weight(self.bbir, partial) * memo.bound(
-            self.num_bound, num_h, valid_h, len(partial)
-        )
+        t = _policy_weight(self.bbir, partial) * memo.count(0, fids[0], validity)
         return t / self.evidence_mass
 
     # at a total assignment the bound walk is exact
@@ -295,23 +388,17 @@ def evaluate_objective(objective, bbir: Bbir, total: dict):
     missing = bbir.branch_set - set(total)
     if missing:
         raise BbirError("policy is not total over the branch variables")
-    handles = _condition_handles(bbir.mgr, objective.initial_handles(), total)
-    if handles[-1] == FALSE:
+    fids, validity, memo = _conditioned(objective, bbir, total)
+    if validity == FALSE:
         raise BbirError("the validity formula rules out this assignment")
-    return objective.evaluate_conditioned(handles, total, BoundMemo(bbir.mgr, total))
+    return objective.evaluate_conditioned(fids, validity, total, memo)
 
 
 def ub_f(objective, bbir: Bbir, partial: dict):
     """Upper bound of the objective over every completion of ``partial``."""
     _check_partial(bbir, partial)
-    handles = _condition_handles(bbir.mgr, objective.initial_handles(), partial)
-    return objective.bound_conditioned(handles, partial, BoundMemo(bbir.mgr, partial))
-
-
-def _condition_handles(mgr, handles, assignment):
-    return tuple(
-        None if h is None else mgr.condition_all(h, assignment) for h in handles
-    )
+    fids, validity, memo = _conditioned(objective, bbir, partial)
+    return objective.bound_conditioned(fids, validity, partial, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -353,28 +440,32 @@ def bb(
 ) -> SolveResult:
     """Maximize the objective over total branch assignments (Fig.-8 style).
 
-    Branch variables are fixed in ``bbir.branch_vars`` order, so every
-    bound and leaf of the search shares one :class:`BoundMemo`.  At each
-    variable the validity handle is conditioned on both literals first, and
-    an invalid literal is skipped before anything else is conditioned.  A
-    child that fixes the last variable is a total assignment: it is
-    evaluated exactly and never bounded.  Only a child whose sibling literal
-    is valid is bounded.  A forced child (its sibling is invalid) has the
-    valid completions of its parent, whose bound was checked against the
-    same incumbent just before, so it recurses at once.  Of two bounded
-    children the search dives first into the one whose bound is larger
-    under ``total_le`` (equal bounds keep ``literal_order``), so the first
-    incumbent comes from a bound-guided dive.  Just before its turn a
-    bounded child is pruned when its bound is dominated by the incumbent in
-    the lattice order; incomparable bounds always recurse.  The root is
-    never bounded, and without pruning no bound is computed and children go
-    in ``literal_order``.
+    Branch variables are fixed in variable order, so every open position
+    above the next branch variable is a chance variable.  The search
+    carries one :class:`Frontier` per objective part down that order, the
+    fixed prefix summed out above the next branch variable, and every bound
+    and leaf is a count from a frontier with one :class:`BoundMemo`.  Only
+    the validity handle is conditioned, one step per literal, since it
+    tests branch variables only; an invalid literal is skipped before
+    anything else is done.  A child that fixes the last variable is a total
+    assignment: it is evaluated exactly and never bounded.  Only a child
+    whose sibling literal is valid is bounded.  A forced child (its sibling
+    is invalid) has the valid completions of its parent, whose bound was
+    checked against the same incumbent just before, so it recurses at
+    once.  Of two bounded children the search dives first into the one
+    whose bound is larger under ``total_le`` (equal bounds keep
+    ``literal_order``), so the first incumbent comes from a bound-guided
+    dive.  Just before its turn a bounded child is pruned when its bound is
+    dominated by the incumbent in the lattice order; incomparable bounds
+    always recurse.  The root is never bounded, and without pruning no
+    bound is computed and children go in ``literal_order``.
 
     Among exact ties the witness is the assignment that comes first in
-    ``literal_order`` along ``branch_vars``, whatever order the search
+    ``literal_order`` along ``bbir.branch_vars``, whatever order the search
     visits them in: an equal value replaces the incumbent when its
-    assignment comes first, and a child that comes before the incumbent's
-    assignment is pruned only when its bound is strictly dominated.
+    assignment comes first, and an equal bound prunes only when the first
+    variable along ``branch_vars`` that is open or differs from the
+    incumbent's is fixed to the later literal.
     """
     if literal_order not in ((True, False), (False, True)):
         raise BbirError("literal_order must be (True, False) or (False, True)")
@@ -383,17 +474,21 @@ def bb(
     t0 = time.perf_counter()
     nodes_before = mgr.num_nodes
     stats = SearchStats()
-    order = list(bbir.branch_vars)
+    order = sorted(bbir.branch_vars)
     last = len(order) - 1
-    memo = BoundMemo(mgr, order)
-    partial = {}  # the current path, in order
+    memo = BoundMemo(mgr, objective.bound_setups, order)
+    partial = {}  # the current path, in variable order
     state = {"best": None, "witness": None}
 
-    def before_witness():
-        # the first literal of ``partial`` that differs from the incumbent's
-        # witness decides which comes first
+    def may_precede():
+        # whether a completion of ``partial`` can come before the incumbent's
+        # witness: the first variable along branch_vars that is open or
+        # differs from the witness decides
         witness = state["witness"]
-        for var, value in partial.items():
+        for var in bbir.branch_vars:
+            value = partial.get(var)
+            if value is None:
+                return True
             if value != witness[var]:
                 return value == literal_order[0]
         return False
@@ -401,67 +496,67 @@ def bb(
     def consider(value):
         best = state["best"]
         if best is None or (
-            sr.total_le(best, value) and (best != value or before_witness())
+            sr.total_le(best, value) and (best != value or may_precede())
         ):
             state["best"] = value
-            state["witness"] = dict(partial)
+            state["witness"] = {var: partial[var] for var in bbir.branch_vars}
 
     def pruned(bound):
         best = state["best"]
         return (
             best is not None
             and sr.cmp_le(bound, best)
-            and (bound != best or not before_witness())
+            and (bound != best or not may_precede())
         )
 
-    def recurse(handles, depth):
+    def recurse(fids, valid_h, depth):
         stats.interior += 1
         var = order[depth]
-        # the validity handle first: an invalid literal conditions nothing else
+        # the validity tests branch variables only, and those above var are
+        # fixed, so conditioning it on var takes one step
         valid = []
         for value in literal_order:
-            literal = {var: value}
-            child_valid = mgr.condition_all(handles[-1], literal)
+            child_valid = mgr.condition(valid_h, var, value)
             if child_valid == FALSE:
                 stats.invalid += 1
             else:
-                valid.append((value, literal, child_valid))
+                valid.append((value, child_valid))
         # a forced literal keeps every valid completion of this node, whose
         # bound was just checked against the same incumbent
         choice = prune and len(valid) == 2
         children = []
-        for value, literal, child_valid in valid:
-            child = _condition_handles(mgr, handles[:-1], literal) + (child_valid,)
+        for value, child_valid in valid:
+            fixed = memo.fix(fids, value)
             partial[var] = value
             if depth == last:
                 stats.base_cases += 1
-                consider(objective.evaluate_conditioned(child, partial, memo))
+                consider(objective.evaluate_conditioned(fixed, child_valid, partial, memo))
             elif choice:
                 stats.bound_calls += 1
-                bound = objective.bound_conditioned(child, partial, memo)
-                children.append((bound, value, child))
+                bound = objective.bound_conditioned(fixed, child_valid, partial, memo)
+                children.append((bound, value, fixed, child_valid))
             else:
-                children.append((None, value, child))
+                children.append((None, value, fixed, child_valid))
             del partial[var]
         if choice and len(children) == 2:
             first, second = children[0][0], children[1][0]
             if sr.total_le(first, second) and first != second:
                 children.reverse()
-        for bound, value, child in children:
+        for bound, value, fixed, child_valid in children:
             partial[var] = value
             if choice and pruned(bound):
                 stats.prunes += 1
             else:
-                recurse(child, depth + 1)
+                recurse(memo.push(fixed, depth + 1), child_valid, depth + 1)
             del partial[var]
 
-    handles = objective.initial_handles()
+    fids = memo.start(objective.roots)
     try:
         if order:
-            recurse(handles, 0)
+            recurse(fids, bbir.validity, 0)
         else:
             stats.base_cases += 1
-            consider(objective.evaluate_conditioned(handles, partial, memo))
+            consider(objective.evaluate_conditioned(fids, bbir.validity, partial, memo))
     finally:
         recurse = None  # it refers to itself; break the cycle
     stats.bound_memo_entries = memo.entries()

@@ -23,9 +23,16 @@ branch-and-bound bounds of ``bbir`` are both runs of it.  Universe
 variables skipped along a BDD edge (or missing from the diagram entirely)
 contribute a gap factor ``w(v) + w(~v)`` each; this keeps the count exact
 even when a variable's two literal weights do not sum to the unit.  A
-:class:`CountSetup` holds a universe's positions, weights and gap factors;
-variables conditioned away keep their positions with the unit gap, so one
-setup and one memo can serve a whole chain of conditioned sets.
+:class:`CountSetup` holds a universe's positions, weights and gap factors.
+
+The walk is bottom-up and starts from a :class:`Frontier`: weighted nodes
+below a position, each weight the sum over its paths from the root above
+it.  :meth:`BddManager.push` moves a frontier down (a downward, or
+outside, pass) and :meth:`BddManager.fix` moves it past a variable fixed to
+one value, so a search that fixes variables in order conditions no diagram
+and builds no node: its counts all run from frontiers in one setup and one
+memo (Darwiche, *A differential approach to inference in Bayesian
+networks*, JACM 2003).
 
 The walk does no semiring operation whose result it already knows: it
 multiplies by no unit weight or unit gap (1 (x) x = x) and adds no dead
@@ -35,9 +42,9 @@ literal's zero, since 0 is no identity for them.
 
 from __future__ import annotations
 
-import copy
 import sys
-from typing import Iterable
+from heapq import heappop, heappush
+from typing import Iterable, NamedTuple
 
 FALSE = 0
 TRUE = 1
@@ -60,19 +67,13 @@ class CountSetup:
     positive weight, negative weight, in ``branch``), and ``gaps[i]`` is the
     position's gap factor: the sum of its two literal weights, or their
     ``combine`` (a join or a meet) at branch variables.  ``suffix[i]`` is
-    the product of ``gaps[i:]``.  :meth:`fixing` marks variables as
-    conditioned away: they keep their positions but carry the unit gap, so
-    one universe serves every conditioned set, and ``tiers[i]`` is the
-    number of fixed positions from ``i`` on, shifted into its field of a
-    memo key.  Only positions whose gap was not the unit already count as
-    fixed.  A literal weight that is the unit is None in ``levels``, and
-    ``nonunit[i]`` is the first position from ``i`` on whose gap is not the
-    unit (``n`` if none), so the walk multiplies neither in.
+    the product of ``gaps[i:]``.  A literal weight that is the unit is None
+    in ``levels``, and ``nonunit[i]`` is the first position from ``i`` on
+    whose gap is not the unit (``n`` if none), so the walk multiplies
+    neither in.
     """
 
-    __slots__ = (
-        "semiring", "combine", "pos_of", "levels", "valid_shift", "gaps", "suffix", "tiers", "nonunit",
-    )
+    __slots__ = ("semiring", "combine", "pos_of", "levels", "gaps", "suffix", "nonunit")
 
     def __init__(self, universe, weights: dict, semiring, branch=frozenset(), combine=None):
         one, add, mul = semiring.one, semiring.add, semiring.mul
@@ -93,46 +94,32 @@ class CountSetup:
         self.suffix = [one] * (n + 1)
         for i in range(n - 1, -1, -1):
             self.suffix[i] = mul(self.gaps[i], self.suffix[i + 1])
-        self.tiers = [0] * n
-        self.nonunit = self._nonunit()
-        # memo key fields: node | fixed count << _NODE_BITS | validity << valid_shift
-        self.valid_shift = _NODE_BITS + n.bit_length()
-
-    def _nonunit(self) -> list:
         # nonunit[i]: the first position from i on whose gap is not the unit
-        one, gaps = self.semiring.one, self.gaps
-        out = [len(gaps)] * (len(gaps) + 1)
-        for i in range(len(gaps) - 1, -1, -1):
-            out[i] = out[i + 1] if gaps[i] == one else i
-        return out
+        self.nonunit = [n] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            self.nonunit[i] = self.nonunit[i + 1] if self.gaps[i] == one else i
 
-    def fixing(self, variables) -> "CountSetup":
-        """This unfixed setup with ``variables`` (universe members) fixed.
 
-        Fixing a variable whose gap already is the unit changes no table, so
-        only the others count as fixed; when none is left this is ``self``.
-        """
-        if self.tiers and self.tiers[0]:
-            raise BddError("only an unfixed count setup can be fixed")
-        one, mul = self.semiring.one, self.semiring.mul
-        fixed = {self.pos_of[v] for v in variables}
-        fixed = {i for i in fixed if self.gaps[i] != one}
-        if not fixed:
-            return self
-        out = copy.copy(self)
-        out.gaps = gaps = list(self.gaps)
-        out.tiers = tiers = list(self.tiers)
-        # below the last fixed position the suffix products stay the same
-        out.suffix = suffix = list(self.suffix)
-        tier = 0
-        for i in range(max(fixed), -1, -1):
-            if i in fixed:
-                gaps[i] = one
-                tier += 1 << _NODE_BITS
-            suffix[i] = mul(gaps[i], suffix[i + 1])
-            tiers[i] = tier
-        out.nonunit = out._nonunit()
-        return out
+class Frontier(NamedTuple):
+    """Weighted nodes at or below position ``start`` of a :class:`CountSetup`.
+
+    ``pairs`` holds (node, weight) with distinct nodes, none FALSE, each
+    testing no variable above ``start``.  The weight of a node is the sum,
+    over the paths that reach it from the root, of the products of literal
+    weights and skipped gap factors at the positions above ``start``; a
+    position whose variable is fixed follows the fixed child and adds the
+    unit.  The count of the frontier is the sum of its weights, each times
+    its node's count from ``start`` on.  A frontier is hashable, so a search
+    can key its tables on one.
+    """
+
+    start: int
+    pairs: tuple
+
+    @classmethod
+    def of(cls, root: int, one) -> "Frontier":
+        """The frontier of ``root`` at position 0: the root with the unit weight."""
+        return cls(0, () if root == FALSE else ((root, one),))
 
 
 class BddManager:
@@ -435,31 +422,28 @@ class BddManager:
         setup and memo.
         """
         memo = {}
-        value = self.count(root, TRUE, CountSetup(sorted(weights), weights, semiring), memo)
+        setup = CountSetup(sorted(weights), weights, semiring)
+        value = self.count(Frontier.of(root, semiring.one), TRUE, setup, memo)
         self.amc_visits = len(memo)
         return value
 
-    def count(self, root, validity, setup: "CountSetup", memo):
-        """Weighted count of ``root`` over the universe of ``setup``.
+    def count(self, frontier: Frontier, validity, setup: CountSetup, memo):
+        """Weighted count of ``frontier`` over the universe of ``setup``.
 
-        Sums literal-weight products over the models of ``root``, except
-        that at the setup's branch variables the two literal values (and
-        gap factors) are combined with its ``combine``, a join or a meet,
-        which makes the count a branch-and-bound bound.  ``validity`` is
-        walked in lockstep; a literal whose validity child is FALSE
-        contributes nothing.  Neither handle may test a fixed variable of
-        the setup.
+        Sums literal-weight products over the models of each frontier node
+        from the frontier's start position on, times the node's weight,
+        except that at the setup's branch variables the two literal values
+        (and gap factors) are combined with its ``combine``, a join or a
+        meet, which makes the count a branch-and-bound bound.  ``validity``
+        is walked in lockstep from the same position; a literal whose
+        validity child is FALSE contributes nothing.  The count of a diagram
+        is that of ``Frontier.of(root, one)``.
 
-        Values are memoized into ``memo``, keyed on the node, the validity
-        handle and the number of fixed variables below the node (see
-        :class:`CountSetup`), packed into one int that is the bare node when
-        the other two are TRUE and 0.  A node's value from its top position
-        depends on the two handles, the weights at and below that position
-        and which of the variables below are fixed.  So one memo serves
-        every run over setups that share a universe, weighting, semiring,
-        branch set and ``combine`` and whose fixed sets form a chain (each
-        contains the one before): along a chain, the number of fixed
-        variables below a node names them.
+        Values are memoized into ``memo``, keyed on the node and the
+        validity handle, packed into one int that is the bare node when the
+        validity is TRUE.  A node's value from its top position depends on
+        the two handles and the weights at and below that position only, so
+        one memo serves every count over one setup, whatever its frontier.
 
         Each node costs one recursive call: the gap factors of positions
         skipped above it are multiplied in by the same call.  Counts that
@@ -469,22 +453,22 @@ class BddManager:
         No operation with a known result is done: a unit literal weight
         passes its child's value on unmultiplied, only the skipped gaps that
         are not the unit are multiplied (left to right, then into the node's
-        value), and a dead literal (formula or validity child FALSE) adds no
-        zero.  At a branch variable whose two validity children are both
-        live, a literal with a FALSE formula child still enters the
-        ``combine`` as ``zero``: the join or meet with zero is not the other
-        value.  The skipped operations would only turn a ``-0.0`` component
-        into ``0.0``, and no count value holds one unless a product
-        underflows, so the values are those of the full recurrence bit for
+        value), a unit frontier weight multiplies nothing, and a dead
+        literal (formula or validity child FALSE) adds no zero.  At a branch
+        variable whose two validity children are both live, a literal with
+        a FALSE formula child still enters the ``combine`` as ``zero``: the
+        join or meet with zero is not the other value.  The skipped
+        operations would only turn a ``-0.0`` component into ``0.0``, and no
+        count value holds one unless a product underflows, so the count of
+        ``Frontier.of(root, one)`` is that of the full recurrence bit for
         bit.
         """
         semiring = setup.semiring
         mul, add, combine = semiring.mul, semiring.add, setup.combine
-        zero = semiring.zero
+        one, zero = semiring.one, semiring.zero
         var_of, lo_of, hi_of, labels = self._var, self._lo, self._hi, self._labels
         pos_of, levels, gaps = setup.pos_of, setup.levels, setup.gaps
-        suffix, tiers, valid_shift = setup.suffix, setup.tiers, setup.valid_shift
-        nonunit = setup.nonunit
+        suffix, nonunit = setup.suffix, setup.nonunit
         n = len(levels)
 
         def rec(f: int, v: int, i: int):
@@ -501,9 +485,8 @@ class BddManager:
                 raise BddError(f"unweighted variable in formula: {label}") from None
             if j == n:
                 return suffix[i]
-            tier = tiers[j]
             # the bare node is an existing int object; a packed key is a new one
-            key = f if v == TRUE and not tier else f | tier | (v - TRUE) << valid_shift
+            key = f if v == TRUE else f | (v - TRUE) << _NODE_BITS
             out = memo.get(key)
             if out is None:
                 var, wpos, wneg, at_branch = levels[j]
@@ -548,12 +531,96 @@ class BddManager:
                 k = nonunit[k + 1]
             return mul(acc, out)
 
-        if root == FALSE or validity == FALSE:
+        if validity == FALSE:
             return zero
+        start = frontier.start
+        total = None
         try:
-            return rec(root, validity, 0)
+            for node, weight in frontier.pairs:
+                value = rec(node, validity, start)
+                if weight != one:
+                    value = mul(weight, value)
+                total = value if total is None else add(total, value)
         finally:
             rec = None  # it refers to itself; break the cycle
+        return zero if total is None else total
+
+    def fix(self, frontier: Frontier, setup: CountSetup, value: bool) -> Frontier:
+        """``frontier`` past its start position, whose variable is fixed to ``value``.
+
+        A node that tests the variable hands its weight to its ``value``
+        child (a FALSE child drops it); the other nodes keep theirs, since a
+        fixed position adds the unit.
+        """
+        var_of, start = self._var, frontier.start
+        var = setup.levels[start][0]
+        add = setup.semiring.add
+        child_of = self._hi if value else self._lo
+        out = {}
+        for node, weight in frontier.pairs:
+            if node > TRUE and var_of[node] == var:
+                node = child_of[node]
+                if node == FALSE:
+                    continue
+            out[node] = add(out[node], weight) if node in out else weight
+        return Frontier(start + 1, tuple(out.items()))
+
+    def push(self, frontier: Frontier, setup: CountSetup, stop: int) -> Frontier:
+        """``frontier`` moved down to position ``stop`` (a downward pass).
+
+        Every node above ``stop`` hands its weight to its two children,
+        times the literal weight and the gaps skipped on the way.  A node is
+        made after its children, so handing on in descending node order
+        passes each node the sum over all its paths before it hands it on.
+        No position from the start to ``stop`` may be fixed or at a branch
+        variable.  When no node lies above ``stop`` and every gap skipped is
+        the unit, the pairs are handed on as they are.
+        """
+        start = frontier.start
+        var_of, lo_of, hi_of = self._var, self._lo, self._hi
+        pos_of, levels, gaps, nonunit = setup.pos_of, setup.levels, setup.gaps, setup.nonunit
+        mul, add = setup.semiring.mul, setup.semiring.add
+        n = len(levels)
+        pairs = frontier.pairs
+        if nonunit[start] >= stop and all(
+            node == TRUE or pos_of[var_of[node]] >= stop for node, _ in pairs
+        ):
+            return Frontier(stop, pairs)
+        weights = {}  # every node reached so far, with the sum over its paths
+        above = []  # a heap of the nodes reached above stop, negated: parents first
+
+        def land(node, weight, i):
+            # the edge into ``node`` leaves from position i - 1
+            j = pos_of[var_of[node]] if node > TRUE else n
+            k = nonunit[i]
+            if k < j and k < stop:
+                end = j if j < stop else stop
+                acc = gaps[k]
+                k = nonunit[k + 1]
+                while k < end:
+                    acc = mul(acc, gaps[k])
+                    k = nonunit[k + 1]
+                weight = mul(weight, acc)
+            if node in weights:
+                weights[node] = add(weights[node], weight)
+            else:
+                weights[node] = weight
+                if j < stop:
+                    heappush(above, -node)
+
+        for node, weight in pairs:
+            land(node, weight, start)
+        while above:
+            node = -heappop(above)
+            weight = weights.pop(node)
+            j = pos_of[var_of[node]]
+            _, wpos, wneg, _ = levels[j]
+            hi, lo = hi_of[node], lo_of[node]
+            if hi != FALSE:
+                land(hi, weight if wpos is None else mul(weight, wpos), j + 1)
+            if lo != FALSE:
+                land(lo, weight if wneg is None else mul(weight, wneg), j + 1)
+        return Frontier(stop, tuple(weights.items()))
 
     # -- export ----------------------------------------------------------------
 

@@ -26,6 +26,7 @@ def _policy_hash(policy: dict) -> str:
 
 def _run_instance(family, param, seed, bn, strategy, queue):
     from . import dappl, pineappl
+    from .bdd import BddManager
     from .gen import gen_bn, gen_dr, gen_gridworld, gen_ladder, gen_nested_mmap
 
     try:
@@ -42,20 +43,20 @@ def _run_instance(family, param, seed, bn, strategy, queue):
             src = gen_bn(bn, strategy, seed=seed + param)
         else:
             raise ValueError(f"unknown family {family!r}")
+        # every node the solve allocates, compile and search alike
+        mgr = BddManager()
         t0 = time.perf_counter()  # times the solve, not program generation
         if family == "nested-mmap":
-            out = pineappl.run_program(src)
+            out = pineappl.run_program(src, mgr)
             value = out["queries"][0]["value"]
             policy = out["decisions"]
-            solves = out["stats"]["mmap_solves"]
-            nodes = sum(s["nodes_created"] for s in solves)
-            prunes = sum(s["prunes"] for s in solves)
+            prunes = sum(s["prunes"] for s in out["stats"]["mmap_solves"])
         else:
-            out = dappl.solve_meu(src)
+            out = dappl.solve_meu(src, mgr=mgr)
             value = out["meu"]
             policy = out["policy"]
-            nodes = out["stats"]["nodes_created"]
             prunes = out["stats"]["prunes"]
+        nodes = mgr.num_nodes
         elapsed = (time.perf_counter() - t0) * 1000.0
         queue.put(
             {

@@ -31,23 +31,45 @@ class PineapplExpandError(Exception):
 
 
 _POISON = object()
+_MISSING = object()
 
 
 class _Renamer:
+    """Renames statements against one scope dict, changed in place.
+
+    An ``if`` arm records the first earlier value of every name it sets, so
+    the scope can be put back before the other arm and the join; the join
+    then costs what the arms bind, not the size of the scope.  ``slot``
+    numbers the names in the order they entered the scope, the order in
+    which a join emits its assignments.
+    """
+
     def __init__(self):
         self.versions = {}  # base name -> bind count
         self.counter = 0
         self.mmap_bound = set()
+        self.slot = {}  # name -> when it last entered the scope
+        self.entered = 0
+        self.journal = None  # in an arm: name -> its value before the arm
 
     def fresh(self, stem: str) -> str:
         self.counter += 1
         return f"{stem}#{self.counter}"
 
+    def set(self, env: dict, name: str, value):
+        journal = self.journal
+        if journal is not None and name not in journal:
+            journal[name] = env.get(name, _MISSING)
+        if name not in env:
+            self.entered += 1
+            self.slot[name] = self.entered
+        env[name] = value
+
     def bind(self, env: dict, name: str) -> str:
         seen = self.versions.get(name, 0)
         self.versions[name] = seen + 1
         new = name if seen == 0 else f"{name}@{seen + 1}"
-        env[name] = new
+        self.set(env, name, new)
         return new
 
     def lookup(self, env: dict, name: str, span) -> str:
@@ -107,6 +129,28 @@ class _Renamer:
                 raise PineapplExpandError(f"unexpected statement {stmt!r}", stmt.span)
         return out
 
+    def rename_arm(self, stmts: list, env: dict):
+        """Rename an ``if`` arm in ``env``, then put ``env`` back as it was.
+
+        Returns the renamed statements, the arm's values of the names it
+        set, and the slots of the names it brought into the scope.
+        """
+        outer = self.journal
+        self.journal = journal = {}
+        try:
+            out = self.rename_stmts(stmts, env)
+        finally:
+            self.journal = outer
+        values, new = {}, {}
+        for name, old in journal.items():
+            values[name] = env[name]
+            if old is _MISSING:
+                new[name] = self.slot[name]
+                del env[name]
+            else:
+                env[name] = old
+        return out, values, new
+
     def rename_if(self, stmt: A.SIf, env: dict) -> list:
         out = []
         guard = self.rename_expr(stmt.guard, env)
@@ -115,21 +159,22 @@ class _Renamer:
             gname = self.fresh("_g")
             out.append(A.SAssign(span=stmt.span, name=gname, value=guard))
             guard = A.Var(span=stmt.span, name=gname)
-        then_env = dict(env)
-        else_env = dict(env)
-        then_stmts = self.rename_stmts(stmt.then, then_env)
-        else_stmts = self.rename_stmts(stmt.els, else_env)
+        then_stmts, then_set, then_new = self.rename_arm(stmt.then, env)
+        else_stmts, else_set, else_new = self.rename_arm(stmt.els, env)
         out.append(A.SIf(span=stmt.span, guard=guard, then=then_stmts, els=else_stmts))
-        rebound = [
-            name
-            for name in dict.fromkeys(list(then_env) + list(else_env))
-            if then_env.get(name) != else_env.get(name)
-        ]
-        for name in rebound:
-            tv = then_env.get(name, env.get(name))
-            ev = else_env.get(name, env.get(name))
+        rebound = []
+        for name in then_set.keys() | else_set.keys():
+            before = env.get(name)
+            tv, ev = then_set.get(name, before), else_set.get(name, before)
+            if tv != ev:
+                # the names already in scope first, then those new in the
+                # then arm, then those new in the else arm, in order of entry
+                entered = then_new.get(name) or else_new.get(name) or self.slot[name]
+                rebound.append((entered, name, tv, ev))
+        rebound.sort()
+        for _, name, tv, ev in rebound:
             if tv is None or ev is None or tv is _POISON or ev is _POISON:
-                env[name] = _POISON
+                self.set(env, name, _POISON)
                 continue
             joined = self.bind(env, name)
             out.append(

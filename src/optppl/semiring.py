@@ -32,13 +32,6 @@ class EV(NamedTuple):
         return f"EV({self.prob:g}, {self.util:g})"
 
 
-def _term(a: float, b: float) -> float:
-    # 0 * inf would be NaN under IEEE; a zero probability annihilates.
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
-
-
 class ExpectationSemiring:
     """Pairs (p, u) with componentwise +, product (pq, pv+qu)."""
 
@@ -55,7 +48,8 @@ class ExpectationSemiring:
 
     @staticmethod
     def mul(a: EV, b: EV) -> EV:
-        # (pq, pv + qu), each product through _term's zero guard, inlined
+        # (pq, pv + qu); a zero factor makes a zero product, since 0 * inf
+        # would be NaN under IEEE: a zero probability annihilates
         ap, au = a
         bp, bu = b
         return tuple.__new__(EV, (
@@ -108,7 +102,8 @@ class RealSemiring:
 
     @staticmethod
     def mul(a, b):
-        return _term(a, b)
+        # the zero guard of ExpectationSemiring.mul
+        return 0.0 if a == 0.0 or b == 0.0 else a * b
 
     @staticmethod
     def join(a, b):

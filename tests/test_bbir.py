@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from optppl import (
     EXPECTATION,
     FALSE,
     REAL,
+    TRUE,
     Bbir,
     BbirError,
     BddManager,
@@ -23,7 +25,7 @@ from optppl import (
     ub_f,
 )
 from optppl.bbir import BoundMemo, _div_bound, _policy_weight
-from optppl.bdd import CountSetup
+from optppl.bdd import CountSetup, Frontier
 from optppl.dappl import prepare, solve_compiled, solve_meu
 from optppl.gen import gen_dr, gen_ladder, gen_nested_mmap
 from optppl.oracle import brute_amc, mmap_enum
@@ -31,9 +33,12 @@ from optppl.pineappl import run_program
 
 from helpers import (
     all_assignments,
+    build_bdd,
+    fresh_vars,
     mk_lit,
     random_bbir,
     random_meu_instance,
+    random_formula,
     random_mmap_instance,
     rename_formula,
     substitute,
@@ -43,11 +48,13 @@ TOL = 1e-9
 
 
 def _bound_pass(bbir, root, validity, universe, conditioned, use_join):
-    """A one-off walk of ``root`` over ``universe`` in the problem's own
-    semiring, with joins (or meets) at the open branch variables."""
+    """A one-off walk of ``root`` over ``universe`` without the ``conditioned``
+    variables, in the problem's own semiring, with joins (or meets) at the
+    open branch variables."""
     combine = bbir.semiring.join if use_join else bbir.semiring.meet
-    setup = CountSetup(universe, bbir.weights, bbir.semiring, bbir.branch_set, combine)
-    return bbir.mgr.count(root, validity, setup.fixing(conditioned), {})
+    kept = [v for v in universe if v not in conditioned]
+    setup = CountSetup(kept, bbir.weights, bbir.semiring, bbir.branch_set, combine)
+    return bbir.mgr.count(Frontier.of(root, bbir.semiring.one), validity, setup, {})
 
 
 def le_tol(a, b, tol=TOL):
@@ -154,6 +161,18 @@ class TestBoundDominance:
         with pytest.raises(BbirError, match="duplicate branch variable"):
             Bbir(mgr=mgr, formulas=[mgr.mk_var(x), mgr.mk_true()],
                  branch_vars=[x, x], weights=wm, semiring=REAL)
+
+    def test_validity_over_a_non_branch_variable_rejected(self):
+        # the search conditions the validity one branch literal at a time
+        mgr = BddManager()
+        x, c, y = mgr.new_var("x"), mgr.new_var("c"), mgr.new_var("y")
+        wm = {x: (1.0, 1.0), c: (0.5, 0.5), y: (1.0, 1.0)}
+        phi = mgr.apply("and", mgr.mk_var(x), mgr.mk_var(c))
+        with pytest.raises(BbirError, match="validity formula tests non-branch variable.*: c"):
+            Bbir(mgr=mgr, formulas=[phi, mgr.mk_true()], branch_vars=[x, y], weights=wm,
+                 semiring=REAL, validity=mgr.apply("or", mgr.mk_var(c), mgr.mk_var(y)))
+        Bbir(mgr=mgr, formulas=[phi, mgr.mk_true()], branch_vars=[x, y], weights=wm,
+             semiring=REAL, validity=mgr.exactly_one([x, y]))
 
 
 def one_hot_bbir(rng):
@@ -393,8 +412,8 @@ class TestSearch:
         objective = MeuObjective(problem)
         leaves, bounded = [], []
         leaf, bound = objective.evaluate_conditioned, objective.bound_conditioned
-        objective.evaluate_conditioned = lambda h, p, m: leaves.append(len(p)) or leaf(h, p, m)
-        objective.bound_conditioned = lambda h, p, m: bounded.append(len(p)) or bound(h, p, m)
+        objective.evaluate_conditioned = lambda f, v, p, m: leaves.append(len(p)) or leaf(f, v, p, m)
+        objective.bound_conditioned = lambda f, v, p, m: bounded.append(len(p)) or bound(f, v, p, m)
         result = bb(objective, problem)
         del objective.evaluate_conditioned, objective.bound_conditioned
         n = len(problem.branch_vars)
@@ -424,8 +443,8 @@ class TestSearch:
         for make_objective, problem in problems:
             objective = make_objective(problem)
             result, calls = recorded_search(objective, problem)
-            for _, partial, _ in calls:
-                var = problem.branch_vars[len(partial) - 1]
+            for partial, _ in calls:
+                var = sorted(problem.branch_vars)[len(partial) - 1]
                 sibling = {**partial, var: not partial[var]}
                 assert problem.mgr.condition_all(problem.validity, sibling) != FALSE
             plain = bb(objective, problem, prune=False)
@@ -435,8 +454,20 @@ class TestSearch:
         # the blind dive in literal order made 25,319 bound calls here
         problem = prepare(gen_dr(20, seed=0))[2].finalize()
         result = bb(MeuObjective(problem), problem)
-        assert result.scalar == 95.90271908160793
+        # the conditioned search summed the same terms to 95.90271908160793
+        assert result.scalar == 95.90271908160796
         assert result.stats.bound_calls <= 300
+
+    def test_search_creates_no_nodes_and_its_memo_grows_linearly_on_dr(self):
+        # conditioning the diagrams made 22,003 and 83,534 nodes here, and
+        # the memo grew from 35,923 to 99,827 entries
+        entries = []
+        for n in (40, 80):
+            problem = prepare(gen_dr(n, seed=0))[2].finalize()
+            stats = bb(MeuObjective(problem), problem).stats
+            assert stats.nodes_created == 0
+            entries.append(stats.bound_memo_entries)
+        assert entries[1] / entries[0] < 2.5
 
     def test_a_solve_leaves_no_reference_cycles(self):
         # the count walk's and the search's recursive closures are cleared
@@ -508,6 +539,85 @@ class TestTieWitness:
         assert out["policy"] == {"c0": "A", "c1": "U"}
 
 
+def tie_instance(rng, kind):
+    """A small problem with dyadic weights and integer utilities, so that
+    every count is exact and equal values tie in every association; its
+    branch variables are shuffled out of variable order."""
+    mgr = BddManager()
+    n = rng.randint(4, 7)
+    names = [f"v{i}" for i in range(n)]
+    ids = fresh_vars(mgr, n)
+    var_of = dict(zip(names, ids))
+    phi = build_bdd(mgr, random_formula(rng, names, 3), var_of)
+    gamma = build_bdd(mgr, random_formula(rng, names, 2), var_of) if rng.random() < 0.4 else TRUE
+    support = sorted(mgr.support(phi) | mgr.support(gamma))
+    if len(support) < 2:
+        return None
+    branch = rng.sample(support, k=rng.randint(2, min(4, len(support))))
+    weights = {}
+    for v in ids:
+        if kind == "meu":
+            unit = EV(1.0, 0.0)
+            weights[v] = (unit, unit) if v in branch else (
+                EV(0.5, float(rng.randint(0, 3))), EV(0.5, float(rng.randint(0, 3))))
+        else:
+            weights[v] = (1.0, 1.0) if v in branch else rng.choice(((0.5, 0.5), (0.25, 0.75)))
+    validity = mgr.exactly_one(branch) if rng.random() < 0.3 else TRUE
+    return Bbir(mgr=mgr, formulas=[phi, gamma], branch_vars=branch, weights=weights,
+                semiring=EXPECTATION if kind == "meu" else REAL, validity=validity)
+
+
+def first_maximum(objective, inst, literal_order):
+    """The brute-force optimum and the first assignment along ``branch_vars``
+    (``literal_order[0]`` first) that reaches it."""
+    sr = objective.semiring
+    best = witness = None
+    for values in itertools.product(literal_order, repeat=len(inst.branch_vars)):
+        total = dict(zip(inst.branch_vars, values))
+        if inst.mgr.condition_all(inst.validity, total) == FALSE:
+            continue
+        value = evaluate_objective(objective, inst, total)
+        if best is None or (sr.total_le(best, value) and best != value):
+            best, witness = value, total
+    return best, witness
+
+
+class TestTiesAlongBranchOrder:
+    """The search fixes variables in variable order, yet among exact ties its
+    witness is the first maximum along ``branch_vars``."""
+
+    @pytest.mark.parametrize("kind", ["meu", "mmap"])
+    def test_witness_is_the_first_maximum_along_branch_vars(self, kind):
+        rng = random.Random(kind)
+        checked = tied = 0
+        while checked < 60:
+            inst = tie_instance(rng, kind)
+            if inst is None or sorted(inst.branch_vars) == inst.branch_vars:
+                continue
+            try:
+                objective = (MeuObjective if kind == "meu" else MmapObjective)(inst)
+            except BbirError:
+                continue  # evidence of zero mass
+            for literal_order in ((True, False), (False, True)):
+                best, witness = first_maximum(objective, inst, literal_order)
+                if witness is None:
+                    continue  # no valid policy
+                maxima = sum(
+                    evaluate_objective(objective, inst, dict(zip(inst.branch_vars, values))) == best
+                    for values in itertools.product((True, False), repeat=len(inst.branch_vars))
+                    if inst.mgr.condition_all(
+                        inst.validity, dict(zip(inst.branch_vars, values))) != FALSE
+                )
+                tied += maxima > 1
+                for prune in (True, False):
+                    result = bb(objective, inst, prune=prune, literal_order=literal_order)
+                    assert result.value == best
+                    assert result.witness == witness
+                    assert list(result.witness) == inst.branch_vars
+                checked += 1
+        assert tied >= 20
+
+
 class TestRejectedInputs:
     """Inputs that used to give silent wrong answers raise ``BbirError``."""
 
@@ -560,13 +670,13 @@ class TestRejectedInputs:
 
 
 def recorded_search(objective, inst, **kwargs):
-    """Run ``bb`` and record every (handles, partial, bound) it computes."""
+    """Run ``bb`` and record every (partial, bound) it computes."""
     calls = []
     inner = objective.bound_conditioned
 
-    def record(handles, partial, memo):
-        bound = inner(handles, partial, memo)
-        calls.append((handles, dict(partial), bound))
+    def record(fids, validity, partial, memo):
+        bound = inner(fids, validity, partial, memo)
+        calls.append((dict(partial), bound))
         return bound
 
     objective.bound_conditioned = record
@@ -576,12 +686,32 @@ def recorded_search(objective, inst, **kwargs):
         del objective.bound_conditioned
 
 
+def frontier_bound(objective, partial, method=None):
+    """The bound of ``partial``, a prefix of the variable order, computed as
+    ``bb`` computes it but from a fresh memo: the frontiers are fixed on
+    each literal and pushed down in turn, then counted by ``method``
+    (``objective.bound_conditioned`` if None)."""
+    inst = objective.bbir
+    order = sorted(inst.branch_vars)
+    assert set(partial) == set(order[: len(partial)])
+    memo = BoundMemo(inst.mgr, objective.bound_setups, order)
+    fids = memo.start(objective.roots)
+    validity = inst.validity
+    for depth, var in enumerate(order[: len(partial)]):
+        if depth:
+            fids = memo.push(fids, depth)
+        fids = memo.fix(fids, partial[var])
+        validity = inst.mgr.condition(validity, var, partial[var])
+    method = method or objective.bound_conditioned
+    return method(fids, validity, partial, memo)
+
+
 def fresh_memo_search(objective, inst, **kwargs):
     """Run ``bb`` with every bound computed from a fresh memo."""
     inner = objective.bound_conditioned
 
-    def fresh(handles, partial, memo):
-        return inner(handles, partial, BoundMemo(inst.mgr, partial))
+    def fresh(fids, validity, partial, memo):
+        return frontier_bound(objective, partial, inner)
 
     objective.bound_conditioned = fresh
     try:
@@ -606,10 +736,11 @@ def search_variants(inst, rng):
         yield dataclasses.replace(shuffled, validity=inst.mgr.exactly_one(branch))
 
 
-def single_pass_bound(objective, handles, partial):
-    """The objective's bound from one-off ``_bound_pass`` runs in its own semiring."""
+def single_pass_bound(objective, partial):
+    """The objective's bound from one-off ``_bound_pass`` runs in its own
+    semiring, on the diagrams conditioned on ``partial``."""
     inst = objective.bbir
-    num_h, den_h, valid_h = handles
+    num_h, den_h, valid_h = conditioned_handles(objective, partial)
     conditioned = set(partial)
     num = _bound_pass(inst, num_h, valid_h, objective.num_universe, conditioned, True)
     t = inst.semiring.mul(_policy_weight(inst, partial), num)
@@ -620,15 +751,22 @@ def single_pass_bound(objective, handles, partial):
     return EXPECTATION.join(_div_bound(t, low), _div_bound(t, high))
 
 
+def close_rel(a, b, rel=1e-12):
+    """Equal up to ``rel`` of the larger magnitude, componentwise for EV."""
+    if isinstance(a, EV):
+        return close_rel(a.prob, b.prob, rel) and close_rel(a.util, b.util, rel)
+    return a == b or abs(a - b) <= rel * max(abs(a), abs(b))
+
+
 def assert_memo_matches_fresh(make_objective, inst):
     for literal_order in ((True, False), (False, True)):
         objective = make_objective(inst)
         result, calls = recorded_search(objective, inst, literal_order=literal_order)
         assert len(calls) == result.stats.bound_calls
-        for handles, partial, bound in calls:
-            assert objective.bound_conditioned(
-                handles, partial, BoundMemo(inst.mgr, partial)) == bound
-            assert single_pass_bound(objective, handles, partial) == bound
+        for partial, bound in calls:
+            assert frontier_bound(objective, partial) == bound
+            # the conditioned walk sums the same terms in another association
+            assert close_rel(single_pass_bound(objective, partial), bound)
         fresh = fresh_memo_search(objective, inst, literal_order=literal_order)
         assert result.value == fresh.value
         assert result.witness == fresh.witness
@@ -734,10 +872,11 @@ class TestSearchMemo:
         assert stats.bound_memo_entries == 1
         assert stats.to_dict()["bound_memo_entries"] == 1
         # one-variable searches evaluate their two leaf children and bound
-        # nothing; the leaves fill the memo
+        # nothing; z is the diagrams' last variable, so the frontiers hold
+        # all of them and the leaves count no node below it
         solves = run_program(gen_nested_mmap(3))["stats"]["mmap_solves"]
         assert solves and all(s["bound_calls"] == 0 for s in solves)
-        assert all(s["bound_memo_entries"] > 0 for s in solves)
+        assert all(s["bound_memo_entries"] == 0 for s in solves)
         src = "a = flip 0.3; b = flip 0.6; (x, y) = mmap(a, b) with { a || b }; pr(x)"
         solves = run_program(src)["stats"]["mmap_solves"]
         assert [s["bound_memo_entries"] > 0 for s in solves] == [True]
@@ -778,10 +917,10 @@ class CountSpy:
 
 
 def valid_prefixes(inst, rng):
-    """Partial policies fixing each prefix of the branch order along one valid path."""
+    """Partial policies fixing each prefix of the variable order along one valid path."""
     partial = {}
     yield {}
-    for var in inst.branch_vars:
+    for var in sorted(inst.branch_vars):
         first = rng.random() < 0.5
         for value in (first, not first):
             partial[var] = value
@@ -793,8 +932,10 @@ def valid_prefixes(inst, rng):
 
 
 def conditioned_handles(objective, partial):
+    """The numerator, denominator and validity handles conditioned on ``partial``."""
     mgr = objective.bbir.mgr
-    return tuple(mgr.condition_all(h, partial) for h in objective.initial_handles())
+    handles = (objective.num_root, getattr(objective, "gamma", None), objective.bbir.validity)
+    return tuple(mgr.condition_all(h, partial) for h in handles)
 
 
 class TestFusedBound:
@@ -810,11 +951,14 @@ class TestFusedBound:
         spy = CountSpy(monkeypatch)
         depths = 0
         for partial in valid_prefixes(problem, random.Random(n)):
-            handles = conditioned_handles(objective, partial)
             before = spy.walks
-            bound = objective.bound_conditioned(handles, partial, BoundMemo(problem.mgr, partial))
+            bound = frontier_bound(objective, partial)
             assert spy.walks - before == 1
-            assert single_pass_bound(objective, handles, partial) == bound
+            before = spy.walks
+            conditioned = ub_f(objective, problem, partial)
+            assert spy.walks - before == 1
+            assert single_pass_bound(objective, partial) == conditioned
+            assert close_rel(single_pass_bound(objective, partial), bound)
             depths += 1
         assert depths == len(problem.branch_vars) + 1
 
@@ -832,12 +976,12 @@ class TestFusedBound:
             for partial in valid_prefixes(variant, rng):
                 handles = conditioned_handles(objective, partial)
                 before = spy.walks
-                bound = objective.bound_conditioned(
-                    handles, partial, BoundMemo(variant.mgr, partial))
+                bound = ub_f(objective, variant, partial)
                 # conditioning can make the two handles equal
                 shared = (handles[0] == handles[1]
                           and objective.num_universe == objective.den_universe)
                 assert spy.walks - before == (1 if shared else 2)
                 if not partial:
                     assert spy.walks - before == 2
-                assert single_pass_bound(objective, handles, partial) == bound
+                assert single_pass_bound(objective, partial) == bound
+                assert close_rel(frontier_bound(objective, partial), bound)

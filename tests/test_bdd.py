@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 
 from optppl import EV, EXPECTATION, FALSE, REAL, TRUE, BddError, BddManager
-from optppl.bdd import CountSetup
+from optppl.bdd import CountSetup, Frontier
 from optppl.oracle import brute_amc
 from optppl.semiring import EV_BOUND, EVBound
 
@@ -375,6 +375,10 @@ def _random_pair(rng, semiring):
     return pair if semiring is EXPECTATION else tuple(EVBound.lift(w) for w in pair)
 
 
+def _components(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
 class TestCountShortcuts:
     """``count`` skips the products by one and the sums with zero that a
     textbook count does, and must still agree with it in ``float.hex``."""
@@ -409,20 +413,53 @@ class TestCountShortcuts:
         rng = random.Random(seed)
         mgr, root, validity, weights, branch, combine = self.random_problem(rng, semiring)
         universe = sorted(weights)
-        base = CountSetup(universe, weights, semiring, frozenset(branch), combine)
-        # fix a growing prefix of a random order, as a search does, in one memo
+        # condition on a growing prefix of a random order, as a one-off bound
+        # does, and count over the universe without the fixed variables
         order = rng.sample(universe, k=len(universe))
         values = {v: rng.random() < 0.5 for v in order}
-        memo = {}
         for depth in range(len(order) + 1):
             fixed = {v: values[v] for v in order[:depth]}
             f = mgr.condition_all(root, fixed)
             v = mgr.condition_all(validity, fixed)
-            got = mgr.count(f, v, base.fixing(fixed), memo)
+            kept = [u for u in universe if u not in fixed]
+            setup = CountSetup(kept, weights, semiring, frozenset(branch), combine)
+            got = mgr.count(Frontier.of(f, semiring.one), v, setup, {})
             want = textbook_count(
                 mgr, f, v, universe, weights, semiring, frozenset(branch), combine, set(fixed)
             )
             assert float_hex(got) == float_hex(want), depth
+
+    @pytest.mark.parametrize("semiring", [REAL, EXPECTATION, EV_BOUND], ids=["real", "ev", "ev_bound"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_frontier_counts_match_the_textbook(self, semiring, seed):
+        rng = random.Random(seed)
+        mgr, root, validity, weights, branch, combine = self.random_problem(rng, semiring)
+        if mgr.support(validity) - set(branch):
+            validity = TRUE  # a frontier's validity tests branch variables only
+        universe = sorted(weights)
+        setup = CountSetup(universe, weights, semiring, frozenset(branch), combine)
+        # fix the branch variables in variable order, as a search does: push
+        # the frontier down to each, count with it open, then fix it
+        values = {v: rng.random() < 0.5 for v in branch}
+        memo = {}
+        frontier, v, fixed = Frontier.of(root, semiring.one), validity, {}
+        for var in branch + [None]:
+            if var is not None:
+                frontier = mgr.push(frontier, setup, setup.pos_of[var])
+            got = mgr.count(frontier, v, setup, memo)
+            # one memo serves every frontier: a fresh one gives the same bits
+            assert float_hex(got) == float_hex(mgr.count(frontier, v, setup, {}))
+            want = textbook_count(
+                mgr, mgr.condition_all(root, fixed), v, universe, weights, semiring,
+                frozenset(branch), combine, set(fixed),
+            )
+            # the frontier sums the same terms in another association
+            assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+                       for a, b in zip(_components(got), _components(want))), fixed
+            if var is not None:
+                frontier = mgr.fix(frontier, setup, values[var])
+                v = mgr.condition(v, var, values[var])
+                fixed[var] = values[var]
 
     def test_skipped_gaps_mix_unit_and_non_unit_runs(self, mgr):
         xs = fresh_vars(mgr, 9)
@@ -432,20 +469,29 @@ class TestCountShortcuts:
         weights = {x: pair or (0.375, 0.5) for x, pair in zip(xs, pairs)}
         setup = CountSetup(xs, weights, REAL)
         for root in (mgr.mk_var(xs[4]), TRUE, mgr.negate(mgr.mk_var(xs[4]))):
-            got = mgr.count(root, TRUE, setup, {})
+            got = mgr.count(Frontier.of(root, 1.0), TRUE, setup, {})
             assert got.hex() == textbook_count(mgr, root, TRUE, xs, weights, REAL).hex()
-        assert mgr.count(mgr.mk_var(xs[4]), TRUE, setup, {}) == 1.25 ** 3 * 0.375
+        assert mgr.count(Frontier.of(mgr.mk_var(xs[4]), 1.0), TRUE, setup, {}) == 1.25 ** 3 * 0.375
+        assert setup.nonunit == [2, 2, 2, 4, 4, 5, 6, 9, 9, 9]
 
-    def test_fixing_skips_the_fixed_gaps(self, mgr):
-        xs = fresh_vars(mgr, 5)
-        weights = {x: (0.5, 0.75) for x in xs}
-        weights[xs[1]] = (0.5, 0.5)
-        setup = CountSetup(xs, weights, REAL)
-        assert setup.nonunit == [0, 2, 2, 3, 4, 5]
-        # a fixed variable has the unit gap, so the walk multiplies no gap there
-        fixed = setup.fixing([xs[0], xs[2], xs[3]])
-        assert fixed.nonunit == [4, 4, 4, 4, 4, 5]
-        assert setup.nonunit == [0, 2, 2, 3, 4, 5]
+    def test_push_multiplies_the_skipped_gaps_into_the_weights(self, mgr):
+        xs = fresh_vars(mgr, 4)
+        weights = {xs[0]: (0.25, 0.75), xs[1]: (0.5, 0.75), xs[2]: (0.5, 0.5), xs[3]: (0.5, 0.5)}
+        setup = CountSetup(xs, weights, REAL, frozenset([xs[3]]), REAL.join)
+        x0, x2, x3 = (mgr.mk_var(x) for x in (xs[0], xs[2], xs[3]))
+        root = mgr.apply("or", mgr.apply("and", x0, x3), mgr.apply("and", mgr.negate(x0), x2))
+        pushed = mgr.push(Frontier.of(root, 1.0), setup, 3)
+        # x0 = 1 reaches x3 over the gaps 1.25 and 1; x0 = 0 reaches x2's
+        # node, whose high edge reaches TRUE over x3
+        assert pushed.start == 3
+        assert dict(pushed.pairs) == {x3: 0.25 * 1.25, TRUE: 0.75 * 1.25 * 0.5}
+        # a frontier below ``stop`` whose skipped gaps are the unit is kept
+        assert mgr.push(Frontier(2, ((x3, 0.5),)), setup, 3).pairs == ((x3, 0.5),)
+        # x3 is open: its node joins 0.5 with 0, and TRUE has x3's gap 0.5
+        assert mgr.count(pushed, TRUE, setup, {}) == 0.25 * 1.25 * 0.5 + 0.75 * 1.25 * 0.5 * 0.5
+        fixed = mgr.fix(pushed, setup, False)
+        # x3's node drops out on x3 = 0; TRUE keeps its weight
+        assert fixed == Frontier(4, ((TRUE, 0.75 * 1.25 * 0.5),))
 
     def test_dead_formula_child_enters_the_join_as_zero(self, mgr):
         b, c = fresh_vars(mgr, 2)
@@ -453,13 +499,13 @@ class TestCountShortcuts:
         f = mgr.apply("and", mgr.mk_var(b), mgr.mk_var(c))
         setup = CountSetup([b, c], weights, EXPECTATION, frozenset([b]), EXPECTATION.join)
         # b = 0 is valid but f is FALSE there: the join sees zero beside c's count
-        got = mgr.count(f, TRUE, setup, {})
+        got = mgr.count(Frontier.of(f, EXPECTATION.one), TRUE, setup, {})
         assert got == EV(0.5, 0.0)
         assert float_hex(got) == float_hex(
             textbook_count(mgr, f, TRUE, [b, c], weights, EXPECTATION, {b}, EXPECTATION.join)
         )
         # with b = 0 ruled out by the validity, the dead literal is left out
-        assert mgr.count(f, mgr.mk_var(b), setup, {}) == EV(0.5, -3.0)
+        assert mgr.count(Frontier.of(f, EXPECTATION.one), mgr.mk_var(b), setup, {}) == EV(0.5, -3.0)
 
     def test_reward_of_minus_zero_keeps_the_sign(self, mgr):
         # a unit weight is skipped instead of multiplied in; a product with
@@ -468,7 +514,8 @@ class TestCountShortcuts:
         weights = {r: (EV(1.0, -0.0), EV(1.0, 0.0)), x: (EV(0.5, -0.0), EV(0.5, 0.0))}
         universe = [r, x]
         for f in (mgr.mk_var(r), mgr.apply("and", mgr.mk_var(r), mgr.mk_var(x)), TRUE):
-            got = mgr.count(f, TRUE, CountSetup(universe, weights, EXPECTATION), {})
+            got = mgr.count(Frontier.of(f, EXPECTATION.one), TRUE,
+                            CountSetup(universe, weights, EXPECTATION), {})
             want = textbook_count(mgr, f, TRUE, universe, weights, EXPECTATION)
             assert float_hex(got) == float_hex(want)
             assert math.copysign(1.0, got.util) == 1.0

@@ -309,13 +309,12 @@ class TestBench:
         assert row["status"] == "ok"
         assert row["value"] > 0 and row["nodes"] > 0
 
-    def test_nested_mmap_nodes_are_search_created(self, tmp_path):
+    def test_nested_mmap_nodes_are_the_solves_allocated_nodes(self, tmp_path):
         from optppl.bench import run_bench
         from optppl.pineappl import run_program
 
         (row,) = run_bench("nested-mmap", [4], csv_path=str(tmp_path / "n.csv"))
-        solves = run_program(gen_nested_mmap(4))["stats"]["mmap_solves"]
-        assert row["nodes"] == sum(s["nodes_created"] for s in solves)
+        assert row["nodes"] == run_program(gen_nested_mmap(4))["stats"]["bdd_nodes"]
 
     def test_quadratic_fit_helper(self):
         from helpers import fit_quadratic

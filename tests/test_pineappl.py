@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import time
 
 import pytest
 
@@ -154,6 +155,23 @@ class TestExpansion:
         small, large = scope(10), scope(200)
         assert not [name for name in large if "#" in name]
         assert small.keys() == large.keys()
+
+    def test_joins_cost_what_the_arms_bind(self):
+        # every if copied the whole scope twice and scanned both copies: N
+        # flips then N ifs rebinding y expanded in 30 / 118 / 481 ms for
+        # N = 500 / 1,000 / 2,000, about 16x for 4x the program
+        def best_of_3(n):
+            flips = "".join(f"x{i} = flip 0.5; " for i in range(n))
+            ifs = "".join(f"if x{i} {{ y = flip 0.5; }} else {{ }} " for i in range(n))
+            program = parse(flips + "y = flip 0.5; " + ifs + "pr(y)")
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                expand(program)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        assert best_of_3(2000) / best_of_3(500) < 8
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_nested_mmap_matches_interpreter(self, n):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from optppl import EV, EXPECTATION, REAL
-from optppl.semiring import EV_BOUND, EVBound, _term
+from optppl.semiring import EV_BOUND, EVBound
 
 TOL = 1e-9
 
@@ -220,6 +220,23 @@ def test_ev_bound_units_and_lift():
     assert EV_BOUND.mul(lifted, EV_BOUND.one) == lifted
     assert EV_BOUND.add(lifted, EV_BOUND.zero) == lifted
     assert EV_BOUND.mul(EV_BOUND.zero, lifted) == EV_BOUND.zero
+
+
+def _term(a: float, b: float) -> float:
+    # the reference product: 0 * inf would be NaN under IEEE, and a zero
+    # probability annihilates
+    if a == 0.0 or b == 0.0:
+        return 0.0
+    return a * b
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_real_mul_equals_the_term_formula_bit_for_bit(seed):
+    rng = random.Random(3200 + seed)
+    for _ in range(1000):
+        a, b = random_component(rng, -3.0, 3.0), random_component(rng, -3.0, 3.0)
+        assert bits(REAL.mul(a, b)) == bits(_term(a, b))
+    assert REAL.mul(0.0, float("inf")) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(5))
