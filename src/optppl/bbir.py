@@ -31,7 +31,7 @@ algorithm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .bdd import FALSE, TRUE, BddManager, CountSetup, Frontier
 from .semiring import EV, EV_BOUND, EXPECTATION, REAL, EVBound
@@ -49,9 +49,12 @@ class Bbir:
     weights: dict  # var -> (positive literal weight, negative literal weight)
     semiring: object = EXPECTATION
     validity: int = TRUE
+    # handle -> support already swept by the caller; the Bbir takes the dict
+    # over.  Not a field, so ``dataclasses.replace`` sweeps afresh.
+    swept: InitVar[dict | None] = None
 
-    def __post_init__(self):
-        self._supports = {}  # handle -> support, each swept once
+    def __post_init__(self, swept):
+        self._supports = {} if swept is None else swept  # handle -> support, each swept once
         support = set()
         for f in self.formulas:
             support |= self.support_of(f)
@@ -245,7 +248,11 @@ def _conditioned(objective, bbir: Bbir, partial: dict):
 class MeuObjective:
     """Maximum expected utility: maximize AMC(phi ^ gamma | pi)_EU / AMC(gamma | pi)_Pr.
 
-    Both literals of every branch variable must carry the unit weight.
+    Both literals of every branch variable must carry the unit weight.  The
+    universes come from the supports the :class:`Bbir` holds, so a formula
+    its maker swept is not swept again.  Each distinct weight pair is lifted
+    to ``EVBound`` once: every choice variable carries the same pair, as
+    does every negative reward literal.
     """
 
     kind = "meu"
@@ -272,10 +279,14 @@ class MeuObjective:
         # with meets.  The probability walk with joins is the ``prob`` of
         # the same walk, so when the numerator and denominator share their
         # root and universe a bound walks the diagram once.
-        self._weights = {
-            v: tuple(EVBound.lift(w) for w in bbir.weights[v])
-            for v in set(self.num_universe) | set(self.den_universe)
-        }
+        lifted = {}  # weight pair -> its lift
+        self._weights = {}
+        for v in set(self.num_universe) | set(self.den_universe):
+            pair = bbir.weights[v]
+            got = lifted.get(pair)
+            if got is None:
+                got = lifted[pair] = (EVBound.lift(pair[0]), EVBound.lift(pair[1]))
+            self._weights[v] = got
         self._shared = self.den_universe == self.num_universe
         if self._shared and self.num_root == self.gamma:
             self.roots = (self.num_root,)

@@ -9,6 +9,15 @@ branch's reward variables false, so each model awards exactly the rewards
 of the trace it describes.  Finalization conjoins the remaining pending
 rewards onto ``phi``.
 
+Each diagram is built once.  A branch's pinned rewards form a chain of
+negated literals; an ``if`` leaves the chain of its own reward set for the
+``if`` above it to take, built as the conjunction of its two branches'
+chains, so a chain costs only the literals above the one it extends.  A
+pure binding (``x <- return t``) binds ``x`` to its term, which compiles
+when ``x`` is first read, so a binding nothing reads builds nothing.  A
+``choose`` whose arms observe nothing accepts on its site's exactly-one
+constraint itself.
+
 The variable order comes from the program's structure.  A planning walk
 (:func:`plan_variables`) labels every flip, reward and choice variable in
 creation order and keeps that order, except that inside each arm of an
@@ -59,31 +68,41 @@ class CompiledDappl:
         variables, and only trace-consistent models weigh the acceptance
         mass correctly.  The unnormalized side already entails the trace
         structure, so its count is unchanged.
+
+        The validity conjoins the exactly-one constraints of the sites the
+        formulas use, newest first: a later site's constraint mostly lies
+        below an earlier one's, so each conjunction builds only the new
+        constraint's nodes.  Each formula's support is swept once, here,
+        and handed to the :class:`Bbir`.
         """
-        phi = self.mgr.conjoin([self.mgr.cube((r, True) for r in self.pending), self.phi])
-        gamma = self.mgr.apply("and", self.gamma, self.trace)
-        used = self.mgr.support(phi) | self.mgr.support(gamma)
-        branch_vars = []
-        validity = TRUE
-        for site in self.sites:
-            if any(v in used for v in site.vars):
-                branch_vars.extend(site.vars)
-                validity = self.mgr.apply("and", validity, site.eo)
+        mgr = self.mgr
+        phi = mgr.conjoin([mgr.cube((r, True) for r in self.pending), self.phi])
+        gamma = mgr.apply("and", self.gamma, self.trace)
+        supports = {phi: mgr.support(phi)}
+        if gamma not in supports:
+            supports[gamma] = mgr.support(gamma)
+        used = set().union(*supports.values())
+        sites = [site for site in self.sites if not used.isdisjoint(site.vars)]
         return Bbir(
-            mgr=self.mgr,
+            mgr=mgr,
             formulas=[phi, gamma],
-            branch_vars=sorted(branch_vars),
+            branch_vars=sorted(v for site in sites for v in site.vars),
             weights=self.weights,
             semiring=EXPECTATION,
-            validity=validity,
+            validity=mgr.conjoin(reversed([site.eo for site in sites])),
+            swept=supports,
         )
 
 
 class _BoolVal:
-    __slots__ = ("handle",)
+    """A Boolean binding: its handle, or a pure term and its scope until read."""
 
-    def __init__(self, handle):
+    __slots__ = ("handle", "term", "env")
+
+    def __init__(self, handle, term=None, env=None):
         self.handle = handle
+        self.term = term
+        self.env = env
 
 
 class _ChoiceVal:
@@ -93,13 +112,20 @@ class _ChoiceVal:
         self.site = site
 
 
-def _reader(env):
-    """What a pure term's names compile to under ``env``."""
+def _reader(mgr, env):
+    """What a pure term's names compile to under ``env``.
+
+    A pure binding's term compiles on its first read, under the scope it
+    was bound in, and keeps its handle for later reads.
+    """
 
     def read(name):
         val = env.get(name)
         if not isinstance(val, _BoolVal):
             raise DapplCompileError(f"{name!r} is not a Boolean binding")
+        if val.handle is None:
+            val.handle = compile_term(mgr, val.term, _reader(mgr, val.env))
+            val.term = val.env = None
         return val.handle
 
     return read
@@ -265,6 +291,9 @@ class Compiler:
         self.mgr = mgr if mgr is not None else BddManager()
         self.weights = {}  # var -> (positive, negative) literal weights
         self.sites = []
+        # reward set -> its negated-reward chain, left by an ``if`` for the
+        # ``if`` above it; an entry goes when it is read
+        self._pins = {}
         handles = [0] * len(plan.labels)
         for i in plan.order:
             handles[i] = self.mgr.ensure_var(plan.labels[i])
@@ -292,6 +321,15 @@ class Compiler:
         self.sites.append(site)
         return site
 
+    def _pinned(self, rewards: frozenset) -> int:
+        """The conjunction of every reward of ``rewards`` negated."""
+        if not rewards:
+            return TRUE
+        chain = self._pins.pop(rewards, None)
+        if chain is None:
+            chain = self.mgr.cube((r, False) for r in rewards)
+        return chain
+
     # -- expressions ---------------------------------------------------------------
 
     def compile(self, e: A.Expr, env: dict):
@@ -303,7 +341,7 @@ class Compiler:
         """
         mgr = self.mgr
         if isinstance(e, A.Return):
-            return compile_term(mgr, e.pure, _reader(env)), TRUE, TRUE, (), frozenset()
+            return compile_term(mgr, e.pure, _reader(mgr, env)), TRUE, TRUE, (), frozenset()
         if isinstance(e, A.Flip):
             return mgr.mk_var(self._fresh_flip(e.theta)), TRUE, TRUE, (), frozenset()
         if isinstance(e, A.Reward):
@@ -311,19 +349,24 @@ class Compiler:
             r = self._fresh_reward(e.amount)
             return phi, gamma, trace, pending + (r,), rset | {r}
         if isinstance(e, A.Observe):
-            guard = compile_term(mgr, e.guard, _reader(env))
+            guard = compile_term(mgr, e.guard, _reader(mgr, env))
             phi, gamma, trace, pending, rset = self.compile(e.body, env)
             return phi, mgr.apply("and", gamma, guard), trace, pending, rset
         if isinstance(e, A.Ite):
-            guard = compile_term(mgr, e.guard, _reader(env))
+            guard = compile_term(mgr, e.guard, _reader(mgr, env))
             t_phi, t_gam, t_tr, t_pend, t_rs = self.compile(e.then, env)
             e_phi, e_gam, e_tr, e_pend, e_rs = self.compile(e.els, env)
 
             # each branch's discharged and pinned rewards go in as one cube:
             # conjoined one at a time below the core, every reward literal
-            # would rebuild the whole diagram above it
-            then_cube = mgr.cube([(r, True) for r in t_pend] + [(r, False) for r in e_rs])
-            else_cube = mgr.cube([(r, True) for r in e_pend] + [(r, False) for r in t_rs])
+            # would rebuild the whole diagram above it.  The pinned chains
+            # come from the ``if``s below, and this ``if`` leaves its own.
+            t_pin, e_pin = self._pinned(t_rs), self._pinned(e_rs)
+            then_cube = mgr.apply("and", mgr.cube((r, True) for r in t_pend), e_pin)
+            else_cube = mgr.apply("and", mgr.cube((r, True) for r in e_pend), t_pin)
+            rewards = t_rs | e_rs
+            if rewards:
+                self._pins[rewards] = mgr.apply("and", t_pin, e_pin)
             not_guard = mgr.negate(guard)
 
             def mux(then_core, else_core):
@@ -332,13 +375,13 @@ class Compiler:
                 return mgr.apply("or", then_part, else_part)
 
             phi = mux(t_phi, e_phi)
-            trace = mux(t_tr, e_tr) if (t_rs | e_rs) else TRUE
+            trace = mux(t_tr, e_tr) if rewards else TRUE
             gamma = mgr.apply(
                 "or",
                 mgr.apply("and", guard, t_gam),
                 mgr.apply("and", not_guard, e_gam),
             )
-            return phi, gamma, trace, (), t_rs | e_rs
+            return phi, gamma, trace, (), rewards
         if isinstance(e, A.Bind):
             if isinstance(e.value, A.ChoiceIntro):
                 site = self._fresh_site(e.value.names)
@@ -346,6 +389,11 @@ class Compiler:
                     site.site = e.value.site
                 inner = dict(env)
                 inner[e.name] = _ChoiceVal(site)
+                return self.compile(e.body, inner)
+            if isinstance(e.value, A.Return):
+                # a pure value has no trace, acceptance or reward of its own
+                inner = dict(env)
+                inner[e.name] = _BoolVal(None, e.value.pure, env)
                 return self.compile(e.body, inner)
             v_phi, v_gam, v_tr, v_pend, v_rs = self.compile(e.value, env)
             inner = dict(env)
@@ -377,7 +425,11 @@ class Compiler:
             compiled = [(by_name[name], self.compile(body, env)) for name, body in e.arms]
             all_rs = frozenset().union(*(rs for _, (_, _, _, _, rs) in compiled))
             # each arm sits on its site's one-hot cube (eo and its choice), so
-            # the disjunction of the arms already implies eo
+            # the disjunction of the arms already implies eo; with every
+            # alternative an arm that observes nothing, it is eo
+            quiet = len({avar for avar, _ in compiled}) == len(site.vars) and all(
+                a_gam == TRUE for _, (_, a_gam, _, _, _) in compiled
+            )
             phi_arms, trace_arms, gam_arms = [], [], []
             for avar, (a_phi, a_gam, a_tr, a_pend, a_rs) in compiled:
                 one_hot = [(c, c == avar) for c in site.vars]
@@ -388,10 +440,11 @@ class Compiler:
                 )
                 phi_arms.append(mgr.apply("and", shared, a_phi))
                 trace_arms.append(mgr.apply("and", shared, a_tr))
-                gam_arms.append(mgr.apply("and", mgr.cube(one_hot), a_gam))
+                if not quiet:
+                    gam_arms.append(mgr.apply("and", mgr.cube(one_hot), a_gam))
             phi = mgr.disjoin(phi_arms)
             trace = mgr.disjoin(trace_arms) if all_rs else TRUE
-            gamma = mgr.disjoin(gam_arms)
+            gamma = site.eo if quiet else mgr.disjoin(gam_arms)
             return phi, gamma, trace, (), all_rs
         raise DapplCompileError(f"cannot compile {e!r}")
 

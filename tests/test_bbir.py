@@ -901,6 +901,15 @@ class TestSupportSweeps:
         assert objective.num_root in swept and objective.gamma in swept
         assert len(swept) == len(set(swept))
 
+    @pytest.mark.parametrize("src", [gen_dr(4, seed=0), gen_ladder(4, 1, seed=0)], ids=["dr", "ladder"])
+    def test_solve_sweeps_no_support_twice(self, src, monkeypatch):
+        # finalize sweeps its formulas and hands the supports to the Bbir
+        swept = []
+        inner = BddManager.support
+        monkeypatch.setattr(BddManager, "support", lambda mgr, a: swept.append(a) or inner(mgr, a))
+        solve_meu(src)
+        assert swept and len(swept) == len(set(swept))
+
 
 class CountSpy:
     """Counts the ``BddManager.count`` walks for the rest of the test."""
