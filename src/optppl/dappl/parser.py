@@ -35,6 +35,9 @@ class Parser(TokenParser):
     Error = DapplSyntaxError
 
     # -- expressions -----------------------------------------------------------
+    #
+    # A rule is picked by the next token's text (see _RULES below); a name
+    # is the one start no text names.
 
     def parse_program(self) -> A.Expr:
         expr = self.parse_expr()
@@ -42,91 +45,96 @@ class Parser(TokenParser):
         return expr
 
     def parse_expr(self) -> A.Expr:
-        sp = self.span()
-        if self.at("ident") and self.at("sym", "<-", ahead=1):
-            name = self.next().text
-            self.next()
-            value = self.parse_expr_no_seq()
-            self.expect("sym", ";")
-            body = self.parse_expr()
-            return A.Bind(span=sp, name=name, value=value, body=body)
-        if self.at("kw", "observe"):
-            self.next()
-            guard = self.term()
-            self.expect("sym", ";")
-            body = self.parse_expr()
-            return A.Observe(span=sp, guard=guard, body=body)
-        return self.parse_expr_no_seq()
+        tok = self.tokens[self.pos]
+        rule = _SEQ_RULES.get(tok[1])
+        if rule is not None:
+            return rule(self)
+        # a name is never the last token
+        if tok[0] == "ident" and self.tokens[self.pos + 1][1] == "<-":
+            return self.parse_bind()
+        return self.parse_name(tok)
 
     def parse_expr_no_seq(self) -> A.Expr:
-        sp = self.span()
-        if self.at("kw", "if"):
-            return self.parse_ite()
-        if self.at("kw", "choose"):
-            return self.parse_choose()
-        if self.at("kw", "reward"):
-            self.next()
-            amount = self.number()
-            if self.starts_expr():
-                return A.Reward(span=sp, amount=amount, body=self.parse_expr_no_seq())
-            return A.Reward(span=sp, amount=amount, body=None)
-        if self.at("kw", "flip"):
-            self.next()
-            theta = self.number()
-            if not 0.0 <= theta <= 1.0:
-                self.error(f"flip bias {theta} outside [0, 1]", sp)
-            return A.Flip(span=sp, theta=theta)
-        if self.at("kw", "return"):
-            self.next()
-            return A.Return(span=sp, pure=self.term())
-        if self.at("kw", "loop"):
-            self.next()
-            count = self.loop_count()
-            self.expect("sym", "{")
-            body = self.parse_expr()
-            self.expect("sym", "}")
-            return A.Loop(span=sp, count=count, body=body)
-        if self.at("sym", "["):
-            return self.parse_choice_intro()
-        if self.at("kw", "disc"):
-            return self.parse_disc()
-        if self.at("sym", "("):
-            if self.at("sym", ")", ahead=1):
-                self.next()
-                self.next()
-                return A.Unit(span=sp)
-            # could be a parenthesized expression or a pure term; expressions
-            # subsume pures via return-promotion, but a pure may continue with
-            # a binary operator after the closing paren.
-            start = self.pos
-            self.next()
-            inner = self.parse_expr()
-            self.expect("sym", ")")
-            if isinstance(inner, A.Return) and (self.at("sym", "&&") or self.at("sym", "||")):
-                self.pos = start
-                return A.Return(span=sp, pure=self.term())
-            return inner
-        if self.at("ident") or self.at("kw", "tt") or self.at("kw", "ff") \
-                or self.at("kw", "true") or self.at("kw", "false") or self.at("sym", "!"):
-            return A.Return(span=sp, pure=self.term())
-        self.error(f"expected an expression, found {self.peek().text!r}")
+        tok = self.tokens[self.pos]
+        rule = _RULES.get(tok[1])
+        if rule is not None:
+            return rule(self)
+        return self.parse_name(tok)
 
-    def starts_expr(self) -> bool:
-        if self.at("ident"):
-            return True
-        if self.at("sym") and self.peek().text in ("[", "(", "!"):
-            return True
-        if self.at("kw") and self.peek().text in (
-            "if", "choose", "observe", "reward", "return", "flip", "loop",
-            "disc", "tt", "ff", "true", "false",
-        ):
-            return True
-        return False
+    def parse_name(self, tok) -> A.Return:
+        if tok[0] != "ident":
+            self.error(f"expected an expression, found {tok[1]!r}")
+        return self.parse_return()
 
-    def parse_ite(self) -> A.Expr:
+    def parse_bind(self) -> A.Bind:
         sp = self.span()
-        self.expect("kw", "if")
-        if self.at("sym", "["):
+        name = self.tokens[self.pos][1]
+        self.pos += 2  # the name and '<-'
+        value = self.parse_expr_no_seq()
+        self.expect("sym", ";")
+        return A.Bind(span=sp, name=name, value=value, body=self.parse_expr())
+
+    def parse_observe(self) -> A.Observe:
+        sp = self.span()
+        self.pos += 1
+        guard = self.term()
+        self.expect("sym", ";")
+        return A.Observe(span=sp, guard=guard, body=self.parse_expr())
+
+    def parse_reward(self) -> A.Reward:
+        sp = self.span()
+        self.pos += 1
+        amount = self.number()
+        tok = self.tokens[self.pos]
+        if tok[0] == "ident" or tok[1] in _SEQ_RULES:
+            return A.Reward(span=sp, amount=amount, body=self.parse_expr_no_seq())
+        return A.Reward(span=sp, amount=amount, body=None)
+
+    def parse_flip(self) -> A.Flip:
+        sp = self.span()
+        self.pos += 1
+        theta = self.number()
+        if not 0.0 <= theta <= 1.0:
+            self.error(f"flip bias {theta} outside [0, 1]", sp)
+        return A.Flip(span=sp, theta=theta)
+
+    def parse_return(self) -> A.Return:
+        """``'return' pure``, or a bare pure, which means the same."""
+        sp = self.span()
+        if self.tokens[self.pos][1] == "return":
+            self.pos += 1
+        return A.Return(span=sp, pure=self.term())
+
+    def parse_loop(self) -> A.Loop:
+        sp = self.span()
+        self.pos += 1
+        count = self.loop_count()
+        self.expect("sym", "{")
+        body = self.parse_expr()
+        self.expect("sym", "}")
+        return A.Loop(span=sp, count=count, body=body)
+
+    def parse_paren(self) -> A.Expr:
+        sp = self.span()
+        start = self.pos
+        self.pos += 1
+        if self.tokens[self.pos][1] == ")":
+            self.pos += 1
+            return A.Unit(span=sp)
+        # could be a parenthesized expression or a pure term; expressions
+        # subsume pures via return-promotion, but a pure may continue with
+        # a binary operator after the closing paren.
+        inner = self.parse_expr()
+        self.expect("sym", ")")
+        if isinstance(inner, A.Return) and self.tokens[self.pos][1] in ("&&", "||"):
+            self.pos = start
+            return A.Return(span=sp, pure=self.term())
+        return inner
+
+    def parse_ite(self) -> A.Ite:
+        sp = self.span()
+        self.pos += 1
+        if self.tokens[self.pos][1] == "[":
             # decision guard: a one-alternative choice introduction
             intro = self.parse_choice_intro()
             if len(intro.names) != 1:
@@ -140,21 +148,22 @@ class Parser(TokenParser):
         els = self.parse_expr_no_seq()
         return A.Ite(span=sp, guard=guard, then=then, els=els)
 
-    def parse_choose(self) -> A.Expr:
+    def parse_choose(self) -> A.Choose:
         sp = self.span()
-        self.expect("kw", "choose")
-        if self.at("sym", "["):
+        self.pos += 1
+        text = self.tokens[self.pos][1]
+        if text == "[":
             scrut = self.parse_choice_intro()
-        elif self.at("kw", "disc"):
+        elif text == "disc":
             scrut = self.parse_disc()
         else:
-            scrut = A.ScrutVar(span=self.span(), name=self.expect("ident").text)
-        if self.at("kw", "with"):  # optional ML-style keyword before the arms
-            self.next()
+            scrut = A.ScrutVar(span=self.span(), name=self.expect("ident")[1])
+        if self.tokens[self.pos][1] == "with":  # optional ML-style keyword before the arms
+            self.pos += 1
         arms = []
-        while self.at("sym", "|"):
-            self.next()
-            name = self.expect("ident").text
+        while self.tokens[self.pos][1] == "|":
+            self.pos += 1
+            name = self.expect("ident")[1]
             self.expect("sym", "->")
             arms.append((name, self.parse_expr_no_seq()))
         if not arms:
@@ -163,7 +172,7 @@ class Parser(TokenParser):
 
     def parse_choice_intro(self) -> A.ChoiceIntro:
         sp = self.span()
-        self.expect("sym", "[")
+        self.pos += 1
         names = self.names()
         self.expect("sym", "]")
         if len(set(names)) != len(names):
@@ -173,6 +182,23 @@ class Parser(TokenParser):
     def parse_disc(self) -> A.Disc:
         sp = self.span()
         return A.Disc(span=sp, pairs=self.disc_pairs(sp))
+
+
+# the rule each token text starts, where a sequence cannot stand
+_RULES = {
+    "if": Parser.parse_ite,
+    "choose": Parser.parse_choose,
+    "reward": Parser.parse_reward,
+    "flip": Parser.parse_flip,
+    "return": Parser.parse_return,
+    "loop": Parser.parse_loop,
+    "[": Parser.parse_choice_intro,
+    "disc": Parser.parse_disc,
+    "(": Parser.parse_paren,
+    **dict.fromkeys(("tt", "ff", "true", "false", "!"), Parser.parse_return),
+}
+# where one can
+_SEQ_RULES = {**_RULES, "observe": Parser.parse_observe}
 
 
 def parse(source: str) -> A.Expr:

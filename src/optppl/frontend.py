@@ -1,7 +1,8 @@
 """What the dappl and pineappl front ends share.
 
-Source positions, the lexer, a recursive-descent base class over its tokens
-with the rules both grammars spell the same way, the Boolean term language
+Source positions, the lexer and its ``(kind, text, line, col)`` token
+tuples, a recursive-descent base class that reads them by index with the
+rules both grammars spell the same way, the Boolean term language
 (its AST, grammar, variables and compilation to a BDD), and the flip-chain
 encoding of categoricals.  Each language adds its own statements or
 effectful terms, keyword and symbol tables, and error class.
@@ -102,25 +103,13 @@ class SourceSyntaxError(Exception):
         self.col = col
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r})"
-
-
 @functools.lru_cache(maxsize=32)
 def _token_regex(symbols: tuple, digits: str, numerals: str):
     """The lexer's one regex for a symbol table.
 
     Each match skips the blanks before one token, a newline or a comment;
-    its named groups are tried in order.
+    its numbered groups are tried in order: a newline, a comment, a number,
+    a word, a symbol, and any other character.
 
     ``\\d`` is ``str.isdecimal`` and ``\\w`` is ``str.isalnum`` or ``_``, so
     ``digits`` adds the characters ``str.isdigit`` accepts beyond ``\\d``, and
@@ -130,23 +119,23 @@ def _token_regex(symbols: tuple, digits: str, numerals: str):
     digit = r"\d" + re.escape(digits)
     not_numeral = f"(?![{re.escape(numerals)}])" if numerals else ""
     return re.compile(
-        rf"[ \t\r]*(?:(?P<nl>\n)|(?P<comment>//[^\n]*)"
-        rf"|(?P<num>\.?[{digit}][{digit}.]*)"
-        rf"|(?P<word>{not_numeral}[^\W\d]\w*)"
-        rf"|(?P<sym>{'|'.join(map(re.escape, symbols))})"
-        rf"|(?P<bad>[^ \t\r]))"
+        rf"[ \t\r]*(?:(\n)|(//[^\n]*)"
+        rf"|(\.?[{digit}][{digit}.]*)"
+        rf"|({not_numeral}[^\W\d]\w*)"
+        rf"|({'|'.join(map(re.escape, symbols))})"
+        rf"|([^ \t\r]))"
     )
 
 
 def tokenize(source: str, keywords, symbols, error) -> list:
-    """Split ``source`` into num/kw/ident/sym tokens, ending with an eof token.
+    """Split ``source`` into ``(kind, text, line, col)`` tuples, the last of kind eof.
 
-    A number starts with a digit (``str.isdigit``) or a dot and a digit and
-    runs over digits and dots; a name starts with a letter (``str.isalpha``)
-    or ``_`` and runs over ``str.isalnum`` characters and ``_``.
-    ``symbols`` are tried in order, so a longer symbol must precede its
-    prefixes; ``//`` starts a line comment.  An unknown character raises
-    ``error(message, line, col)``.
+    A kind is num, kw, ident or sym.  A number starts with a digit
+    (``str.isdigit``) or a dot and a digit and runs over digits and dots; a
+    name starts with a letter (``str.isalpha``) or ``_`` and runs over
+    ``str.isalnum`` characters and ``_``.  ``symbols`` are tried in order,
+    so a longer symbol must precede its prefixes; ``//`` starts a line
+    comment.  An unknown character raises ``error(message, line, col)``.
     """
     digits = numerals = ""
     if not source.isascii():
@@ -154,28 +143,37 @@ def tokenize(source: str, keywords, symbols, error) -> list:
         digits = "".join(c for c in wide if c.isdigit() and not c.isdecimal())
         numerals = "".join(c for c in wide if c.isnumeric() and not (c.isdigit() or c.isalpha()))
     tokens = []
-    line, line_start, m = 1, 0, None
+    append = tokens.append
+    # a column is an offset less the offset just before its line
+    line, before_line, m = 1, -1, None
     for m in _token_regex(tuple(symbols), digits, numerals).finditer(source):
-        kind = m.lastgroup
-        if kind == "nl":
+        group = m.lastindex
+        if group == 4:
+            text = m[4]
+            append(("kw" if text in keywords else "ident", text, line, m.start(4) - before_line))
+        elif group == 5:
+            append(("sym", m[5], line, m.start(5) - before_line))
+        elif group == 1:
             line += 1
-            line_start = m.end()
-        elif kind != "comment":
-            text = m.group(kind)
-            col = m.start(kind) - line_start + 1
-            if kind == "word":
-                kind = "kw" if text in keywords else "ident"
-            elif kind == "bad":
-                raise error(f"unexpected character {text!r}", line, col)
-            tokens.append(Token(kind, text, line, col))
+            before_line = m.end() - 1
+        elif group == 3:
+            append(("num", m[3], line, m.start(3) - before_line))
+        elif group == 6:
+            raise error(f"unexpected character {m[6]!r}", line, m.start(6) - before_line)
     # the column does not move over a comment, which ends its line
-    end = m.start("comment") if m is not None and m.lastgroup == "comment" else len(source)
-    tokens.append(Token("eof", "", line, end - line_start + 1))
+    end = m.start(2) if m is not None and m.lastindex == 2 else len(source)
+    append(("eof", "", line, end - before_line))
     return tokens
 
 
 class TokenParser:
-    """Recursive-descent base; a language sets ``KEYWORDS``, ``SYMBOLS``, ``Error``."""
+    """Recursive-descent base; a language sets ``KEYWORDS``, ``SYMBOLS``, ``Error``.
+
+    ``tokens`` is :func:`tokenize`'s list and ``pos`` the index of the next
+    token, which never passes the eof token.  The rules tell a keyword or a
+    symbol by its text alone: no name or number spells one, and eof's text
+    is empty.
+    """
 
     KEYWORDS: frozenset
     SYMBOLS: tuple
@@ -187,65 +185,49 @@ class TokenParser:
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self, ahead=0) -> Token:
-        # pos never passes the eof token, so ahead == 0 needs no clamp
-        if not ahead:
-            return self.tokens[self.pos]
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
+    def expect(self, kind, text=None) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            self.error(f"expected {text or kind!r}, found {tok[1]!r}")
+        if kind != "eof":
             self.pos += 1
         return tok
 
-    def at(self, kind, text=None, ahead=0) -> bool:
-        tok = self.peek(ahead) if ahead else self.tokens[self.pos]
-        return tok.kind == kind and (text is None or tok.text == text)
-
-    def expect(self, kind, text=None) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            self.error(f"expected {want!r}, found {tok.text!r}")
-        return self.next()
-
     def span(self) -> Span:
-        tok = self.peek()
-        return Span(tok.line, tok.col)
+        tok = self.tokens[self.pos]
+        return Span(tok[2], tok[3])
 
     def error(self, message, where=None):
-        """Raise ``Error`` at ``where`` (a token or span), else at the next token."""
+        """Raise ``Error`` at ``where`` (a span), else at the next token."""
         if where is None:
-            where = self.peek()
+            where = self.span()
         raise self.Error(message, where.line, where.col)
 
     # -- shared rules ---------------------------------------------------------
 
     def number(self) -> float:
-        neg = False
-        if self.at("sym", "-"):
-            self.next()
-            neg = True
+        neg = self.tokens[self.pos][1] == "-"
+        if neg:
+            self.pos += 1
         tok = self.expect("num")
         try:
-            value = float(tok.text)
+            value = float(tok[1])
         except ValueError:
-            self.error(f"bad number {tok.text!r}", tok)
+            self.error(f"bad number {tok[1]!r}", Span(tok[2], tok[3]))
         return -value if neg else value
 
     def loop_count(self) -> int:
         tok = self.expect("num")
-        if "." in tok.text:
-            self.error("loop bound must be an integer", tok)
-        return int(tok.text)
+        if "." in tok[1]:
+            self.error("loop bound must be an integer", Span(tok[2], tok[3]))
+        return int(tok[1])
 
     def names(self) -> tuple:
         """``IDENT (',' IDENT)*``"""
-        names = [self.expect("ident").text]
-        while self.at("sym", ","):
-            self.next()
-            names.append(self.expect("ident").text)
+        names = [self.expect("ident")[1]]
+        while self.tokens[self.pos][1] == ",":
+            self.pos += 1
+            names.append(self.expect("ident")[1])
         return tuple(names)
 
     def disc_pairs(self, sp: Span) -> tuple:
@@ -257,12 +239,12 @@ class TokenParser:
         self.expect("sym", "[")
         pairs = []
         while True:
-            name = self.expect("ident").text
+            name = self.expect("ident")[1]
             self.expect("sym", ":")
             pairs.append((name, self.number()))
-            if not self.at("sym", ","):
+            if self.tokens[self.pos][1] != ",":
                 break
-            self.next()
+            self.pos += 1
         self.expect("sym", "]")
         if len({name for name, _ in pairs}) != len(pairs):
             self.error("duplicate outcome names", sp)
@@ -278,12 +260,11 @@ class TokenParser:
             unary := '!' unary | atom
             atom  := IDENT | 'tt' | 'ff' | 'true' | 'false' | '(' term ')'
 
-        A language adds atoms by extending :meth:`term_atom`.  Only a symbol
-        token can spell an operator or a parenthesis, and both languages make
-        the literals keywords, so the rules test a token's text alone.
+        A language adds atoms by extending :meth:`term_atom`.  Both languages
+        make the literals keywords.
         """
         left = self.term_and()
-        while self.tokens[self.pos].text == "||":
+        while self.tokens[self.pos][1] == "||":
             sp = self.span()
             self.pos += 1
             left = Or(span=sp, left=left, right=self.term_and())
@@ -291,34 +272,34 @@ class TokenParser:
 
     def term_and(self) -> Term:
         left = self.term_unary()
-        while self.tokens[self.pos].text == "&&":
+        while self.tokens[self.pos][1] == "&&":
             sp = self.span()
             self.pos += 1
             left = And(span=sp, left=left, right=self.term_unary())
         return left
 
     def term_unary(self) -> Term:
-        tok = self.tokens[self.pos]
-        sp = Span(tok.line, tok.col)
-        if tok.text == "!":
+        _, text, line, col = self.tokens[self.pos]
+        sp = Span(line, col)
+        if text == "!":
             self.pos += 1
             return Not(span=sp, operand=self.term_unary())
         return self.term_atom(sp)
 
     def term_atom(self, sp: Span) -> Term:
-        tok = self.tokens[self.pos]
-        if tok.kind == "ident":
+        kind, text, _, _ = self.tokens[self.pos]
+        if kind == "ident":
             self.pos += 1
-            return Var(span=sp, name=tok.text)
-        if tok.text in _LITERALS:
+            return Var(span=sp, name=text)
+        if text in _LITERALS:
             self.pos += 1
-            return Lit(span=sp, value=_LITERALS[tok.text])
-        if tok.text == "(":
+            return Lit(span=sp, value=_LITERALS[text])
+        if text == "(":
             self.pos += 1
             inner = self.term()
             self.expect("sym", ")")
             return inner
-        self.error(f"expected a Boolean term, found {tok.text!r}")
+        self.error(f"expected a Boolean term, found {text!r}")
 
 
 _LITERALS = {"tt": True, "true": True, "ff": False, "false": False}

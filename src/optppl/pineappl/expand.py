@@ -1,14 +1,16 @@
 """Program normalization: loop unrolling, categorical sugar, hygienic renaming.
 
-Loops are macro-expanded; rebindings (which loops rely on) are then made
-unique by a versioning pass that renames every repeated binding and rewrites
-later references to the newest version.  Branches of an ``if`` version
-independently and are reconciled by join-point assignments after the
-statement: a name bound in either branch gets a fresh joined definition
-``(guard && then-version) || (!guard && else-version)``, falling back to the
-pre-branch version for the side that did not bind it.  A name bound on only
-one side with no prior definition is poisoned: referencing it later is an
-error.
+One walk over the statements in program order does all of it.  A loop's
+body is renamed once per iteration; a categorical becomes its chain of
+flips where it stands; every rebinding (which loops rely on) is made unique
+by versioning, and later references are rewritten to the newest version.
+Branches of an ``if`` version independently and are reconciled by
+join-point assignments after the statement: a name bound in either branch
+gets a fresh joined definition ``(guard && then-version) || (!guard &&
+else-version)``, falling back to the pre-branch version for the side that
+did not bind it.  A name bound on only one side with no prior definition is
+poisoned: referencing it later is an error.  Observed expressions are
+checked against the mmap outputs bound so far as the walk reaches them.
 
 After expansion all names are unique, every reference is to the newest
 version, and statements are flips, assignments, flat ifs, and mmaps only.
@@ -104,6 +106,7 @@ class _Renamer:
         raise PineapplExpandError(f"bad expression {e!r}")
 
     def rename_stmts(self, stmts: list, env: dict) -> list:
+        """Rename ``stmts`` in ``env``, unrolling loops and expanding categoricals."""
         out = []
         for stmt in stmts:
             if isinstance(stmt, A.SFlip):
@@ -113,20 +116,67 @@ class _Renamer:
             elif isinstance(stmt, A.SAssign):
                 value = self.rename_expr(stmt.value, env)
                 out.append(A.SAssign(span=stmt.span, name=self.bind(env, stmt.name), value=value))
+            elif isinstance(stmt, A.SIf):
+                out.extend(self.rename_if(stmt, env))
+            elif isinstance(stmt, A.SLoop):
+                if stmt.count < 1:
+                    raise PineapplExpandError(
+                        f"loop bound must be at least 1, got {stmt.count}", stmt.span
+                    )
+                for _ in range(stmt.count):
+                    out.extend(self.rename_stmts(stmt.body, env))
             elif isinstance(stmt, A.SMmap):
                 queried = tuple(self.lookup(env, q, stmt.span) for q in stmt.queried)
-                evidence = None
-                if stmt.evidence is not None:
-                    evidence = self.rename_expr(stmt.evidence, env)
+                evidence = self.rename_observed(stmt.evidence, env, "mmap")
                 outputs = tuple(self.bind(env, o) for o in stmt.outputs)
                 self.mmap_bound.update(outputs)
                 out.append(
                     A.SMmap(span=stmt.span, outputs=outputs, queried=queried, evidence=evidence)
                 )
-            elif isinstance(stmt, A.SIf):
-                out.extend(self.rename_if(stmt, env))
+            elif isinstance(stmt, A.SDisc):
+                out.extend(self.rename_disc(stmt, env))
             else:
                 raise PineapplExpandError(f"unexpected statement {stmt!r}", stmt.span)
+        return out
+
+    def rename_observed(self, e, env: dict, where: str):
+        """Rename evidence ``e`` (or None), which may not read an mmap output."""
+        if e is None:
+            return None
+        e = self.rename_expr(e, env)
+        bad = term_vars(e) & self.mmap_bound
+        if bad:
+            raise PineapplExpandError(
+                f"observed expression in {where} references mmap-bound "
+                f"variable(s): {', '.join(sorted(bad))}"
+            )
+        return e
+
+    def rename_disc(self, stmt: A.SDisc, env: dict) -> list:
+        """One-hot encode a categorical with a chain of flips.
+
+        Outcome ``o`` of ``x`` is the name ``x$o``, and its flip ``x$o$flip``.
+        """
+        try:
+            biases = chain_biases([p for _, p in stmt.pairs])
+        except ValueError as exc:
+            raise PineapplExpandError(f"{stmt.name!r}: {exc}", stmt.span) from None
+        out, flips = [], []
+        for (outcome, _), theta in zip(stmt.pairs, biases):
+            flip = self.bind(env, f"{stmt.name}${outcome}$flip")
+            out.append(A.SFlip(span=stmt.span, name=flip, theta=theta))
+            flips.append(flip)
+        prefix: A.Term | None = None
+        for (outcome, _), flip in zip(stmt.pairs, flips):
+            hit = A.Var(name=flip)
+            indicator = hit if prefix is None else A.And(left=prefix, right=hit)
+            name = self.bind(env, f"{stmt.name}${outcome}")
+            out.append(A.SAssign(span=stmt.span, name=name, value=indicator))
+            miss = A.Not(operand=A.Var(name=flip))
+            prefix = miss if prefix is None else A.And(left=prefix, right=miss)
+        name = self.bind(env, f"{stmt.name}${stmt.pairs[-1][0]}")
+        value = prefix if prefix is not None else A.Lit(value=True)
+        out.append(A.SAssign(span=stmt.span, name=name, value=value))
         return out
 
     def rename_arm(self, stmts: list, env: dict):
@@ -190,121 +240,25 @@ class _Renamer:
         return out
 
 
-def _unroll(stmts: list) -> list:
-    out = []
-    for stmt in stmts:
-        if isinstance(stmt, A.SLoop):
-            if stmt.count < 1:
-                raise PineapplExpandError(
-                    f"loop bound must be at least 1, got {stmt.count}", stmt.span
-                )
-            # the later passes build new nodes and never mutate their input,
-            # so every iteration can share the body's statements
-            out.extend(_unroll(stmt.body) * stmt.count)
-        elif isinstance(stmt, A.SIf):
-            out.append(
-                A.SIf(
-                    span=stmt.span,
-                    guard=stmt.guard,
-                    then=_unroll(stmt.then),
-                    els=_unroll(stmt.els),
-                )
-            )
-        else:
-            out.append(stmt)
-    return out
-
-
-def _desugar_disc(stmts: list) -> list:
-    """One-hot encode categorical assignments with a chain of flips."""
-    out = []
-    for stmt in stmts:
-        if isinstance(stmt, A.SDisc):
-            try:
-                biases = chain_biases([p for _, p in stmt.pairs])
-            except ValueError as exc:
-                raise PineapplExpandError(f"{stmt.name!r}: {exc}", stmt.span) from None
-            chain = []
-            for (outcome, _), theta in zip(stmt.pairs, biases):
-                flip_name = f"{stmt.name}${outcome}$flip"
-                out.append(A.SFlip(span=stmt.span, name=flip_name, theta=theta))
-                chain.append((outcome, flip_name))
-            prefix: A.Term | None = None
-            for outcome, flip_name in chain:
-                hit = A.Var(name=flip_name)
-                indicator = hit if prefix is None else A.And(left=prefix, right=hit)
-                out.append(A.SAssign(span=stmt.span, name=f"{stmt.name}${outcome}", value=indicator))
-                miss = A.Not(operand=A.Var(name=flip_name))
-                prefix = miss if prefix is None else A.And(left=prefix, right=miss)
-            last_outcome = stmt.pairs[-1][0]
-            out.append(
-                A.SAssign(
-                    span=stmt.span,
-                    name=f"{stmt.name}${last_outcome}",
-                    value=prefix if prefix is not None else A.Lit(value=True),
-                )
-            )
-        elif isinstance(stmt, A.SIf):
-            out.append(
-                A.SIf(
-                    span=stmt.span,
-                    guard=stmt.guard,
-                    then=_desugar_disc(stmt.then),
-                    els=_desugar_disc(stmt.els),
-                )
-            )
-        else:
-            out.append(stmt)
-    return out
-
-
 def expand(program: A.Program) -> A.Program:
     """Unroll loops, desugar categoricals, rename, insert join points.
 
     Also enforces that no observed expression references an mmap-bound
-    variable, and rewrites queries to the final version of each name.
+    variable, and rewrites queries to the final version of each name.  One
+    walk does all of it, statements then queries in program order, so the
+    error it raises is the program's first.
     """
-    stmts = _desugar_disc(_unroll(program.statements))
     renamer = _Renamer()
     env: dict = {}
-    stmts = renamer.rename_stmts(stmts, env)
+    stmts = renamer.rename_stmts(program.statements, env)
     queries = []
     for q in program.queries:
         if isinstance(q, A.QPr):
             expr = renamer.rename_expr(q.expr, env)
-            evidence = (
-                None if q.evidence is None else renamer.rename_expr(q.evidence, env)
-            )
+            evidence = renamer.rename_observed(q.evidence, env, "query")
             queries.append(A.QPr(expr=expr, evidence=evidence, text=q.text))
         else:
             queried = tuple(renamer.lookup(env, name, A.NO_SPAN) for name in q.queried)
-            evidence = (
-                None if q.evidence is None else renamer.rename_expr(q.evidence, env)
-            )
+            evidence = renamer.rename_observed(q.evidence, env, "query")
             queries.append(A.QMmap(queried=queried, evidence=evidence, text=q.text))
-    expanded = A.Program(statements=stmts, queries=queries)
-    _check_evidence_restriction(expanded, renamer.mmap_bound)
-    return expanded
-
-
-def _check_evidence_restriction(program: A.Program, mmap_bound: set):
-    def check_expr(e, where):
-        bad = term_vars(e) & mmap_bound
-        if bad:
-            raise PineapplExpandError(
-                f"observed expression in {where} references mmap-bound "
-                f"variable(s): {', '.join(sorted(bad))}"
-            )
-
-    def walk(stmts):
-        for stmt in stmts:
-            if isinstance(stmt, A.SMmap) and stmt.evidence is not None:
-                check_expr(stmt.evidence, "mmap")
-            elif isinstance(stmt, A.SIf):
-                walk(stmt.then)
-                walk(stmt.els)
-
-    walk(program.statements)
-    for q in program.queries:
-        if q.evidence is not None:
-            check_expr(q.evidence, "query")
+    return A.Program(statements=stmts, queries=queries)

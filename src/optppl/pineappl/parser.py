@@ -36,8 +36,8 @@ class Parser(TokenParser):
     Error = PineapplSyntaxError
 
     def skip_semis(self):
-        while self.at("sym", ";"):
-            self.next()
+        while self.tokens[self.pos][1] == ";":
+            self.pos += 1
 
     # -- program ------------------------------------------------------------
 
@@ -45,8 +45,8 @@ class Parser(TokenParser):
         statements = []
         queries = []
         self.skip_semis()
-        while not self.at("eof"):
-            if self.at("kw", "pr") or self.at("kw", "mmap"):
+        while self.tokens[self.pos][0] != "eof":
+            if self.tokens[self.pos][1] in ("pr", "mmap"):
                 # a bare mmap(...) is a terminal query; an mmap *statement*
                 # always starts with its binding target
                 queries.append(self.parse_query())
@@ -62,31 +62,33 @@ class Parser(TokenParser):
     # -- statements -----------------------------------------------------------
 
     def parse_stmt(self) -> A.Stmt:
-        sp = self.span()
-        if self.at("kw", "if"):
+        text = self.tokens[self.pos][1]
+        if text == "if":
             return self.parse_if()
-        if self.at("kw", "loop"):
-            self.next()
+        sp = self.span()
+        if text == "loop":
+            self.pos += 1
             return A.SLoop(span=sp, count=self.loop_count(), body=self.parse_block())
-        if self.at("sym", "("):
-            self.next()
+        if text == "(":
+            self.pos += 1
             outs = self.names()
             self.expect("sym", ")")
             self.expect("sym", "=")
             return self.parse_mmap_rhs(sp, outs)
-        name_tok = self.expect("ident")
+        name = self.expect("ident")[1]
         self.expect("sym", "=")
-        if self.at("kw", "flip"):
-            self.next()
+        text = self.tokens[self.pos][1]
+        if text == "flip":
+            self.pos += 1
             theta = self.number()
             if not 0.0 <= theta <= 1.0:
-                self.error(f"flip bias {theta} outside [0, 1]", name_tok)
-            return A.SFlip(span=sp, name=name_tok.text, theta=theta)
-        if self.at("kw", "disc"):
-            return A.SDisc(span=sp, name=name_tok.text, pairs=self.disc_pairs(sp))
-        if self.at("kw", "mmap"):
-            return self.parse_mmap_rhs(sp, (name_tok.text,))
-        return A.SAssign(span=sp, name=name_tok.text, value=self.term())
+                self.error(f"flip bias {theta} outside [0, 1]", sp)
+            return A.SFlip(span=sp, name=name, theta=theta)
+        if text == "disc":
+            return A.SDisc(span=sp, name=name, pairs=self.disc_pairs(sp))
+        if text == "mmap":
+            return self.parse_mmap_rhs(sp, (name,))
+        return A.SAssign(span=sp, name=name, value=self.term())
 
     def parse_mmap_rhs(self, sp, outs) -> A.SMmap:
         queried, evidence = self.parse_mmap_call()
@@ -103,9 +105,9 @@ class Parser(TokenParser):
         return queried, self.parse_with()
 
     def parse_with(self):
-        if not self.at("kw", "with"):
+        if self.tokens[self.pos][1] != "with":
             return None
-        self.next()
+        self.pos += 1
         self.expect("sym", "{")
         expr = self.term()
         self.expect("sym", "}")
@@ -117,9 +119,9 @@ class Parser(TokenParser):
         guard = self.term()
         then = self.parse_block()
         els = []
-        if self.at("kw", "else"):
-            self.next()
-            if self.at("kw", "if"):
+        if self.tokens[self.pos][1] == "else":
+            self.pos += 1
+            if self.tokens[self.pos][1] == "if":
                 els = [self.parse_if()]
             else:
                 els = self.parse_block()
@@ -129,7 +131,7 @@ class Parser(TokenParser):
         self.expect("sym", "{")
         stmts = []
         self.skip_semis()
-        while not self.at("sym", "}"):
+        while self.tokens[self.pos][1] != "}":
             stmts.append(self.parse_stmt())
             self.skip_semis()
         self.expect("sym", "}")
@@ -139,8 +141,8 @@ class Parser(TokenParser):
 
     def parse_query(self):
         start = self.pos
-        if self.at("kw", "pr"):
-            self.next()
+        if self.tokens[start][1] == "pr":
+            self.pos += 1
             self.expect("sym", "(")
             expr = self.term()
             self.expect("sym", ")")
@@ -150,17 +152,16 @@ class Parser(TokenParser):
         return A.QMmap(queried=queried, evidence=evidence, text=self._slice(start))
 
     def _slice(self, start):
-        return " ".join(tok.text for tok in self.tokens[start:self.pos])
+        return " ".join(tok[1] for tok in self.tokens[start:self.pos])
 
     # -- expressions ----------------------------------------------------------------
 
     def term_atom(self, sp):
         # an ident token is never the last one, and only the keyword spells "is"
-        pos = self.pos
-        if self.tokens[pos].kind == "ident" and self.tokens[pos + 1].text == "is":
-            name = self.tokens[pos].text
+        tokens, pos = self.tokens, self.pos
+        if tokens[pos][0] == "ident" and tokens[pos + 1][1] == "is":
             self.pos += 2
-            return A.EIs(span=sp, name=name, outcome=self.expect("ident").text)
+            return A.EIs(span=sp, name=tokens[pos][1], outcome=self.expect("ident")[1])
         return super().term_atom(sp)
 
 

@@ -21,7 +21,7 @@ from optppl.pineappl import (
 )
 from optppl.pineappl import ast as P
 from optppl.pineappl.compile import Compiler
-from optppl.pineappl.expand import _Renamer, _unroll
+from optppl.pineappl.expand import _Renamer
 
 from optppl.gen import gen_nested_mmap
 
@@ -149,7 +149,8 @@ class TestExpansion:
         # later if copied and scanned a scope that grew with the program
         def scope(n):
             env = {}
-            _Renamer().rename_stmts(_unroll(parse(gen_nested_mmap(n)).statements), env)
+            # the renamer unrolls the generator's loop itself
+            _Renamer().rename_stmts(parse(gen_nested_mmap(n)).statements, env)
             return env
 
         small, large = scope(10), scope(200)
@@ -186,6 +187,23 @@ class TestExpansion:
             expand(parse("x = flip 0.5; m = mmap(x); pr(x) with { m }"))
         with pytest.raises(PineapplExpandError):
             expand(parse("x = flip 0.5; m = mmap(x); y = flip 0.5; n = mmap(y) with { m }; pr(x)"))
+
+    @pytest.mark.parametrize("source, message", [
+        # an unbound name before a bad loop bound
+        ("y = z; loop 0 { x = flip 0.5; } pr(y)", r"unbound variable 'z' \(line 1, column 5\)"),
+        ("loop 0 { x = flip 0.5; } y = z; pr(y)",
+         r"loop bound must be at least 1, got 0 \(line 1, column 1\)"),
+        # a bad categorical before an unbound name, inside a loop's body
+        ("loop 2 { w = disc[a: 0.5, b: 0.6]; y = z; } pr(tt)", "'w': categorical"),
+        # evidence on an mmap output before an unbound name in a later query
+        ("x = flip 0.5; m = mmap(x); pr(x) with { m } pr(z)",
+         "observed expression in query references mmap-bound variable"),
+        ("x = flip 0.5; m = mmap(x); n = mmap(x) with { m }; y = z; pr(x)",
+         "observed expression in mmap references mmap-bound variable"),
+    ])
+    def test_expansion_reports_the_first_error_in_program_order(self, source, message):
+        with pytest.raises(PineapplExpandError, match=message):
+            expand(parse(source))
 
     def test_categorical_sugar(self):
         out = run_program("""
