@@ -3,11 +3,11 @@
 An expression compiles to ``(phi, gamma, pending, rewards)``: the trace
 formula for true-returning executions, the accepting formula collecting
 observations, the rewards awaiting discharge, and the set of every reward
-variable introduced in the subexpression.  Conditionals discharge their
-branches' pending rewards inside the guarded disjunct and pin the opposite
-branch's reward variables false, so each model awards exactly the rewards
-of the trace it describes.  Finalization conjoins the remaining pending
-rewards onto ``phi``.
+variable introduced in the subexpression.  A conditional compiles each
+formula as one ``ite`` on its guard; each arm discharges its branch's
+pending rewards and pins the opposite branch's reward variables false, so
+each model awards exactly the rewards of the trace it describes.
+Finalization conjoins the remaining pending rewards onto ``phi``.
 
 Each diagram is built once.  A branch's pinned rewards form a chain of
 negated literals; an ``if`` leaves the chain of its own reward set for the
@@ -367,20 +367,17 @@ class Compiler:
             rewards = t_rs | e_rs
             if rewards:
                 self._pins[rewards] = mgr.apply("and", t_pin, e_pin)
-            not_guard = mgr.negate(guard)
 
             def mux(then_core, else_core):
-                then_part = mgr.conjoin([then_cube, guard, then_core])
-                else_part = mgr.conjoin([else_cube, not_guard, else_core])
-                return mgr.apply("or", then_part, else_part)
+                return mgr.ite(
+                    guard,
+                    mgr.apply("and", then_cube, then_core),
+                    mgr.apply("and", else_cube, else_core),
+                )
 
             phi = mux(t_phi, e_phi)
             trace = mux(t_tr, e_tr) if rewards else TRUE
-            gamma = mgr.apply(
-                "or",
-                mgr.apply("and", guard, t_gam),
-                mgr.apply("and", not_guard, e_gam),
-            )
+            gamma = mgr.ite(guard, t_gam, e_gam)
             return phi, gamma, trace, (), rewards
         if isinstance(e, A.Bind):
             if isinstance(e.value, A.ChoiceIntro):

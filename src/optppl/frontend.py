@@ -4,7 +4,9 @@ Source positions, the lexer and its ``(kind, text, line, col)`` token
 tuples, a recursive-descent base class that reads them by index with the
 rules both grammars spell the same way, the Boolean term language
 (its AST, grammar, variables and compilation to a BDD), and the flip-chain
-encoding of categoricals.  Each language adds its own statements or
+encoding of categoricals.  One term, ``Mux``, has no syntax: pineappl's
+expansion makes its join points of it, and it compiles to one
+``BddManager.ite``.  Each language adds its own statements or
 effectful terms, keyword and symbol tables, and error class.
 """
 
@@ -15,13 +17,24 @@ import re
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
 class Span:
-    line: int = 0
-    col: int = 0
+    """A source position.
+
+    Every AST node has one, so it is a slotted class, cheap to build.  No
+    AST compares spans, and two spans compare by identity.
+    """
+
+    __slots__ = ("line", "col")
+
+    def __init__(self, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
 
     def __str__(self):
         return f"line {self.line}, column {self.col}"
+
+    def __repr__(self):
+        return f"Span(line={self.line}, col={self.col})"
 
 
 NO_SPAN = Span()
@@ -61,6 +74,15 @@ class Not(Term):
     operand: Term = None
 
 
+@dataclass
+class Mux(Term):
+    """If ``guard`` then ``then`` else ``els``; pineappl's join points, with no syntax."""
+
+    guard: Term = None
+    then: Term = None
+    els: Term = None
+
+
 def term_vars(t: Term) -> set:
     """The names a term reads.
 
@@ -73,13 +95,16 @@ def term_vars(t: Term) -> set:
         return term_vars(t.left) | term_vars(t.right)
     if isinstance(t, Not):
         return term_vars(t.operand)
+    if isinstance(t, Mux):
+        return term_vars(t.guard) | term_vars(t.then) | term_vars(t.els)
     return set()
 
 
 def compile_term(mgr, t: Term, read) -> int:
     """Compile a term to a BDD in ``mgr``; ``read(name)`` compiles a name.
 
-    The left operand compiles before the right one.
+    The left operand compiles before the right one, and a mux's guard,
+    then and else in that order.
     """
     if isinstance(t, Var):
         return read(t.name)
@@ -91,6 +116,10 @@ def compile_term(mgr, t: Term, read) -> int:
         return mgr.apply("or", compile_term(mgr, t.left, read), compile_term(mgr, t.right, read))
     if isinstance(t, Not):
         return mgr.negate(compile_term(mgr, t.operand, read))
+    if isinstance(t, Mux):
+        guard = compile_term(mgr, t.guard, read)
+        then = compile_term(mgr, t.then, read)
+        return mgr.ite(guard, then, compile_term(mgr, t.els, read))
     raise TypeError(f"not a Boolean term: {t!r}")
 
 

@@ -12,7 +12,7 @@ import itertools
 from typing import Iterable
 
 from .dappl import ast as D
-from .frontend import And, Lit, Not, Or, Term, Var, term_vars
+from .frontend import And, Lit, Mux, Not, Or, Term, Var, term_vars
 from .semiring import NEG_INF
 
 BOT = "bot"
@@ -103,6 +103,8 @@ def eval_term(t: Term, env: dict) -> bool:
         return eval_term(t.left, env) or eval_term(t.right, env)
     if isinstance(t, Not):
         return not eval_term(t.operand, env)
+    if isinstance(t, Mux):
+        return eval_term(t.then if eval_term(t.guard, env) else t.els, env)
     raise OracleError(f"not a Boolean term: {t!r}")
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..frontend import NO_SPAN, And, Lit, Not, Or, Span, Term, Var  # noqa: F401  (expressions)
+from ..frontend import (  # noqa: F401  (expressions)
+    NO_SPAN, And, Lit, Mux, Not, Or, Span, Term, Var,
+)
 
 
 # -- expressions: the shared Boolean terms and a membership test ------------------
@@ -67,6 +69,7 @@ class SDisc(Stmt):
 
 @dataclass
 class QPr:
+    span: Span = field(default=NO_SPAN, repr=False, compare=False)
     expr: Term = None
     evidence: Optional[Term] = None
     text: str = ""  # source rendering for reports
@@ -74,6 +77,7 @@ class QPr:
 
 @dataclass
 class QMmap:
+    span: Span = field(default=NO_SPAN, repr=False, compare=False)
     queried: tuple = ()
     evidence: Optional[Term] = None
     text: str = ""

@@ -6,10 +6,10 @@ flips where it stands; every rebinding (which loops rely on) is made unique
 by versioning, and later references are rewritten to the newest version.
 Branches of an ``if`` version independently and are reconciled by
 join-point assignments after the statement: a name bound in either branch
-gets a fresh joined definition ``(guard && then-version) || (!guard &&
-else-version)``, falling back to the pre-branch version for the side that
-did not bind it.  A name bound on only one side with no prior definition is
-poisoned: referencing it later is an error.  Observed expressions are
+gets a fresh joined definition, the term ``Mux(guard, then-version,
+else-version)`` (one ``ite`` when compiled), falling back to the pre-branch
+version for the side that did not bind it.  A name bound on only one side
+with no prior definition is poisoned: referencing it later is an error.  Observed expressions are
 checked against the mmap outputs bound so far as the walk reaches them.
 
 After expansion all names are unique, every reference is to the newest
@@ -148,7 +148,8 @@ class _Renamer:
         if bad:
             raise PineapplExpandError(
                 f"observed expression in {where} references mmap-bound "
-                f"variable(s): {', '.join(sorted(bad))}"
+                f"variable(s): {', '.join(sorted(bad))}",
+                e.span,
             )
         return e
 
@@ -227,16 +228,8 @@ class _Renamer:
                 self.set(env, name, _POISON)
                 continue
             joined = self.bind(env, name)
-            out.append(
-                A.SAssign(
-                    span=stmt.span,
-                    name=joined,
-                    value=A.Or(
-                        left=A.And(left=guard, right=A.Var(name=tv)),
-                        right=A.And(left=A.Not(operand=guard), right=A.Var(name=ev)),
-                    ),
-                )
-            )
+            value = A.Mux(guard=guard, then=A.Var(name=tv), els=A.Var(name=ev))
+            out.append(A.SAssign(span=stmt.span, name=joined, value=value))
         return out
 
 
@@ -256,9 +249,9 @@ def expand(program: A.Program) -> A.Program:
         if isinstance(q, A.QPr):
             expr = renamer.rename_expr(q.expr, env)
             evidence = renamer.rename_observed(q.evidence, env, "query")
-            queries.append(A.QPr(expr=expr, evidence=evidence, text=q.text))
+            queries.append(A.QPr(span=q.span, expr=expr, evidence=evidence, text=q.text))
         else:
-            queried = tuple(renamer.lookup(env, name, A.NO_SPAN) for name in q.queried)
+            queried = tuple(renamer.lookup(env, name, q.span) for name in q.queried)
             evidence = renamer.rename_observed(q.evidence, env, "query")
-            queries.append(A.QMmap(queried=queried, evidence=evidence, text=q.text))
+            queries.append(A.QMmap(span=q.span, queried=queried, evidence=evidence, text=q.text))
     return A.Program(statements=stmts, queries=queries)

@@ -140,16 +140,16 @@ class Parser(TokenParser):
     # -- queries ---------------------------------------------------------------
 
     def parse_query(self):
-        start = self.pos
+        start, sp = self.pos, self.span()
         if self.tokens[start][1] == "pr":
             self.pos += 1
             self.expect("sym", "(")
             expr = self.term()
             self.expect("sym", ")")
             evidence = self.parse_with()
-            return A.QPr(expr=expr, evidence=evidence, text=self._slice(start))
+            return A.QPr(span=sp, expr=expr, evidence=evidence, text=self._slice(start))
         queried, evidence = self.parse_mmap_call()
-        return A.QMmap(queried=queried, evidence=evidence, text=self._slice(start))
+        return A.QMmap(span=sp, queried=queried, evidence=evidence, text=self._slice(start))
 
     def _slice(self, start):
         return " ".join(tok[1] for tok in self.tokens[start:self.pos])

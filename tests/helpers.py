@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 
 from optppl import EV, EXPECTATION, FALSE, REAL, TRUE, Bbir, BddError, BddManager
-from optppl.frontend import And, Lit, Not, Or, Var
+from optppl.frontend import And, Lit, Mux, Not, Or, Var
 from optppl.pineappl.ast import EIs
 
 
@@ -320,6 +320,9 @@ def render_term(t) -> str:
         return f"({render_term(t.left)} || {render_term(t.right)})"
     if isinstance(t, Not):
         return f"!{render_term(t.operand)}"
+    if isinstance(t, Mux):
+        g = render_term(t.guard)
+        return f"(({g} && {render_term(t.then)}) || (!{g} && {render_term(t.els)}))"
     if isinstance(t, EIs):
         return f"{t.name} is {t.outcome}"
     raise TypeError(f"not a Boolean term: {t!r}")

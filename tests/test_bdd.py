@@ -238,10 +238,43 @@ class TestAndOrKernel:
             mgr.apply(op, vx, vy)
         mgr.condition(mgr.apply("and", vx, vy), y, True)
         mgr.negate(vx)
-        assert all(mgr._apply_caches.values())
+        assert all(mgr._apply_caches.values()) and mgr._ite_cache
         mgr.drop_op_caches()
-        assert not any(mgr._apply_caches.values())
+        assert not any(mgr._apply_caches.values()) and not mgr._ite_cache
         assert not mgr._neg_cache and not mgr._cond_cache
+
+
+class TestIte:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ite_equals_the_and_or_negate_reference(self, seed):
+        rng = random.Random(seed)
+        mgr = BddManager()
+        names = ["a", "b", "c", "d"]
+        ids = dict(zip(names, fresh_vars(mgr, 4)))
+        g, t, e = (build_bdd(mgr, random_formula(rng, names, depth=3), ids) for _ in range(3))
+        triples = [(g, t, e), (g, t, t), (g, g, e), (g, t, g), (g, g, g)]
+        # constant operands in every position
+        for k in range(3):
+            for const in (FALSE, TRUE):
+                triple = [g, t, e]
+                triple[k] = const
+                triples.append(tuple(triple))
+        triples += [(g, TRUE, FALSE), (g, FALSE, TRUE), (g, FALSE, e), (g, t, TRUE)]
+        for triple in triples:
+            assert mgr.ite(*triple) == ite(mgr, *triple)
+
+    def test_iff_and_xor_with_a_constant_operand_add_no_node(self, mgr):
+        x, y = (mgr.mk_var(v) for v in fresh_vars(mgr, 2))
+        x_or_y = mgr.apply("or", x, y)
+        # the absorbing constant gives the negation, built here beforehand
+        not_x_or_y = mgr.negate(x_or_y)
+        before = mgr.num_nodes
+        for a, b in ((x_or_y, TRUE), (FALSE, x_or_y)):
+            assert mgr.apply("iff", a, b) == (x_or_y if TRUE in (a, b) else not_x_or_y)
+            assert mgr.apply("xor", a, b) == (not_x_or_y if TRUE in (a, b) else x_or_y)
+        assert mgr.apply("iff", x_or_y, x_or_y) == TRUE
+        assert mgr.apply("xor", x_or_y, x_or_y) == FALSE
+        assert mgr.num_nodes == before
 
 
 def section2_weights(mgr, ids):

@@ -4,18 +4,25 @@ The lexer and syntax-error tests pin every token's kind, text, line and
 column, and the place of every syntax error the parsers report.
 """
 
+import itertools
+
 import pytest
 
+from optppl import TRUE, BddManager
 from optppl.dappl import DapplSyntaxError
 from optppl.dappl import ast as A
 from optppl.dappl import parse as parse_dappl
 from optppl.dappl.parser import Parser as DapplParser
 from optppl.frontend import (
-    And, Lit, Not, Or, SourceSyntaxError, Var, chain_biases, term_vars, tokenize,
+    And, Lit, Mux, Not, Or, SourceSyntaxError, Var, chain_biases, compile_term, term_vars,
+    tokenize,
 )
+from optppl.oracle import eval_term
 from optppl.pineappl import parse as parse_pineappl
 from optppl.pineappl.ast import EIs
 from optppl.pineappl.parser import Parser as PineapplParser
+
+from helpers import render_term
 
 TERMS = {
     # '!' binds tighter than '&&', which binds tighter than '||'
@@ -53,6 +60,21 @@ def test_only_pineappl_has_membership_tests():
 def test_term_vars():
     assert term_vars(TERMS["a || (b && !(c || d))"]) == {"a", "b", "c", "d"}
     assert term_vars(TERMS["tt || ff"]) == set()
+
+
+def test_mux_reads_compiles_and_evaluates_as_if_then_else():
+    mux = Mux(guard=Var(name="g"), then=Var(name="t"), els=Var(name="e"))
+    assert term_vars(mux) == {"g", "t", "e"}
+    assert render_term(mux) == "((g && t) || (!g && e))"
+    mgr = BddManager()
+    var = {name: mgr.new_var(name) for name in "gte"}
+    root = compile_term(mgr, mux, lambda name: mgr.mk_var(var[name]))
+    for values in itertools.product([False, True], repeat=3):
+        env = dict(zip("gte", values))
+        expected = env["t"] if env["g"] else env["e"]
+        assert eval_term(mux, env) == expected
+        assigned = mgr.condition_all(root, {var[name]: env[name] for name in env})
+        assert (assigned == TRUE) == expected
 
 
 @pytest.mark.parametrize("probs", [[0.5, 0.2], [1.2, -0.2], [0.5, 0.6, -0.1]])

@@ -205,6 +205,21 @@ class TestExpansion:
         with pytest.raises(PineapplExpandError, match=message):
             expand(parse(source))
 
+    @pytest.mark.parametrize("source, message", [
+        ("x = flip 0.5; m = mmap(x); pr(x) with { m }",
+         r"query references mmap-bound variable\(s\): m \(line 1, column 41\)"),
+        # a compound term's span is its operator's
+        ("x = flip 0.5; m = mmap(x);\n  n = mmap(x) with { x && m }; pr(x)",
+         r"mmap references mmap-bound variable\(s\): m \(line 2, column 24\)"),
+    ])
+    def test_evidence_restriction_names_the_evidence_position(self, source, message):
+        with pytest.raises(PineapplExpandError, match=message):
+            expand(parse(source))
+
+    def test_unbound_name_in_a_terminal_mmap_names_the_query_position(self):
+        with pytest.raises(PineapplExpandError, match=r"'z' \(line 2, column 3\)"):
+            expand(parse("x = flip 0.5; pr(x)\n  mmap(x, z) with { x }"))
+
     def test_categorical_sugar(self):
         out = run_program("""
             w = disc[sun: 0.6, rain: 0.3, snow: 0.1];
