@@ -185,6 +185,8 @@ def cmd_bench(args) -> int:
         lo, hi = _parse_range(args.params)
     except ValueError as exc:
         return _fail(USAGE_EXIT, "usage", exc)
+    if args.timeout <= 0:
+        return _fail(USAGE_EXIT, "usage", f"--timeout must be positive, got {args.timeout}")
     try:
         rows = run_bench(
             args.family,
@@ -203,11 +205,12 @@ def cmd_bench(args) -> int:
 
 
 def _parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    """``N`` or ``LO..HI``, both ends included; a reversed range is an error."""
+    lo, sep, hi = text.partition("..")
+    lo, hi = int(lo), int(hi) if sep else int(lo)
+    if lo > hi:
+        raise ValueError(f"reversed parameter range {text!r}")
+    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,15 +27,16 @@ the guard that rules it out.  The dead arm's flips still count, so every
 live flip keeps its label ``f_<theta>#<n>``.  A dead arm that holds an
 ``mmap`` compiles all the same, since its decision is reported.
 
-Definitions are filed into independent components, as knowledge compilers
-decompose a formula: a union-find over variables joins ``x`` with every
-variable of ``phi``.  A staged solve (an ``mmap`` statement or query, or a
-``pr`` query) conjoins only the definitions of the components its variables
-touch, and counts over their variables alone.  This is exact because every
-component has total mass 1: its program variables are defined with unit
-weights and its flips are normalized.  An untouched component thus
-contributes a factor of 1 to every count, and a staged solve costs what its
-own components cost, not what the whole program so far costs.  The
+Each definition records its inputs, the variables it reads.  A staged
+solve (an ``mmap`` statement or query, or a ``pr`` query) conjoins only the
+definitions that its variables depend on: the closure of the queried
+variables and the evidence through those inputs, down to flips.  Every
+definition left out defines a variable that nothing in the closure reads,
+with unit weights on both literals, so summed out newest first each one
+contributes a factor of 1 to every count; flips outside the closure are
+normalized.  This is barren-node removal (Shachter, *Evaluating Influence
+Diagrams*, 1986), and it is exact: a staged solve costs what its own
+dependencies cost, not what the whole program so far costs.  The
 conjunction of all definitions, :attr:`Compiler.constraint`, is built only
 on request.
 """
@@ -75,8 +76,8 @@ class Compiler:
         # an mmap branches on the flip
         self._flip_owner = {}
         self._definitions = []  # the definitions, oldest first
-        self._parent = {}  # union-find over variables
-        self._members = {}  # component root -> indices of its definitions
+        # defined variable -> (index of its definition, the definition's support)
+        self._inputs = {}
         self.decisions = {}
         self.solver_stats = []
         self._flips = 0
@@ -87,32 +88,21 @@ class Compiler:
         """Conjunction of all definitions, built on request; solves never need it."""
         return self._conjoin(range(len(self._definitions)))
 
-    # -- components ----------------------------------------------------------------
-
-    def _find(self, var: int) -> int:
-        parent = self._parent
-        root = parent.setdefault(var, var)
-        while parent[root] != root:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
-        return root
-
-    def _union(self, a: int, b: int):
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return
-        members = self._members
-        ma, mb = members.pop(ra, []), members.pop(rb, [])
-        if len(ma) < len(mb):
-            ra, rb, ma, mb = rb, ra, mb, ma
-        self._parent[rb] = ra
-        ma.extend(mb)
-        members[ra] = ma
+    # -- scoping -------------------------------------------------------------------
 
     def _scoped(self, variables) -> int:
-        """Conjunction of the definitions in the components of ``variables``."""
-        roots = {self._find(v) for v in variables}
-        return self._conjoin(sorted(i for r in roots for i in self._members.get(r, ())))
+        """Conjunction of the definitions that ``variables`` depend on."""
+        inputs, seen, indices = self._inputs, set(), []
+        stack = list(variables)
+        while stack:
+            var = stack.pop()
+            if var not in seen:
+                seen.add(var)
+                if var in inputs:
+                    index, support = inputs[var]
+                    indices.append(index)
+                    stack.extend(support)
+        return self._conjoin(sorted(indices))
 
     def _conjoin(self, indices) -> int:
         """Conjunction of the definitions at ascending ``indices``, newest first.
@@ -152,13 +142,12 @@ class Compiler:
     def _constrain(self, var: int, definition: int, support):
         """Define ``var <-> definition``, with unit weights on ``var``.
 
-        The definition joins the component of the variables in ``support``.
+        ``support``, the variables the definition reads, is what
+        :meth:`_scoped` follows.
         """
         self.weights[var] = (1.0, 1.0)
-        self._members[self._find(var)] = [len(self._definitions)]
+        self._inputs[var] = (len(self._definitions), support)
         self._definitions.append(self.mgr.apply("iff", self.mgr.mk_var(var), definition))
-        for v in support:
-            self._union(var, v)
 
     def compile_stmt(self, stmt: A.Stmt):
         mgr = self.mgr
@@ -224,8 +213,9 @@ class Compiler:
     def solve_mmap(self, queried, evidence):
         """Run the staged query against the definitions compiled so far.
 
-        The search sees only the components that the queried variables and
-        the evidence touch; the rest cancel out of the posterior.
+        The search sees only the definitions that the queried variables and
+        the evidence depend on; the rest sum to 1 and cancel out of the
+        posterior.
         """
         mgr = self.mgr
         psi = mgr.mk_true() if evidence is None else compile_term(mgr, evidence, self._read)
@@ -284,7 +274,7 @@ class Compiler:
                 psi = compile_term(mgr, q.evidence, self._read)
             support = mgr.support(chi) | mgr.support(psi)
             den_root = mgr.apply("and", psi, self._scoped(support))
-            # the weights of other components would count their variables free
+            # weights of variables outside the closure would count them free
             weights = {v: self.weights[v] for v in mgr.support(den_root) | support}
             den = mgr.amc(den_root, weights, REAL)
             if den == 0.0:

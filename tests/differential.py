@@ -7,7 +7,8 @@ Run it at two revisions and compare the outputs::
 Each case prints one line: its tag, then its result with every float in
 ``float.hex`` form (so two runs agree only when they are bit for bit equal),
 or ``ERR <type> <message>``.  Timings and memo sizes are left out; every
-other search statistic is printed.  pytest does not collect this file.
+other search statistic is printed.  The last line, ``total bdd_nodes N``,
+sums the ``bdd_nodes`` of every case.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -39,12 +40,16 @@ def fmt(value) -> str:
     return repr(value)
 
 
-def case(tag: str, run):
+def case(tag: str, run) -> int:
+    """Print one case; return its ``bdd_nodes``, or 0 when it has none."""
     try:
-        out = fmt(run())
+        result = run()
+        out = fmt(result)
     except Exception as exc:  # every failure is part of the output
-        out = f"ERR {type(exc).__name__} {exc}"
+        print(tag, f"ERR {type(exc).__name__} {exc}")
+        return 0
     print(tag, out)
+    return result.get("stats", {}).get("bdd_nodes", 0) if isinstance(result, dict) else 0
 
 
 def search(objective_class, inst, partial_rng, literal_order):
@@ -60,27 +65,29 @@ def search(objective_class, inst, partial_rng, literal_order):
 
 
 def main():
+    nodes = 0
     for seed in range(400):
-        case(f"dappl-random {seed}", lambda: solve_meu(random_dappl_program(seed)))
+        nodes += case(f"dappl-random {seed}", lambda: solve_meu(random_dappl_program(seed)))
     for seed in range(600):
         src = random_pineappl_program(seed, max_flips=6, max_mmaps=4)
-        case(f"pineappl-random {seed}", lambda: run_program(src))
+        nodes += case(f"pineappl-random {seed}", lambda: run_program(src))
     for seed in range(300):
         inst = random_meu_instance(random.Random(seed))
         if inst is not None:
-            case(f"meu-instance {seed}", lambda: search(
+            nodes += case(f"meu-instance {seed}", lambda: search(
                 MeuObjective, inst, random.Random(10_000 + seed), (True, False)))
         out = random_mmap_instance(random.Random(seed))
         if out is not None:
-            case(f"mmap-instance {seed}", lambda: search(
+            nodes += case(f"mmap-instance {seed}", lambda: search(
                 MmapObjective, out[0], random.Random(20_000 + seed), (False, True)))
     for n in range(3, 7):
-        case(f"dr {n}", lambda: solve_meu(gen_dr(n, seed=0)))
-        case(f"ladder {n}", lambda: solve_meu(gen_ladder(n, seed=0)))
-    case("ladder 2 k=2 seed=5", lambda: solve_meu(gen_ladder(2, 2, seed=5)))
-    case("gridworld 4 6", lambda: solve_meu(gen_gridworld(4, 6, 0.1, seed=0)))
+        nodes += case(f"dr {n}", lambda: solve_meu(gen_dr(n, seed=0)))
+        nodes += case(f"ladder {n}", lambda: solve_meu(gen_ladder(n, seed=0)))
+    nodes += case("ladder 2 k=2 seed=5", lambda: solve_meu(gen_ladder(2, 2, seed=5)))
+    nodes += case("gridworld 4 6", lambda: solve_meu(gen_gridworld(4, 6, 0.1, seed=0)))
     for n in (5, 9, 14, 20):
-        case(f"nested-mmap {n}", lambda: run_program(gen_nested_mmap(n)))
+        nodes += case(f"nested-mmap {n}", lambda: run_program(gen_nested_mmap(n)))
+    print("total bdd_nodes", nodes)
 
 
 if __name__ == "__main__":

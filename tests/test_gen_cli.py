@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from optppl.cli import USAGE_EXIT, _parse_range, main
 from optppl.dappl import prepare, solve_compiled, solve_meu
 from optppl.gen import GenError, gen_bn, gen_dr, gen_gridworld, gen_ladder, gen_nested_mmap, load_bn
 from optppl.oracle import dappl_meu_enum
@@ -315,6 +316,21 @@ class TestBench:
 
         (row,) = run_bench("nested-mmap", [4], csv_path=str(tmp_path / "n.csv"))
         assert row["nodes"] == run_program(gen_nested_mmap(4))["stats"]["bdd_nodes"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--params", "5..3"],
+        ["--params", "2", "--timeout", "0"],
+        ["--params", "2", "--timeout", "-5"],
+    ])
+    def test_bench_rejects_a_reversed_range_or_a_timeout_below_one(self, tmp_path, capsys, flags):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "dr", "--csv", str(out), *flags]) == USAGE_EXIT
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "usage"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, want", [("4", (4, 4)), ("3..5", (3, 5)), ("2..2", (2, 2))])
+    def test_parse_range_includes_both_ends(self, text, want):
+        assert _parse_range(text) == want
 
     def test_quadratic_fit_helper(self):
         from helpers import fit_quadratic

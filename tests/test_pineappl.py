@@ -388,8 +388,30 @@ def assert_matches_interpreter(src):
         assert abs(got["value"] - want) < 1e-6
 
 
+def _hub(n, queries):
+    """``x`` read by ``n`` derived names ``y<i> = x && t<i>``, then ``queries``."""
+    body = "".join(f"t{i} = flip 0.5; y{i} = x && t{i};\n" for i in range(n))
+    return "x = flip 0.5;\n" + body + queries
+
+
+def _spy_conjoin(monkeypatch):
+    """Record how many definitions each ``Compiler._conjoin`` call conjoins."""
+    sizes = []
+    conjoin = Compiler._conjoin
+
+    def spy(compiler, indices):
+        indices = list(indices)
+        sizes.append(len(indices))
+        return conjoin(compiler, indices)
+
+    monkeypatch.setattr(Compiler, "_conjoin", spy)
+    return sizes
+
+
 class TestComponentScoping:
-    """Staged solves see only the components of the variables they touch."""
+    """Staged solves conjoin only the definitions their variables depend on:
+    the closure of the queried variables and the evidence through each
+    definition's inputs, down to flips."""
 
     def test_nested_mmap_solves_stay_linear(self):
         # against the whole constraint, each staged mmap rebuilt every
@@ -414,6 +436,24 @@ class TestComponentScoping:
             "pr(m && d) with { a }\n"
             "mmap(a, c) with { a || c }"
         )
+
+    def test_names_derived_from_the_queried_variable_stay_out(self, monkeypatch):
+        # each y<i> <-> x && t<i> sums to 1 over y<i>, so neither solve
+        # needs any of the 200
+        sizes = _spy_conjoin(monkeypatch)
+        out = run_program(_hub(200, "pr(x)\nmmap(x)"))
+        assert [q["value"] for q in out["queries"]] == [0.5, 0.5]
+        # pr(x) reads only x's flip; mmap(x) adds and reads x <-> f alone
+        assert sizes == [0, 1]
+
+    def test_evidence_that_reads_a_derived_name_pulls_in_its_definition(self, monkeypatch):
+        src = _hub(3, "pr(x) with { y1 }\nmmap(x) with { y0 || y2 }")
+        assert_matches_interpreter(src)
+        sizes = _spy_conjoin(monkeypatch)
+        out = run_program(src)
+        assert out["queries"][0]["value"] == 1.0
+        # y1's definition; then x <-> f and those of y0 and y2
+        assert sizes == [1, 3]
 
     def test_staged_solve_sweeps_each_handle_once(self, monkeypatch):
         # restricting the weights to the scoped constraint's support swept
