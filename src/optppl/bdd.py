@@ -389,10 +389,42 @@ class BddManager:
 
     def support(self, a: int) -> set:
         """Variables the function actually depends on (one linear sweep)."""
-        out = set()
-        for n in self.reachable_nodes([a]):
-            out.add(self._var[n])
-        return out
+        return self.sweep(a)[0]
+
+    def sweep(self, a: int):
+        """The support of ``a`` and its number of internal nodes, in one linear sweep."""
+        nodes = self.reachable_nodes([a])
+        var = self._var
+        return {var[n] for n in nodes}, len(nodes)
+
+    def is_renaming(self, a: int, b: int, rename: dict) -> bool:
+        """Whether ``b`` is ``a`` with each variable ``v`` of ``a`` read as ``rename[v]``.
+
+        One lockstep walk: every node of ``a`` must meet a node of ``b`` that
+        tests its renamed variable and whose children are those of its own
+        children, and terminals must meet themselves.  Each node of ``a`` is
+        paired once, so the walk is linear in the size of ``a``.
+        """
+        var, lo, hi = self._var, self._lo, self._hi
+        paired = {}
+        stack = [(a, b)]
+        while stack:
+            x, y = stack.pop()
+            if x <= TRUE or y <= TRUE:
+                if x != y:
+                    return False
+                continue
+            got = paired.get(x)
+            if got is not None:
+                if got != y:
+                    return False
+                continue
+            if rename.get(var[x]) != var[y]:
+                return False
+            paired[x] = y
+            stack.append((lo[x], lo[y]))
+            stack.append((hi[x], hi[y]))
+        return True
 
     def reachable_nodes(self, roots) -> set:
         seen = set()

@@ -38,7 +38,22 @@ normalized.  This is barren-node removal (Shachter, *Evaluating Influence
 Diagrams*, 1986), and it is exact: a staged solve costs what its own
 dependencies cost, not what the whole program so far costs.  The
 conjunction of all definitions, :attr:`Compiler.constraint`, is built only
-on request.
+on request.  Each closure is conjoined once: a later solve over the same
+definitions, such as a ``pr`` query that reads what the last ``mmap``
+queried, takes the stored conjunction.
+
+An mmap, staged or a query, is answered by its shape up to an
+order-preserving renaming of its variables: the universe (the scoped
+diagram's support and the branch variables) with each variable replaced by
+its rank, the weight pair at each rank, the branch ranks in query order,
+and the diagram over those ranks.  Inside a loop every iteration poses one
+shape over fresh variables, so the compiler keeps each solved shape and
+answers a repeat from it without a search, as component caching does in
+model counting (Sang, Bacchus, Beame, Kautz & Pitassi, SAT 2004).  A cheap
+fingerprint picks the candidates and a lockstep walk against each stored
+diagram confirms a match.  The answer is a function of the shape alone, so
+the reuse is exact; a fresh search could differ only in the last bits,
+where its frontier passes sum in node-handle order.
 """
 
 from __future__ import annotations
@@ -78,8 +93,15 @@ class Compiler:
         self._definitions = []  # the definitions, oldest first
         # defined variable -> (index of its definition, the definition's support)
         self._inputs = {}
+        # ascending definition indices -> their conjunction; handles are
+        # canonical and nodes are never freed, so a closure is conjoined once
+        self._conjunctions = {}
+        # staged-solve fingerprint -> [(gamma, universe, witness in branch
+        # order, posterior, search stats)], one entry per solved shape
+        self._solved = {}
         self.decisions = {}
-        self.solver_stats = []
+        self.solver_stats = []  # the search stats of each mmap, in solve order
+        self.mmap_cache_hits = 0
         self._flips = 0
         self._started = time.perf_counter()
 
@@ -102,7 +124,11 @@ class Compiler:
                     index, support = inputs[var]
                     indices.append(index)
                     stack.extend(support)
-        return self._conjoin(sorted(indices))
+        key = tuple(sorted(indices))
+        out = self._conjunctions.get(key)
+        if out is None:
+            out = self._conjunctions[key] = self._conjoin(key)
+        return out
 
     def _conjoin(self, indices) -> int:
         """Conjunction of the definitions at ascending ``indices``, newest first.
@@ -201,12 +227,11 @@ class Compiler:
         return True
 
     def compile_mmap(self, stmt: A.SMmap):
-        assignment, _, result = self.solve_mmap(stmt.queried, stmt.evidence)
+        assignment, _ = self.solve_mmap(stmt.queried, stmt.evidence)
         for out_name, queried in zip(stmt.outputs, stmt.queried):
             decided = assignment[queried]
             self._define(out_name, TRUE if decided else FALSE)
             self.decisions[out_name] = decided
-        self.solver_stats.append(result.stats.to_dict())
         # one staged solve is done; its operation caches will not be re-hit
         self.mgr.drop_op_caches()
 
@@ -216,6 +241,16 @@ class Compiler:
         The search sees only the definitions that the queried variables and
         the evidence depend on; the rest sum to 1 and cancel out of the
         posterior.
+
+        A problem whose shape repeats a solved one's up to an
+        order-preserving renaming is not searched again.  The fingerprint
+        (``gamma``'s node count, the weight pair at each universe rank and
+        the branch ranks in query order) picks the stored candidates, a
+        lockstep walk against each stored ``gamma`` confirms one, and its
+        witness and posterior are read back onto this solve's variables.
+        Returns the assignment by queried name and the posterior; the search
+        stats, those of the reused search on a hit, go to
+        :attr:`solver_stats`.
         """
         mgr = self.mgr
         psi = mgr.mk_true() if evidence is None else compile_term(mgr, evidence, self._read)
@@ -227,24 +262,38 @@ class Compiler:
         if gamma == FALSE:
             # checked first: a FALSE formula would leave the branch variables out
             raise PineapplRunError("mmap evidence is impossible: evidence has zero mass")
-        # gamma holds the definitions, so it is also the model formula and
-        # the objective's numerator phi & gamma is gamma, built here once
-        problem = Bbir(
-            mgr=mgr,
-            formulas=[gamma, gamma],
-            branch_vars=branch_vars,
-            weights=self.weights,
-            semiring=REAL,
-        )
-        try:
-            objective = MmapObjective(problem)
-        except BbirError as exc:
-            raise PineapplRunError(f"mmap evidence is impossible: {exc}") from exc
-        # false tried first: argmax ties resolve to the smallest assignment,
-        # read in query order as the interpreter reads it
-        result = bb(objective, problem, literal_order=(False, True))
-        by_name = {name: result.witness[branch[name]] for name in queried}
-        return by_name, result.scalar, result
+        support, size = mgr.sweep(gamma)
+        universe = sorted(support | set(branch_vars))
+        rank = {v: i for i, v in enumerate(universe)}
+        key = (size, tuple(self.weights[v] for v in universe), tuple(rank[v] for v in branch_vars))
+        for seen, seen_universe, decided, posterior, stats in self._solved.get(key, ()):
+            if mgr.is_renaming(seen, gamma, dict(zip(seen_universe, universe))):
+                self.mmap_cache_hits += 1
+                break
+        else:
+            # gamma holds the definitions, so it is also the model formula
+            # and the objective's numerator phi & gamma is gamma, built here once
+            problem = Bbir(
+                mgr=mgr,
+                formulas=[gamma, gamma],
+                branch_vars=branch_vars,
+                weights=self.weights,
+                semiring=REAL,
+                swept={gamma: support},
+            )
+            try:
+                objective = MmapObjective(problem)
+            except BbirError as exc:
+                raise PineapplRunError(f"mmap evidence is impossible: {exc}") from exc
+            # false tried first: argmax ties resolve to the smallest
+            # assignment, read in query order as the interpreter reads it
+            result = bb(objective, problem, literal_order=(False, True))
+            decided = tuple(result.witness[v] for v in branch_vars)
+            posterior, stats = result.scalar, result.stats.to_dict()
+            self._solved.setdefault(key, []).append((gamma, universe, decided, posterior, stats))
+        self.solver_stats.append(dict(stats))
+        witness = dict(zip(branch_vars, decided))
+        return {name: witness[branch[name]] for name in queried}, posterior
 
     def _branch_var(self, name: str) -> int:
         """The variable an mmap over ``name`` branches on.
@@ -282,7 +331,7 @@ class Compiler:
             num = mgr.amc(mgr.apply("and", chi, den_root), weights, REAL)
             return {"query": q.text, "value": num / den}
         if isinstance(q, A.QMmap):
-            assignment, posterior, result = self.solve_mmap(q.queried, q.evidence)
+            assignment, posterior = self.solve_mmap(q.queried, q.evidence)
             return {"query": q.text, "assignment": assignment, "value": posterior}
         raise PineapplCompileError(f"unexpected query {q!r}")
 
@@ -310,6 +359,7 @@ def run_compiled(program: A.Program, compiler: Compiler) -> dict:
             "elapsed_ms": round((time.perf_counter() - compiler._started) * 1000.0, 3),
             "bdd_nodes": compiler.mgr.num_nodes,
             "mmap_solves": compiler.solver_stats,
+            "mmap_cache_hits": compiler.mmap_cache_hits,
         },
     }
 

@@ -7,8 +7,9 @@ Run it at two revisions and compare the outputs::
 Each case prints one line: its tag, then its result with every float in
 ``float.hex`` form (so two runs agree only when they are bit for bit equal),
 or ``ERR <type> <message>``.  Timings and memo sizes are left out; every
-other search statistic is printed.  The last line, ``total bdd_nodes N``,
-sums the ``bdd_nodes`` of every case.  pytest does not collect this file.
+other search statistic is printed.  The last two lines, ``total bdd_nodes
+N`` and ``total mmap_cache_hits N``, sum those statistics over every case.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from helpers import random_meu_instance, random_mmap_instance
 
 # timings vary between runs; memo sizes are not results
 LEFT_OUT = ("elapsed_ms", "bound_memo_entries")
+# the statistics summed over every case on the last lines
+SUMMED = ("bdd_nodes", "mmap_cache_hits")
 
 
 def fmt(value) -> str:
@@ -40,16 +43,16 @@ def fmt(value) -> str:
     return repr(value)
 
 
-def case(tag: str, run) -> int:
-    """Print one case; return its ``bdd_nodes``, or 0 when it has none."""
+def case(tag: str, run) -> dict:
+    """Print one case; return its ``stats``, or {} when it has none."""
     try:
         result = run()
         out = fmt(result)
     except Exception as exc:  # every failure is part of the output
         print(tag, f"ERR {type(exc).__name__} {exc}")
-        return 0
+        return {}
     print(tag, out)
-    return result.get("stats", {}).get("bdd_nodes", 0) if isinstance(result, dict) else 0
+    return result.get("stats", {}) if isinstance(result, dict) else {}
 
 
 def search(objective_class, inst, partial_rng, literal_order):
@@ -65,29 +68,30 @@ def search(objective_class, inst, partial_rng, literal_order):
 
 
 def main():
-    nodes = 0
+    stats = []
     for seed in range(400):
-        nodes += case(f"dappl-random {seed}", lambda: solve_meu(random_dappl_program(seed)))
+        stats.append(case(f"dappl-random {seed}", lambda: solve_meu(random_dappl_program(seed))))
     for seed in range(600):
         src = random_pineappl_program(seed, max_flips=6, max_mmaps=4)
-        nodes += case(f"pineappl-random {seed}", lambda: run_program(src))
+        stats.append(case(f"pineappl-random {seed}", lambda: run_program(src)))
     for seed in range(300):
         inst = random_meu_instance(random.Random(seed))
         if inst is not None:
-            nodes += case(f"meu-instance {seed}", lambda: search(
-                MeuObjective, inst, random.Random(10_000 + seed), (True, False)))
+            stats.append(case(f"meu-instance {seed}", lambda: search(
+                MeuObjective, inst, random.Random(10_000 + seed), (True, False))))
         out = random_mmap_instance(random.Random(seed))
         if out is not None:
-            nodes += case(f"mmap-instance {seed}", lambda: search(
-                MmapObjective, out[0], random.Random(20_000 + seed), (False, True)))
+            stats.append(case(f"mmap-instance {seed}", lambda: search(
+                MmapObjective, out[0], random.Random(20_000 + seed), (False, True))))
     for n in range(3, 7):
-        nodes += case(f"dr {n}", lambda: solve_meu(gen_dr(n, seed=0)))
-        nodes += case(f"ladder {n}", lambda: solve_meu(gen_ladder(n, seed=0)))
-    nodes += case("ladder 2 k=2 seed=5", lambda: solve_meu(gen_ladder(2, 2, seed=5)))
-    nodes += case("gridworld 4 6", lambda: solve_meu(gen_gridworld(4, 6, 0.1, seed=0)))
+        stats.append(case(f"dr {n}", lambda: solve_meu(gen_dr(n, seed=0))))
+        stats.append(case(f"ladder {n}", lambda: solve_meu(gen_ladder(n, seed=0))))
+    stats.append(case("ladder 2 k=2 seed=5", lambda: solve_meu(gen_ladder(2, 2, seed=5))))
+    stats.append(case("gridworld 4 6", lambda: solve_meu(gen_gridworld(4, 6, 0.1, seed=0))))
     for n in (5, 9, 14, 20):
-        nodes += case(f"nested-mmap {n}", lambda: run_program(gen_nested_mmap(n)))
-    print("total bdd_nodes", nodes)
+        stats.append(case(f"nested-mmap {n}", lambda: run_program(gen_nested_mmap(n))))
+    for name in SUMMED:
+        print("total", name, sum(s.get(name, 0) for s in stats))
 
 
 if __name__ == "__main__":

@@ -554,6 +554,38 @@ class TestCountShortcuts:
             assert math.copysign(1.0, got.util) == 1.0
 
 
+class TestRenaming:
+    """``is_renaming`` checks one diagram against another's relabelling."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_agrees_with_building_the_renamed_formula(self, mgr, seed):
+        rng = random.Random(seed)
+        names = ["a", "b", "c", "d"]
+        old = dict(zip(names, fresh_vars(mgr, 4, "u")))
+        new = dict(zip(names, fresh_vars(mgr, 4, "w")))
+        rename = {old[n]: new[n] for n in names}
+        formula = random_formula(rng, names)
+        a = build_bdd(mgr, formula, old)
+        b = build_bdd(mgr, formula, new)
+        assert mgr.is_renaming(a, b, rename)
+        # the renaming keeps the order, so the renamed diagram is canonical
+        for _ in range(10):
+            other = build_bdd(mgr, random_formula(rng, names), new)
+            assert mgr.is_renaming(a, other, rename) == (other == b)
+
+    def test_a_variable_left_out_of_the_renaming_fails(self, mgr):
+        x, y = fresh_vars(mgr, 2)
+        assert mgr.is_renaming(TRUE, TRUE, {})
+        assert not mgr.is_renaming(mgr.mk_var(x), mgr.mk_var(y), {})
+        assert mgr.is_renaming(mgr.mk_var(x), mgr.mk_var(y), {x: y})
+
+    def test_sweep_is_support_and_size(self, mgr):
+        x, y, z = fresh_vars(mgr, 3)
+        node = mgr.apply("or", mgr.apply("and", mgr.mk_var(x), mgr.mk_var(y)), mgr.mk_var(z))
+        assert mgr.sweep(node) == ({x, y, z}, len(mgr.reachable_nodes([node])))
+        assert mgr.sweep(TRUE) == (set(), 0)
+
+
 class TestEnumerationAndDot:
     def test_enumerate_true_over_one_var(self, mgr):
         x = mgr.new_var("x")

@@ -20,6 +20,7 @@ from optppl.pineappl import (
     run_program,
 )
 from optppl.pineappl import ast as P
+from optppl.pineappl import compile as compile_module
 from optppl.pineappl.compile import Compiler
 from optppl.pineappl.expand import _Renamer
 
@@ -275,6 +276,19 @@ class TestStagedSolving:
         out = run_program(DIAGNOSIS)
         assert json.loads(json.dumps(out)) == out
 
+    def test_terminal_mmap_query_reports_its_search(self):
+        out = run_program("a = flip 0.3; b = flip 0.6; c = a || b; mmap(a, b) with { c }")
+        [solve] = out["stats"]["mmap_solves"]
+        assert solve["interior"] == 2 and solve["base_cases"] > 0
+
+    def test_query_searches_follow_the_staged_ones(self):
+        # the staged mmap branches on one variable, the query on two
+        out = run_program(
+            "a = flip 0.3; b = flip 0.6; m = mmap(a) with { a || b }\n"
+            "c = flip 0.4; d = a || c; mmap(b, c) with { d }"
+        )
+        assert [s["interior"] for s in out["stats"]["mmap_solves"]] == [1, 2]
+
     def test_mmap_naming_a_variable_twice(self):
         # a repeated name is one MAP variable
         src = "a = flip 0.5; mmap(a, a)"
@@ -445,6 +459,13 @@ class TestComponentScoping:
         assert [q["value"] for q in out["queries"]] == [0.5, 0.5]
         # pr(x) reads only x's flip; mmap(x) adds and reads x <-> f alone
         assert sizes == [0, 1]
+
+    def test_a_closure_is_conjoined_once(self, monkeypatch):
+        # pr(z) reads the last mmap's closure; every mmap's is new
+        sizes = _spy_conjoin(monkeypatch)
+        out = run_program(gen_nested_mmap(5))
+        assert out["queries"][0]["value"] == 0.5
+        assert len(sizes) == 5
 
     def test_evidence_that_reads_a_derived_name_pulls_in_its_definition(self, monkeypatch):
         src = _hub(3, "pr(x) with { y1 }\nmmap(x) with { y0 || y2 }")
@@ -729,6 +750,85 @@ class TestAliases:
     )
     def test_aliases_match_interpreter(self, src):
         assert_matches_interpreter(src)
+
+
+def _spy_bb(monkeypatch):
+    """Record every search a staged solve runs."""
+    calls = []
+    search = compile_module.bb
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(compile_module, "bb", spy)
+    return calls
+
+
+class TestStagedSolveReuse:
+    """A staged solve whose problem repeats an earlier one's up to an
+    order-preserving renaming reuses that answer instead of searching."""
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_nested_mmap_searches_each_shape_once(self, monkeypatch, n):
+        # the first iteration's guard is the constant m = true; every later
+        # one reads the same decision, so they all pose one shape
+        calls = _spy_bb(monkeypatch)
+        src = gen_nested_mmap(n)
+        out = run_program(src)
+        assert len(calls) == 2
+        assert out["decisions"] == pineappl_interp(expand(parse(src)))[1]
+        assert out["stats"]["mmap_cache_hits"] == n - 2
+        assert len(out["stats"]["mmap_solves"]) == n
+
+    def test_a_repeated_problem_is_searched_once(self, monkeypatch):
+        calls = _spy_bb(monkeypatch)
+        src = (
+            "a = flip 0.3; b = flip 0.6; m = mmap(a) with { a || b }\n"
+            "c = flip 0.3; d = flip 0.6; n = mmap(c) with { c || d }\n"
+            "mmap(a) with { a || b }"
+        )
+        out = run_program(src)
+        assert len(calls) == 1 and out["stats"]["mmap_cache_hits"] == 2
+        solves = out["stats"]["mmap_solves"]
+        assert len(solves) == 3 and solves[0] == solves[1] == solves[2]
+        assert_matches_interpreter(src)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            # two iterations that differ only in the theta of x's flip;
+            # the first decides false and the second true
+            "m = true; loop 2 { if m { x = flip 0.3; } else { x = flip 0.4; }\n"
+            "y = flip 0.6; (m) = mmap(x) with { x || y } } pr(x)",
+            # one tied problem queried as (a, b), then renamed as (d, c):
+            # each tie resolves along its own query order
+            "a = flip 0.5; b = flip 0.5; (p, q) = mmap(a, b) with { a || b }\n"
+            "c = flip 0.5; d = flip 0.5; (r, s) = mmap(d, c) with { c || d }\n"
+            "pr(p && r)",
+            # the same definitions under different evidence
+            "a = flip 0.3; b = flip 0.6; c = a || b; m = mmap(a) with { c }\n"
+            "n = mmap(a) with { !b }\npr(tt)",
+            # renamed copies under evidence whose diagrams have one size;
+            # the first decides true and the second false
+            "a = flip 0.3; b = flip 0.6; m = mmap(a) with { a || !b }\n"
+            "c = flip 0.3; d = flip 0.6; n = mmap(c) with { c || d }\npr(tt)",
+        ],
+    )
+    def test_near_misses_are_searched(self, monkeypatch, src):
+        calls = _spy_bb(monkeypatch)
+        out = run_program(src)
+        assert len(calls) == 2 and out["stats"]["mmap_cache_hits"] == 0
+        assert_matches_interpreter(src)
+
+    def test_evidence_with_zero_mass_is_not_stored(self):
+        # gamma is not FALSE, so the objective finds the mass is zero
+        src = "a = flip 0.0; mmap(a) with { a }"
+        program, compiler = compile_source(src)
+        for _ in range(2):
+            with pytest.raises(PineapplRunError):
+                compiler.run_query(program.queries[0])
+        assert compiler.mmap_cache_hits == 0 and compiler.solver_stats == []
 
 
 class TestMmapTies:
