@@ -102,11 +102,15 @@ def _solve_dappl(args, source, mgr) -> int:
     if not args.stats:
         out.pop("stats", None)
     if args.oracle:
-        from .oracle import dappl_meu_enum
+        from .oracle import OracleError, dappl_meu_enum
 
-        eu, policy = dappl_meu_enum(core, sites)
-        out["oracle"] = {"meu": eu, "policy": {f"c{s}": n for s, n in policy.items()}}
-        out["delta"] = abs(out["meu"] - eu) if eu != float("-inf") else 0.0
+        try:
+            eu, policy = dappl_meu_enum(core, sites)
+        except OracleError as exc:  # too large to enumerate: keep the answer
+            out["oracle"] = {"error": str(exc)}
+        else:
+            out["oracle"] = {"meu": eu, "policy": {f"c{s}": n for s, n in policy.items()}}
+            out["delta"] = abs(out["meu"] - eu) if eu != float("-inf") else 0.0
     if args.dot:
         # finalizing again yields the same hash-consed handles the search used
         problem = compiled.finalize()
@@ -124,20 +128,19 @@ def _solve_pineappl(args, source, mgr) -> int:
     if not args.stats:
         out.pop("stats", None)
     if args.oracle:
-        from .oracle import pineappl_interp
+        from .oracle import OracleError, pineappl_interp
 
-        vals, decisions = pineappl_interp(program)
-        oracle_queries = []
-        deltas = []
-        for q, want in zip(out["queries"], vals):
-            if isinstance(want, tuple):
-                oracle_queries.append({"assignment": want[0], "value": want[1]})
-                deltas.append(abs(q["value"] - want[1]))
-            else:
-                oracle_queries.append({"value": want})
-                deltas.append(abs(q["value"] - want))
-        out["oracle"] = {"queries": oracle_queries, "decisions": decisions}
-        out["delta"] = max(deltas) if deltas else 0.0
+        try:
+            vals, decisions = pineappl_interp(program)
+        except OracleError as exc:  # too large to interpret: keep the answer
+            out["oracle"] = {"error": str(exc)}
+        else:
+            # an mmap query's value is its (assignment, mass) pair
+            queries = [{"assignment": v[0], "value": v[1]} if isinstance(v, tuple)
+                       else {"value": v} for v in vals]
+            out["oracle"] = {"queries": queries, "decisions": decisions}
+            deltas = [abs(q["value"] - want["value"]) for q, want in zip(out["queries"], queries)]
+            out["delta"] = max(deltas, default=0.0)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(mgr.to_dot([compiler.constraint], names=["defs"]))

@@ -1,19 +1,18 @@
-"""Decision language pipeline: parse, type, desugar, compile, solve."""
+"""Decision language pipeline: parse, desugar (which type-checks), compile, solve."""
 
 from __future__ import annotations
 
 from .. import bbir as B
 from ..bdd import BddManager
-from . import ast
 from .ast import number_sites
 from .compile import CompiledDappl, DapplCompileError, compile_program
-from .desugar import DapplDesugarError, desugar
+from .desugar import DapplDesugarError, check, check_program, desugar
 from .parser import DapplSyntaxError, parse
 from .reduce import DapplReduceError, reduce
-from .types import DapplTypeError, check, check_program
+from .types import DapplTypeError
 
 __all__ = [
-    "parse", "check", "check_program", "desugar", "reduce",
+    "parse", "check", "check_program", "desugar", "number_sites", "reduce",
     "compile_program", "prepare", "solve_compiled", "solve_meu",
     "DapplSyntaxError", "DapplTypeError", "DapplDesugarError",
     "DapplReduceError", "DapplCompileError",
@@ -21,19 +20,18 @@ __all__ = [
 
 
 def prepare(source: str, mgr: BddManager | None = None):
-    """parse -> typecheck -> desugar -> number sites -> compile.
+    """parse -> desugar (which type-checks) -> compile.
 
-    Compilation registers the program's variables in the order planned from
-    its structure (see :func:`compile_program`); labels already registered
-    in ``mgr``, as the CLI's ``--order`` file does, keep their positions
-    ahead of the rest.  Returns ``(core AST, sites, CompiledDappl)``.
+    Compilation numbers the core's choice sites and registers the
+    program's variables in the order planned from its structure (see
+    :func:`compile_program`); labels already registered in ``mgr``, as the
+    CLI's ``--order`` file does, keep their positions ahead of the rest.
+    Returns ``(core AST, sites, CompiledDappl)``, where ``sites`` lists
+    ``(site id, names)`` as :func:`number_sites` does.
     """
-    tree = parse(source)
-    check_program(tree)
-    core = desugar(tree)
-    sites = number_sites(core)
+    core = desugar(parse(source))
     compiled = compile_program(core, mgr)
-    return core, sites, compiled
+    return core, [(site.site, site.names) for site in compiled.sites], compiled
 
 
 def solve_meu(

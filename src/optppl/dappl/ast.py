@@ -57,7 +57,7 @@ class Observe(Expr):
 @dataclass
 class ChoiceIntro(Expr):
     names: tuple = ()
-    site: int = -1  # assigned by number_sites
+    site: int = -1  # numbered by the variable planner, or by number_sites
 
 
 @dataclass

@@ -1,13 +1,14 @@
 """Boolean compilation of core programs to the branch-and-bound IR.
 
-An expression compiles to ``(phi, gamma, pending, rewards)``: the trace
+An expression compiles to ``(phi, gamma, trace, pending, rewards)``: the
 formula for true-returning executions, the accepting formula collecting
-observations, the rewards awaiting discharge, and the set of every reward
-variable introduced in the subexpression.  A conditional compiles each
-formula as one ``ite`` on its guard; each arm discharges its branch's
-pending rewards and pins the opposite branch's reward variables false, so
-each model awards exactly the rewards of the trace it describes.
-Finalization conjoins the remaining pending rewards onto ``phi``.
+observations, the reward structure of ``phi`` over both return values, the
+rewards awaiting discharge, and the set of every reward variable introduced
+in the subexpression.  A conditional compiles each formula as one ``ite``
+on its guard; each arm discharges its branch's pending rewards and pins the
+opposite branch's reward variables false, so each model awards exactly the
+rewards of the trace it describes.  Finalization conjoins the remaining
+pending rewards onto ``phi``.
 
 Each diagram is built once.  A branch's pinned rewards form a chain of
 negated literals; an ``if`` leaves the chain of its own reward set for the
@@ -20,10 +21,10 @@ constraint itself.
 
 The variable order comes from the program's structure.  A planning walk
 (:func:`plan_variables`) labels every flip, reward and choice variable in
-creation order and keeps that order, except that inside each arm of an
-outermost choose the arm's choice variable moves beside the variables the
-arm tests, and rewards under the arm's ``if`` move beside the guard's
-variables.  A choice that tests chance variables registered before it thus
+creation order, numbering each choice site as it labels it, and keeps that
+order, except that inside each arm of an outermost choose the arm's choice
+variable moves beside the variables the arm tests, and rewards under the
+arm's ``if`` move beside the guard's variables.  A choice that tests chance variables registered before it thus
 sits next to them instead of below all of them.
 """
 
@@ -179,11 +180,13 @@ class _Planner:
         self.labels.append(label)
         return len(self.labels) - 1
 
-    def _site(self, names) -> _PlanSite:
+    def _site(self, intro) -> _PlanSite:
+        """Number a choice introduction's site and label its variables."""
+        intro.site = self.sites
         first = len(self.labels)
-        vars_ = tuple(self._new(f"c{self.sites}.{name}") for name in names)
+        vars_ = tuple(self._new(f"c{self.sites}.{name}") for name in intro.names)
         self.sites += 1
-        return _PlanSite(first, names, vars_)
+        return _PlanSite(first, intro.names, vars_)
 
     def pure(self, p, env, refs) -> frozenset:
         deps = frozenset()
@@ -227,12 +230,12 @@ class _Planner:
         if isinstance(e, A.Bind):
             inner = dict(env)
             if isinstance(e.value, A.ChoiceIntro):
-                inner[e.name] = self._site(e.value.names)
+                inner[e.name] = self._site(e.value)
                 return self.walk(e.body, inner, refs, guard)
             value = inner[e.name] = self.walk(e.value, env, refs, guard)
             return value | self.walk(e.body, inner, refs, guard)
         if isinstance(e, A.ChoiceIntro):
-            return self._site(e.names).vars
+            return self._site(e).vars
         if isinstance(e, A.Choose):
             site = env.get(e.scrutinee.name) if isinstance(e.scrutinee, A.ScrutVar) else None
             if not isinstance(site, _PlanSite):
@@ -277,7 +280,8 @@ class _Planner:
 def plan_variables(core: A.Expr) -> VarPlan:
     """Label a core program's variables and plan their registration order.
 
-    The plan is creation order except inside the arms of outermost choose
+    Writes each choice introduction's site number into the core.  The
+    plan is creation order except inside the arms of outermost choose
     sites, where choice and reward variables move beside the variables
     their arm and guard test (see :class:`_Planner`).
     """
@@ -381,11 +385,8 @@ class Compiler:
             return phi, gamma, trace, (), rewards
         if isinstance(e, A.Bind):
             if isinstance(e.value, A.ChoiceIntro):
-                site = self._fresh_site(e.value.names)
-                if e.value.site >= 0:
-                    site.site = e.value.site
                 inner = dict(env)
-                inner[e.name] = _ChoiceVal(site)
+                inner[e.name] = _ChoiceVal(self._fresh_site(e.value.names))
                 return self.compile(e.body, inner)
             if isinstance(e.value, A.Return):
                 # a pure value has no trace, acceptance or reward of its own
@@ -404,10 +405,7 @@ class Compiler:
                 v_rs | b_rs,
             )
         if isinstance(e, A.ChoiceIntro):
-            site = self._fresh_site(e.names)
-            if e.site >= 0:
-                site.site = e.site
-            return site.eo, TRUE, TRUE, (), frozenset()
+            return self._fresh_site(e.names).eo, TRUE, TRUE, (), frozenset()
         if isinstance(e, A.Choose):
             if not isinstance(e.scrutinee, A.ScrutVar):
                 raise DapplCompileError("choose scrutinee not a variable; desugar first")
@@ -447,9 +445,10 @@ class Compiler:
 
 
 def compile_program(core: A.Expr, mgr: BddManager | None = None) -> CompiledDappl:
-    """Compile a site-numbered core program.
+    """Compile a core program.
 
-    :func:`plan_variables` labels every variable and plans the order;
+    :func:`plan_variables` labels every variable, numbers the core's choice
+    sites as :func:`~optppl.dappl.ast.number_sites` would, and plans the order;
     the variables are registered in that order with ``ensure_var``, so
     labels already registered in ``mgr`` (an ``--order`` file) keep their
     positions and the rest follow in planned order.

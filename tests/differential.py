@@ -7,9 +7,11 @@ Run it at two revisions and compare the outputs::
 Each case prints one line: its tag, then its result with every float in
 ``float.hex`` form (so two runs agree only when they are bit for bit equal),
 or ``ERR <type> <message>``.  Timings and memo sizes are left out; every
-other search statistic is printed.  The last two lines, ``total bdd_nodes
-N`` and ``total mmap_cache_hits N``, sum those statistics over every case.
-pytest does not collect this file.
+other search statistic is printed.  The ``dappl-sugared`` cases solve the
+sugared copies of ``random_sugared_dappl_program``.  The last two lines,
+``total bdd_nodes N`` and ``total mmap_cache_hits N``, sum those statistics
+over every case before them but the ``dappl-sugared`` ones.  pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from optppl.dappl import solve_meu
 from optppl.gen import gen_dr, gen_gridworld, gen_ladder, gen_nested_mmap
 from optppl.pineappl import run_program
 
-from corpus import random_dappl_program, random_pineappl_program
+from corpus import random_dappl_program, random_pineappl_program, random_sugared_dappl_program
 from helpers import random_meu_instance, random_mmap_instance
 
 # timings vary between runs; memo sizes are not results
@@ -90,6 +92,9 @@ def main():
     stats.append(case("gridworld 4 6", lambda: solve_meu(gen_gridworld(4, 6, 0.1, seed=0))))
     for n in (5, 9, 14, 20):
         stats.append(case(f"nested-mmap {n}", lambda: run_program(gen_nested_mmap(n))))
+    for seed in range(200):
+        sugared, _ = random_sugared_dappl_program(seed)
+        case(f"dappl-sugared {seed}", lambda: solve_meu(sugared))
     for name in SUMMED:
         print("total", name, sum(s.get(name, 0) for s in stats))
 

@@ -14,7 +14,7 @@ from optppl.dappl import (
 )
 from optppl.dappl import ast as A
 from optppl.dappl.ast import number_sites
-from optppl.dappl.types import BOOL, DIST, TChoice
+from optppl.dappl.types import BOOL, DIST, TCat, TChoice
 from optppl.frontend import Lit, Var
 from optppl.oracle import util_eu, util_eval
 
@@ -118,6 +118,35 @@ class TestTypes:
     def test_observe_guard_must_be_bool(self):
         with pytest.raises(DapplTypeError):
             check_program(parse("c <- [A, B]; observe c; reward 1"))
+
+    @pytest.mark.parametrize("value", ["(if x then [A, B] else [A, B])", "reward 3 [A, B]"])
+    def test_a_choice_is_bound_only_as_its_intro(self, value):
+        # a computed choice has no site for the choose to read
+        src = f"x <- flip 0.5; y <- {value}; choose y | A -> reward 1 | B -> reward 2"
+        with pytest.raises(DapplTypeError, match=r"bind the \[\.\.\.\] or disc\[\.\.\.\] itself"):
+            desugar(parse(src))
+
+    def test_a_categorical_is_bound_only_as_its_disc(self):
+        src = "y <- (if tt then disc[a: 0.5, b: 0.5] else disc[a: 0.5, b: 0.5]); return tt"
+        with pytest.raises(DapplTypeError, match="Cat"):
+            check_program(parse(src))
+
+    def test_check_types_sugar_under_a_given_scope(self):
+        assert check(parse("disc[a: 0.5, b: 0.5]"), {}) == TCat(["a", "b"])
+        choose = parse("choose c | A -> reward 1 | B -> ()")
+        assert check(choose, {"c": TChoice(["A", "B"])}) == DIST
+        with pytest.raises(DapplTypeError, match="unbound"):
+            check(choose, {})
+
+    def test_a_rebinding_shadows_the_name_for_the_type_checker(self):
+        # a categorical rebound as a flip is a Boolean, so choose rejects it
+        with pytest.raises(DapplTypeError, match="got Bool"):
+            check_program(parse("x <- disc[a: 0.5, b: 0.5]; x <- flip 0.5; choose x | a -> ()"))
+
+    def test_the_first_error_in_walk_order_is_reported(self):
+        # the categorical comes before the unbound name
+        with pytest.raises(DapplDesugarError, match="categorical probabilities"):
+            check_program(parse("x <- disc[a: 0.5, b: 0.2]; return z"))
 
 
 def solve_eu(source: str) -> float:

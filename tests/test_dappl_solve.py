@@ -20,7 +20,7 @@ from optppl.frontend import Lit, Var
 from optppl.gen import gen_bn, gen_dr, gen_gridworld, gen_ladder
 from optppl.oracle import OracleError, dappl_meu_enum, policy_space, util_eu
 
-from corpus import random_dappl_program
+from corpus import random_dappl_program, random_sugared_dappl_program
 from helpers import enumerate_models, mk_lit
 
 EARTHQUAKE = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data", "earthquake.json")
@@ -235,6 +235,69 @@ class TestPipeline:
         out = solve_meu("loop 2 { choose [A, B] | A -> reward 1 | B -> reward 3 }")
         assert abs(out["meu"] - 6.0) < 1e-9
         assert out["policy"] == {"c0": "B", "c1": "B"}
+
+
+class TestScopes:
+    """One scope types and desugars a program, so every binding shadows."""
+
+    def test_a_choice_shadows_a_categorical_of_the_same_patterns(self):
+        src = "x <- disc[a: 0.5, b: 0.5]; x <- [a, b]; choose x | a -> reward 1 | b -> reward 10"
+        core, sites, compiled = prepare(src)
+        out = solve_compiled(compiled)
+        assert out["meu"] == 10.0 and out["policy"] == {"c0": "b"}
+        assert dappl_meu_enum(core, sites) == (10.0, {0: "b"})
+
+    def test_a_binding_inside_a_value_goes_out_of_scope_with_it(self):
+        # the inner decision is never read; the choose reads the categorical
+        src = (
+            "x <- disc[a: 0.5, b: 0.5]; y <- (x <- [a, b]; return tt); "
+            "choose x | a -> reward 1 | b -> reward 10"
+        )
+        assert solve_meu(src)["meu"] == 5.5
+
+    def test_a_solve_walks_the_source_once_before_the_planner(self, monkeypatch):
+        import importlib
+
+        import optppl.dappl as dappl
+
+        # the package's ``desugar`` is the function, so fetch the module
+        desugar_mod = importlib.import_module("optppl.dappl.desugar")
+
+        def refuse(*args):
+            raise AssertionError("a second walk before the planner")
+
+        for owner, name in ((dappl, "check_program"), (desugar_mod, "check_program"),
+                            (dappl, "number_sites"), (A, "number_sites")):
+            monkeypatch.setattr(owner, name, refuse)
+        walks = []
+
+        def desugar_once(tree):
+            walks.append(tree)
+            return desugar_mod.desugar(tree)
+
+        monkeypatch.setattr(dappl, "desugar", desugar_once)
+        src = (
+            "l <- (loop 2 { choose [A, B] | A -> reward 1 | B -> reward 3 }); "
+            "if [C] then reward 1 else ()"
+        )
+        core, sites, compiled = dappl.prepare(src)
+        assert len(walks) == 1
+        assert sites == [(0, ("A", "B")), (1, ("A", "B")), (2, ("C", "C_not"))]
+        assert [site.site for site in compiled.sites] == [0, 1, 2]
+        monkeypatch.undo()
+        assert number_sites(core) == sites
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_sugar_means_what_it_writes_out_to(self, seed):
+        sugared, by_hand = random_sugared_dappl_program(seed)
+        core, sites, compiled = prepare(by_hand)
+        want = solve_compiled(compiled)["meu"]
+        eu, _ = dappl_meu_enum(core, sites)
+        for got in (solve_meu(sugared)["meu"], eu):
+            if want == float("-inf"):
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("seed", range(40))

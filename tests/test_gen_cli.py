@@ -198,6 +198,42 @@ class TestCli:
         assert payload["warning"]
         assert solve_meu(path.read_text())["meu"] == float("-inf")
 
+    def test_oracle_refusal_keeps_the_dappl_answer(self, tmp_path, capsys):
+        # 108,000 policies are more than the enumeration oracle will try
+        path = tmp_path / "dr8.dappl"
+        path.write_text(gen_dr(8, seed=0))
+        assert main(["solve", str(path), "--oracle"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["meu"] == solve_meu(path.read_text())["meu"]
+        assert payload["oracle"] == {
+            "error": "policy space of size 108000 is too large to enumerate"
+        }
+        assert "delta" not in payload
+
+    def test_oracle_refusal_keeps_the_pineappl_answer(self, monkeypatch, capsys):
+        from optppl import oracle
+
+        def refuse(program):
+            raise oracle.OracleError("distribution support exceeds the interpreter limit")
+
+        monkeypatch.setattr(oracle, "pineappl_interp", refuse)
+        assert main(["solve", os.path.join(PROGRAMS, "diagnosis.pineappl"), "--oracle"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["decisions"] == {"diagnosis": True}
+        assert payload["oracle"] == {
+            "error": "distribution support exceeds the interpreter limit"
+        }
+        assert "delta" not in payload
+
+    def test_a_computed_choice_binding_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "computed.dappl"
+        path.write_text(
+            "x <- flip 0.5; y <- (if x then [A, B] else [A, B]); "
+            "choose y | A -> reward 1 | B -> reward 2"
+        )
+        assert main(["solve", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "input"
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.dappl"
         path.write_text("choose |")
