@@ -1,31 +1,33 @@
 """Boolean compilation of core programs to the branch-and-bound IR.
 
-An expression compiles to ``(phi, gamma, trace, pending, rewards)``: the
-formula for true-returning executions, the accepting formula collecting
-observations, the reward structure of ``phi`` over both return values, the
-rewards awaiting discharge, and the set of every reward variable introduced
-in the subexpression.  A conditional compiles each formula as one ``ite``
-on its guard; each arm discharges its branch's pending rewards and pins the
-opposite branch's reward variables false, so each model awards exactly the
-rewards of the trace it describes.  Finalization conjoins the remaining
-pending rewards onto ``phi``.
+An expression compiles to ``(phi, gamma, trace, pending)``: the formula
+for true-returning executions, the accepting formula collecting
+observations, the reward structure of ``phi`` over both return values, and
+the rewards awaiting discharge.  Rewards are numbered in creation order, so
+those a subexpression introduces are one run ``rewards[start:end]``.  A
+conditional compiles each formula as one ``ite`` on its guard; each arm
+discharges its branch's pending rewards and pins the other branch's run
+false, so each model awards exactly the rewards of the trace it describes.
+Finalization conjoins the remaining pending rewards onto ``phi``.
 
 Each diagram is built once.  A branch's pinned rewards form a chain of
-negated literals; an ``if`` leaves the chain of its own reward set for the
-``if`` above it to take, built as the conjunction of its two branches'
-chains, so a chain costs only the literals above the one it extends.  A
-pure binding (``x <- return t``) binds ``x`` to its term, which compiles
-when ``x`` is first read, so a binding nothing reads builds nothing.  A
-``choose`` whose arms observe nothing accepts on its site's exactly-one
-constraint itself.
+negated literals; an ``if`` leaves the chain of its own run for the ``if``
+above it to take, built as the conjunction of its two branches' chains, so
+a chain costs only the literals above the one it extends.  A pure binding
+(``x <- return t``) binds ``x`` to its term and the bindings of the term's
+names, and the term compiles when ``x`` is first read, so a binding nothing
+reads builds nothing.  A ``choose`` whose arms observe nothing accepts on
+its site's exactly-one constraint itself.  Both walks below keep one scope,
+bound and restored in place by :func:`~optppl.dappl.desugar.rebind`.
 
 The variable order comes from the program's structure.  A planning walk
 (:func:`plan_variables`) labels every flip, reward and choice variable in
 creation order, numbering each choice site as it labels it, and keeps that
 order, except that inside each arm of an outermost choose the arm's choice
 variable moves beside the variables the arm tests, and rewards under the
-arm's ``if`` move beside the guard's variables.  A choice that tests chance variables registered before it thus
-sits next to them instead of below all of them.
+arm's ``if`` move beside the guard's variables.  A choice that tests chance
+variables registered before it thus sits next to them instead of below all
+of them.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from ..bbir import Bbir
 from ..frontend import compile_term, term_vars
 from ..semiring import EV, EXPECTATION
 from . import ast as A
+from .desugar import rebind
 
 
 class DapplCompileError(Exception):
@@ -47,8 +50,8 @@ class DapplCompileError(Exception):
 class ChoiceSite:
     site: int
     names: tuple
-    vars: tuple
-    eo: int  # exactly-one constraint handle
+    vars: tuple  # in the planner, indexes into its labels
+    eo: int  # exactly-one constraint handle; None in the planner
 
 
 @dataclass
@@ -96,7 +99,7 @@ class CompiledDappl:
 
 
 class _BoolVal:
-    """A Boolean binding: its handle, or a pure term and its scope until read."""
+    """A Boolean binding: its handle, or until read a pure term and its names' bindings."""
 
     __slots__ = ("handle", "term", "env")
 
@@ -106,18 +109,11 @@ class _BoolVal:
         self.env = env
 
 
-class _ChoiceVal:
-    __slots__ = ("site",)
-
-    def __init__(self, site):
-        self.site = site
-
-
 def _reader(mgr, env):
     """What a pure term's names compile to under ``env``.
 
-    A pure binding's term compiles on its first read, under the scope it
-    was bound in, and keeps its handle for later reads.
+    A pure binding's term compiles on its first read, under its names'
+    bindings from when it was bound, and keeps its handle for later reads.
     """
 
     def read(name):
@@ -150,15 +146,6 @@ class VarPlan:
     order: list
 
 
-class _PlanSite:
-    __slots__ = ("first", "vars", "by_name")
-
-    def __init__(self, first, names, vars_):
-        self.first = first
-        self.vars = frozenset(vars_)
-        self.by_name = dict(zip(names, vars_))
-
-
 class _Planner:
     """One walk of a core program, visiting it in the compiler's order.
 
@@ -180,27 +167,24 @@ class _Planner:
         self.labels.append(label)
         return len(self.labels) - 1
 
-    def _site(self, intro) -> _PlanSite:
+    def _site(self, intro) -> ChoiceSite:
         """Number a choice introduction's site and label its variables."""
         intro.site = self.sites
-        first = len(self.labels)
         vars_ = tuple(self._new(f"c{self.sites}.{name}") for name in intro.names)
         self.sites += 1
-        return _PlanSite(first, intro.names, vars_)
+        return ChoiceSite(intro.site, intro.names, vars_, None)
 
-    def pure(self, p, env, refs) -> frozenset:
-        deps = frozenset()
+    def pure(self, p, env, out, refs):
         for name in term_vars(p):
-            # a Boolean binding maps to a frozenset, a choice binding to a site
+            # a Boolean binding maps to a set, a choice binding to a site
             bound = env.get(name)
-            if isinstance(bound, frozenset):
-                deps = deps | bound if deps else bound
-        if refs is not None:
-            refs |= deps
-        return deps
+            if isinstance(bound, set):
+                out |= bound
+                if refs is not None:
+                    refs |= bound
 
-    def walk(self, e, env, refs=None, guard=None) -> frozenset:
-        """Return the variables ``e``'s formulas can mention.
+    def walk(self, e, env, out, refs=None, guard=None):
+        """Add the variables ``e``'s formulas can mention to the set ``out``.
 
         ``refs`` collects the references of the enclosing outermost arm and
         is None outside one.  ``guard`` holds the variables the innermost
@@ -208,53 +192,55 @@ class _Planner:
         below a nested choose.
         """
         if isinstance(e, A.Return):
-            return self.pure(e.pure, env, refs)
-        if isinstance(e, A.Flip):
+            self.pure(e.pure, env, out, refs)
+        elif isinstance(e, A.Flip):
             self.flips += 1
-            v = self._new(f"f_{e.theta:g}#{self.flips}")
-            return frozenset((v,))
-        if isinstance(e, A.Reward):
-            deps = self.walk(e.body, env, refs, guard)
+            out.add(self._new(f"f_{e.theta:g}#{self.flips}"))
+        elif isinstance(e, A.Reward):
+            self.walk(e.body, env, out, refs, guard)
             self.rewards += 1
             r = self._new(f"r_{e.amount:g}#{self.rewards}")
             if guard:
                 self.moves[r] = (_BELOW, guard)
-            return deps | {r}
-        if isinstance(e, A.Observe):
-            return self.pure(e.guard, env, refs) | self.walk(e.body, env, refs, guard)
-        if isinstance(e, A.Ite):
-            tested = self.pure(e.guard, env, refs)
+            out.add(r)
+        elif isinstance(e, A.Observe):
+            self.pure(e.guard, env, out, refs)
+            self.walk(e.body, env, out, refs, guard)
+        elif isinstance(e, A.Ite):
+            tested = set()
+            self.pure(e.guard, env, tested, refs)
+            out |= tested
             inner = guard if refs is None or guard is False else tested
-            then = self.walk(e.then, env, refs, inner)
-            return tested | then | self.walk(e.els, env, refs, inner)
-        if isinstance(e, A.Bind):
-            inner = dict(env)
+            self.walk(e.then, env, out, refs, inner)
+            self.walk(e.els, env, out, refs, inner)
+        elif isinstance(e, A.Bind):
             if isinstance(e.value, A.ChoiceIntro):
-                inner[e.name] = self._site(e.value)
-                return self.walk(e.body, inner, refs, guard)
-            value = inner[e.name] = self.walk(e.value, env, refs, guard)
-            return value | self.walk(e.body, inner, refs, guard)
-        if isinstance(e, A.ChoiceIntro):
-            return self._site(e).vars
-        if isinstance(e, A.Choose):
+                value = self._site(e.value)
+            else:
+                value = set()
+                self.walk(e.value, env, value, refs, guard)
+                out |= value
+            saved = rebind(env, e.name, value)
+            self.walk(e.body, env, out, refs, guard)
+            rebind(env, e.name, saved)
+        elif isinstance(e, A.ChoiceIntro):
+            out.update(self._site(e).vars)
+        elif isinstance(e, A.Choose):
             site = env.get(e.scrutinee.name) if isinstance(e.scrutinee, A.ScrutVar) else None
-            if not isinstance(site, _PlanSite):
-                site = None
-            deps = site.vars if site is not None else frozenset()
+            by_name = dict(zip(site.names, site.vars)) if isinstance(site, ChoiceSite) else {}
+            out.update(by_name.values())
             if refs is not None:
-                refs |= deps
+                refs.update(by_name.values())
             for name, body in e.arms:
                 if refs is not None:
-                    deps |= self.walk(body, env, refs, False)
+                    self.walk(body, env, out, refs, False)
                     continue
                 arm_refs = set()
-                deps |= self.walk(body, env, arm_refs)
-                v = site.by_name.get(name) if site is not None else None
-                earlier = [x for x in arm_refs if x < site.first] if v is not None else ()
+                self.walk(body, env, out, arm_refs)
+                v = by_name.get(name)
+                earlier = [x for x in arm_refs if x < site.vars[0]] if v is not None else ()
                 if earlier:
                     self.moves.setdefault(v, (_ABOVE, earlier))
-            return deps
-        return frozenset()
 
     def order(self) -> list:
         """Registration order with the noted moves applied.
@@ -280,13 +266,14 @@ class _Planner:
 def plan_variables(core: A.Expr) -> VarPlan:
     """Label a core program's variables and plan their registration order.
 
-    Writes each choice introduction's site number into the core.  The
-    plan is creation order except inside the arms of outermost choose
-    sites, where choice and reward variables move beside the variables
-    their arm and guard test (see :class:`_Planner`).
+    Writes each choice introduction's site number into the core, in one
+    walk whose bookkeeping is linear in it.  The plan is creation order
+    except inside the arms of outermost choose sites, where choice and
+    reward variables move beside the variables their arm and guard test
+    (see :class:`_Planner`).
     """
     planner = _Planner()
-    planner.walk(core, {})
+    planner.walk(core, {}, set())
     return VarPlan(labels=planner.labels, order=planner.order())
 
 
@@ -295,8 +282,9 @@ class Compiler:
         self.mgr = mgr if mgr is not None else BddManager()
         self.weights = {}  # var -> (positive, negative) literal weights
         self.sites = []
-        # reward set -> its negated-reward chain, left by an ``if`` for the
-        # ``if`` above it; an entry goes when it is read
+        self.rewards = []  # reward variables in creation order
+        # (start, end) -> the negated chain of ``rewards[start:end]``, left
+        # by an ``if`` for the ``if`` above it; an entry goes when it is read
         self._pins = {}
         handles = [0] * len(plan.labels)
         for i in plan.order:
@@ -313,31 +301,28 @@ class Compiler:
     def _fresh_reward(self, amount: float) -> int:
         v = next(self._created)
         self.weights[v] = (EV(1.0, amount), EV(1.0, 0.0))
+        self.rewards.append(v)
         return v
 
     def _fresh_site(self, names) -> ChoiceSite:
         vars_ = tuple(next(self._created) for _ in names)
         for v in vars_:
             self.weights[v] = (EV(1.0, 0.0), EV(1.0, 0.0))
-        site = ChoiceSite(
-            site=len(self.sites), names=tuple(names), vars=vars_, eo=self.mgr.exactly_one(vars_)
-        )
+        site = ChoiceSite(len(self.sites), tuple(names), vars_, self.mgr.exactly_one(vars_))
         self.sites.append(site)
         return site
 
-    def _pinned(self, rewards: frozenset) -> int:
-        """The conjunction of every reward of ``rewards`` negated."""
-        if not rewards:
-            return TRUE
-        chain = self._pins.pop(rewards, None)
+    def _pinned(self, start: int, end: int) -> int:
+        """The conjunction of every reward of ``rewards[start:end]`` negated."""
+        chain = self._pins.pop((start, end), None)
         if chain is None:
-            chain = self.mgr.cube((r, False) for r in rewards)
+            chain = self.mgr.cube((r, False) for r in self.rewards[start:end])
         return chain
 
     # -- expressions ---------------------------------------------------------------
 
     def compile(self, e: A.Expr, env: dict):
-        """Return (phi, gamma, trace, pending reward vars, all reward vars).
+        """Return (phi, gamma, trace, pending reward vars).
 
         ``trace`` mirrors the reward-discharge structure of ``phi`` but sums
         over both return values; a bind conjoins its value's trace so rewards
@@ -345,32 +330,33 @@ class Compiler:
         """
         mgr = self.mgr
         if isinstance(e, A.Return):
-            return compile_term(mgr, e.pure, _reader(mgr, env)), TRUE, TRUE, (), frozenset()
+            return compile_term(mgr, e.pure, _reader(mgr, env)), TRUE, TRUE, ()
         if isinstance(e, A.Flip):
-            return mgr.mk_var(self._fresh_flip(e.theta)), TRUE, TRUE, (), frozenset()
+            return mgr.mk_var(self._fresh_flip(e.theta)), TRUE, TRUE, ()
         if isinstance(e, A.Reward):
-            phi, gamma, trace, pending, rset = self.compile(e.body, env)
-            r = self._fresh_reward(e.amount)
-            return phi, gamma, trace, pending + (r,), rset | {r}
+            phi, gamma, trace, pending = self.compile(e.body, env)
+            return phi, gamma, trace, pending + (self._fresh_reward(e.amount),)
         if isinstance(e, A.Observe):
             guard = compile_term(mgr, e.guard, _reader(mgr, env))
-            phi, gamma, trace, pending, rset = self.compile(e.body, env)
-            return phi, mgr.apply("and", gamma, guard), trace, pending, rset
+            phi, gamma, trace, pending = self.compile(e.body, env)
+            return phi, mgr.apply("and", gamma, guard), trace, pending
         if isinstance(e, A.Ite):
             guard = compile_term(mgr, e.guard, _reader(mgr, env))
-            t_phi, t_gam, t_tr, t_pend, t_rs = self.compile(e.then, env)
-            e_phi, e_gam, e_tr, e_pend, e_rs = self.compile(e.els, env)
+            start = len(self.rewards)
+            t_phi, t_gam, t_tr, t_pend = self.compile(e.then, env)
+            mid = len(self.rewards)
+            e_phi, e_gam, e_tr, e_pend = self.compile(e.els, env)
+            end = len(self.rewards)
 
             # each branch's discharged and pinned rewards go in as one cube:
             # conjoined one at a time below the core, every reward literal
             # would rebuild the whole diagram above it.  The pinned chains
             # come from the ``if``s below, and this ``if`` leaves its own.
-            t_pin, e_pin = self._pinned(t_rs), self._pinned(e_rs)
+            t_pin, e_pin = self._pinned(start, mid), self._pinned(mid, end)
             then_cube = mgr.apply("and", mgr.cube((r, True) for r in t_pend), e_pin)
             else_cube = mgr.apply("and", mgr.cube((r, True) for r in e_pend), t_pin)
-            rewards = t_rs | e_rs
-            if rewards:
-                self._pins[rewards] = mgr.apply("and", t_pin, e_pin)
+            if start < end:
+                self._pins[start, end] = mgr.apply("and", t_pin, e_pin)
 
             def mux(then_core, else_core):
                 return mgr.ite(
@@ -380,67 +366,71 @@ class Compiler:
                 )
 
             phi = mux(t_phi, e_phi)
-            trace = mux(t_tr, e_tr) if rewards else TRUE
+            trace = mux(t_tr, e_tr) if start < end else TRUE
             gamma = mgr.ite(guard, t_gam, e_gam)
-            return phi, gamma, trace, (), rewards
+            return phi, gamma, trace, ()
         if isinstance(e, A.Bind):
-            if isinstance(e.value, A.ChoiceIntro):
-                inner = dict(env)
-                inner[e.name] = _ChoiceVal(self._fresh_site(e.value.names))
-                return self.compile(e.body, inner)
-            if isinstance(e.value, A.Return):
+            value, head = e.value, None
+            if isinstance(value, A.ChoiceIntro):
+                bound = self._fresh_site(value.names)
+            elif isinstance(value, A.Return):
                 # a pure value has no trace, acceptance or reward of its own
-                inner = dict(env)
-                inner[e.name] = _BoolVal(None, e.value.pure, env)
-                return self.compile(e.body, inner)
-            v_phi, v_gam, v_tr, v_pend, v_rs = self.compile(e.value, env)
-            inner = dict(env)
-            inner[e.name] = _BoolVal(v_phi)
-            b_phi, b_gam, b_tr, b_pend, b_rs = self.compile(e.body, inner)
+                bound = _BoolVal(None, value.pure, {n: env.get(n) for n in term_vars(value.pure)})
+            else:
+                head = self.compile(value, env)
+                bound = _BoolVal(head[0])
+            saved = rebind(env, e.name, bound)
+            body = self.compile(e.body, env)
+            rebind(env, e.name, saved)
+            if head is None:
+                return body
+            v_phi, v_gam, v_tr, v_pend = head
+            b_phi, b_gam, b_tr, b_pend = body
             return (
                 mgr.apply("and", v_tr, b_phi),
                 mgr.apply("and", v_gam, b_gam),
                 mgr.apply("and", v_tr, b_tr),
                 v_pend + b_pend,
-                v_rs | b_rs,
             )
         if isinstance(e, A.ChoiceIntro):
-            return self._fresh_site(e.names).eo, TRUE, TRUE, (), frozenset()
+            return self._fresh_site(e.names).eo, TRUE, TRUE, ()
         if isinstance(e, A.Choose):
             if not isinstance(e.scrutinee, A.ScrutVar):
                 raise DapplCompileError("choose scrutinee not a variable; desugar first")
-            val = env.get(e.scrutinee.name)
-            if not isinstance(val, _ChoiceVal):
+            site = env.get(e.scrutinee.name)
+            if not isinstance(site, ChoiceSite):
                 raise DapplCompileError(f"{e.scrutinee.name!r} is not a bound choice")
-            site = val.site
             by_name = dict(zip(site.names, site.vars))
-            for name, _ in e.arms:
+            start = len(self.rewards)
+            compiled = []  # (choice var, its rewards' run, compiled arm) per arm
+            for name, body in e.arms:
                 if name not in by_name:
                     raise DapplCompileError(f"{name!r} is not an alternative of the choice")
-            compiled = [(by_name[name], self.compile(body, env)) for name, body in e.arms]
-            all_rs = frozenset().union(*(rs for _, (_, _, _, _, rs) in compiled))
+                lo = len(self.rewards)
+                arm = self.compile(body, env)
+                compiled.append((by_name[name], lo, len(self.rewards), arm))
+            end = len(self.rewards)
             # each arm sits on its site's one-hot cube (eo and its choice), so
             # the disjunction of the arms already implies eo; with every
             # alternative an arm that observes nothing, it is eo
-            quiet = len({avar for avar, _ in compiled}) == len(site.vars) and all(
-                a_gam == TRUE for _, (_, a_gam, _, _, _) in compiled
+            quiet = len({avar for avar, _, _, _ in compiled}) == len(site.vars) and all(
+                a_gam == TRUE for _, _, _, (_, a_gam, _, _) in compiled
             )
             phi_arms, trace_arms, gam_arms = [], [], []
-            for avar, (a_phi, a_gam, a_tr, a_pend, a_rs) in compiled:
+            for avar, lo, hi, (a_phi, a_gam, a_tr, a_pend) in compiled:
                 one_hot = [(c, c == avar) for c in site.vars]
+                others = self.rewards[start:lo] + self.rewards[hi:end]
                 shared = mgr.cube(
-                    one_hot
-                    + [(r, True) for r in a_pend]
-                    + [(r, False) for r in all_rs - a_rs]
+                    one_hot + [(r, True) for r in a_pend] + [(r, False) for r in others]
                 )
                 phi_arms.append(mgr.apply("and", shared, a_phi))
                 trace_arms.append(mgr.apply("and", shared, a_tr))
                 if not quiet:
                     gam_arms.append(mgr.apply("and", mgr.cube(one_hot), a_gam))
             phi = mgr.disjoin(phi_arms)
-            trace = mgr.disjoin(trace_arms) if all_rs else TRUE
+            trace = mgr.disjoin(trace_arms) if start < end else TRUE
             gamma = site.eo if quiet else mgr.disjoin(gam_arms)
-            return phi, gamma, trace, (), all_rs
+            return phi, gamma, trace, ()
         raise DapplCompileError(f"cannot compile {e!r}")
 
 
@@ -451,10 +441,12 @@ def compile_program(core: A.Expr, mgr: BddManager | None = None) -> CompiledDapp
     sites as :func:`~optppl.dappl.ast.number_sites` would, and plans the order;
     the variables are registered in that order with ``ensure_var``, so
     labels already registered in ``mgr`` (an ``--order`` file) keep their
-    positions and the rest follow in planned order.
+    positions and the rest follow in planned order.  The compiler walks the
+    core once under one scope and reads each ``if``'s and ``choose``'s
+    rewards as the run :attr:`Compiler.rewards` grew by while compiling it.
     """
     compiler = Compiler(plan_variables(core), mgr)
-    phi, gamma, trace, pending, _ = compiler.compile(core, {})
+    phi, gamma, trace, pending = compiler.compile(core, {})
     return CompiledDappl(
         mgr=compiler.mgr,
         phi=phi,

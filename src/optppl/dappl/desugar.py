@@ -9,6 +9,7 @@ After desugaring only the core forms remain: return/flip/reward-with-body,
 if on a plain variable, bind, observe on a plain variable, choice intro and
 choose on a bound choice variable.  A choice or categorical is bound only
 as its ``[...]`` or ``disc[...]`` itself, so every choose finds its site.
+The walk's one scope is bound and restored in place by :func:`rebind`.
 """
 
 from __future__ import annotations
@@ -22,13 +23,24 @@ class DapplDesugarError(Exception):
     pass
 
 
+def rebind(scope: dict, name: str, value):
+    """Set ``name`` to ``value`` (None unbinds it); return the value to restore it with."""
+    saved = scope.get(name)
+    if value is None:
+        del scope[name]
+    else:
+        scope[name] = value
+    return saved
+
+
 class _Walk:
     def __init__(self):
         self.counter = 0
 
     def fresh(self, stem: str) -> str:
+        """A new name; it holds ``#``, which no dappl identifier can, so it captures none."""
         self.counter += 1
-        return f"_{stem}{self.counter}"
+        return f"{stem}#{self.counter}"
 
     # -- helpers ---------------------------------------------------------------
 
@@ -38,22 +50,11 @@ class _Walk:
             biases = chain_biases([p for _, p in pairs])
         except ValueError as exc:
             raise DapplDesugarError(str(exc)) from None
-        return TCat((n for n, _ in pairs), tuple((self.fresh("cat"), b) for b in biases))
-
-    def under(self, scope: dict, name: str, t, body: A.Expr):
-        """Walk ``body`` with ``name`` bound to ``t``, then restore the scope."""
-        saved = scope.get(name)
-        scope[name] = t
-        out = self.walk(body, scope)
-        if saved is None:
-            del scope[name]
-        else:
-            scope[name] = saved
-        return out
+        return TCat((n for n, _ in pairs), tuple((self.fresh("_cat"), b) for b in biases))
 
     def guard_var(self, guard: A.Term) -> A.Var:
         """A plain-variable guard, or a fresh name for a compound one."""
-        return guard if isinstance(guard, A.Var) else A.Var(name=self.fresh("g"))
+        return guard if isinstance(guard, A.Var) else A.Var(name=self.fresh("_g"))
 
     def arms(self, e: A.Choose, t, scope: dict) -> dict:
         """Check a choose's patterns against ``t`` and walk its arms in order."""
@@ -125,7 +126,7 @@ class _Walk:
             raise DapplTypeError("loop body must be a probabilistic computation", e.span)
         out = copies[-1][0]
         for body, _ in reversed(copies[:-1]):
-            out = A.Bind(name=self.fresh("loop"), value=body, body=out)
+            out = A.Bind(name=self.fresh("_loop"), value=body, body=out)
         return out, DIST
 
     def ite(self, e: A.Ite, scope: dict):
@@ -134,7 +135,7 @@ class _Walk:
             if len(e.guard.names) != 1:
                 raise DapplTypeError("a decision guard must have one alternative", e.span)
             name = e.guard.names[0]
-            var = self.fresh("dec")
+            var = self.fresh("_dec")
         else:
             check_pure(e.guard, scope)
             g = self.guard_var(e.guard)
@@ -157,12 +158,9 @@ class _Walk:
     def bind(self, e: A.Bind, scope: dict):
         value = e.value
         if isinstance(value, A.Disc):
-            cat = self.categorical(value.pairs)
-            body, t = self.under(scope, e.name, cat, e.body)
-            return _bind_flips(cat.flips, body), t
-        if isinstance(value, A.ChoiceIntro):
-            core = A.ChoiceIntro(span=value.span, names=value.names)
-            body, t = self.under(scope, e.name, TChoice(value.names), e.body)
+            bound = self.categorical(value.pairs)
+        elif isinstance(value, A.ChoiceIntro):
+            core, bound = A.ChoiceIntro(span=value.span, names=value.names), TChoice(value.names)
         else:
             core, tv = self.walk(value, scope)
             if tv is not DIST:
@@ -172,7 +170,12 @@ class _Walk:
                     "bind the [...] or disc[...] itself",
                     e.span,
                 )
-            body, t = self.under(scope, e.name, BOOL, e.body)
+            bound = BOOL
+        saved = rebind(scope, e.name, bound)
+        body, t = self.walk(e.body, scope)
+        rebind(scope, e.name, saved)
+        if isinstance(value, A.Disc):
+            return _bind_flips(bound.flips, body), t
         return A.Bind(span=e.span, name=e.name, value=core, body=body), t
 
     def choose(self, e: A.Choose, scope: dict):
@@ -191,7 +194,7 @@ class _Walk:
             return _select(t, arms), DIST
         ordered = tuple(arms.items())  # in the written order
         if isinstance(scrut, A.ChoiceIntro):
-            var = self.fresh("ch")
+            var = self.fresh("_ch")
             return A.Bind(
                 span=e.span,
                 name=var,

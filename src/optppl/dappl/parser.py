@@ -92,11 +92,7 @@ class Parser(TokenParser):
 
     def parse_flip(self) -> A.Flip:
         sp = self.span()
-        self.pos += 1
-        theta = self.number()
-        if not 0.0 <= theta <= 1.0:
-            self.error(f"flip bias {theta} outside [0, 1]", sp)
-        return A.Flip(span=sp, theta=theta)
+        return A.Flip(span=sp, theta=self.flip_bias(sp))
 
     def parse_return(self) -> A.Return:
         """``'return' pure``, or a bare pure, which means the same."""

@@ -9,14 +9,12 @@ be closed and of type ``Dist``; expressions are checked by the walk in
 
 from __future__ import annotations
 
+from ..frontend import PositionedError
 from . import ast as A
 
 
-class DapplTypeError(Exception):
-    def __init__(self, message, span=None):
-        if span is not None and span.line:
-            message = f"{message} ({span})"
-        super().__init__(message)
+class DapplTypeError(PositionedError):
+    pass
 
 
 class _Type:

@@ -1,8 +1,9 @@
 """What the dappl and pineappl front ends share.
 
-Source positions, the lexer and its ``(kind, text, line, col)`` token
-tuples, a recursive-descent base class that reads them by index with the
-rules both grammars spell the same way, the Boolean term language
+Source positions and the error that names one, the lexer and its
+``(kind, text, line, col)`` token tuples, a recursive-descent base class
+that reads them by index with the rules both grammars spell the same way
+(a flip's bias among them), the Boolean term language
 (its AST, grammar, variables and compilation to a BDD), and the flip-chain
 encoding of categoricals.  One term, ``Mux``, has no syntax: pineappl's
 expansion makes its join points of it, and it compiles to one
@@ -132,6 +133,15 @@ class SourceSyntaxError(Exception):
         self.col = col
 
 
+class PositionedError(Exception):
+    """An error about a parsed node, naming its position when it has one."""
+
+    def __init__(self, message, span=None):
+        if span is not None and span.line:
+            message = f"{message} ({span})"
+        super().__init__(message)
+
+
 @functools.lru_cache(maxsize=32)
 def _token_regex(symbols: tuple, digits: str, numerals: str):
     """The lexer's one regex for a symbol table.
@@ -244,6 +254,14 @@ class TokenParser:
         except ValueError:
             self.error(f"bad number {tok[1]!r}", Span(tok[2], tok[3]))
         return -value if neg else value
+
+    def flip_bias(self, sp: Span) -> float:
+        """``'flip' NUM`` as its bias, at a ``flip``; one outside [0, 1] is reported at ``sp``."""
+        self.pos += 1
+        theta = self.number()
+        if not 0.0 <= theta <= 1.0:
+            self.error(f"flip bias {theta} outside [0, 1]", sp)
+        return theta
 
     def loop_count(self) -> int:
         tok = self.expect("num")

@@ -21,15 +21,12 @@ never equal a program's own names.
 
 from __future__ import annotations
 
-from ..frontend import chain_biases, term_vars
+from ..frontend import PositionedError, chain_biases, term_vars
 from . import ast as A
 
 
-class PineapplExpandError(Exception):
-    def __init__(self, message, span=None):
-        if span is not None and getattr(span, "line", 0):
-            message = f"{message} ({span})"
-        super().__init__(message)
+class PineapplExpandError(PositionedError):
+    pass
 
 
 _POISON = object()

@@ -79,11 +79,7 @@ class Parser(TokenParser):
         self.expect("sym", "=")
         text = self.tokens[self.pos][1]
         if text == "flip":
-            self.pos += 1
-            theta = self.number()
-            if not 0.0 <= theta <= 1.0:
-                self.error(f"flip bias {theta} outside [0, 1]", sp)
-            return A.SFlip(span=sp, name=name, theta=theta)
+            return A.SFlip(span=sp, name=name, theta=self.flip_bias(sp))
         if text == "disc":
             return A.SDisc(span=sp, name=name, pairs=self.disc_pairs(sp))
         if text == "mmap":

@@ -8,18 +8,22 @@ Each case prints one line: its tag, then its result with every float in
 ``float.hex`` form (so two runs agree only when they are bit for bit equal),
 or ``ERR <type> <message>``.  Timings and memo sizes are left out; every
 other search statistic is printed.  The ``dappl-sugared`` cases solve the
-sugared copies of ``random_sugared_dappl_program``.  The last two lines,
-``total bdd_nodes N`` and ``total mmap_cache_hits N``, sum those statistics
-over every case before them but the ``dappl-sugared`` ones.  pytest does
-not collect this file.
+sugared copies of ``random_sugared_dappl_program``.  The lines
+``total bdd_nodes N`` and ``total mmap_cache_hits N`` sum those statistics
+over every case before them but the ``dappl-sugared`` ones.  The last line,
+``plans sha256 <hex>``, digests the labels and order that
+``plan_variables`` gives every dappl case, so a changed variable order shows
+even where the node totals agree.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 from optppl import EV, MeuObjective, MmapObjective, bb, lb, ub, ub_f
-from optppl.dappl import solve_meu
+from optppl.dappl import desugar, parse, solve_meu
+from optppl.dappl.compile import plan_variables
 from optppl.gen import gen_dr, gen_gridworld, gen_ladder, gen_nested_mmap
 from optppl.pineappl import run_program
 
@@ -69,10 +73,28 @@ def search(objective_class, inst, partial_rng, literal_order):
             ub(inst, phi, partial), lb(inst, phi, partial), ub_f(objective, inst, partial))
 
 
+def plan_digest(sources) -> str:
+    """sha256 over each program's planned labels and order, or its error type."""
+    digest = hashlib.sha256()
+    for src in sources:
+        try:
+            plan = plan_variables(desugar(parse(src)))
+            line = repr((plan.labels, plan.order))
+        except Exception as exc:  # a program the front end refuses
+            line = f"ERR {type(exc).__name__}"
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
 def main():
-    stats = []
+    stats, dappl = [], []
+
+    def meu(tag, src):
+        dappl.append(src)
+        return case(tag, lambda: solve_meu(src))
+
     for seed in range(400):
-        stats.append(case(f"dappl-random {seed}", lambda: solve_meu(random_dappl_program(seed))))
+        stats.append(meu(f"dappl-random {seed}", random_dappl_program(seed)))
     for seed in range(600):
         src = random_pineappl_program(seed, max_flips=6, max_mmaps=4)
         stats.append(case(f"pineappl-random {seed}", lambda: run_program(src)))
@@ -86,17 +108,17 @@ def main():
             stats.append(case(f"mmap-instance {seed}", lambda: search(
                 MmapObjective, out[0], random.Random(20_000 + seed), (False, True))))
     for n in range(3, 7):
-        stats.append(case(f"dr {n}", lambda: solve_meu(gen_dr(n, seed=0))))
-        stats.append(case(f"ladder {n}", lambda: solve_meu(gen_ladder(n, seed=0))))
-    stats.append(case("ladder 2 k=2 seed=5", lambda: solve_meu(gen_ladder(2, 2, seed=5))))
-    stats.append(case("gridworld 4 6", lambda: solve_meu(gen_gridworld(4, 6, 0.1, seed=0))))
+        stats.append(meu(f"dr {n}", gen_dr(n, seed=0)))
+        stats.append(meu(f"ladder {n}", gen_ladder(n, seed=0)))
+    stats.append(meu("ladder 2 k=2 seed=5", gen_ladder(2, 2, seed=5)))
+    stats.append(meu("gridworld 4 6", gen_gridworld(4, 6, 0.1, seed=0)))
     for n in (5, 9, 14, 20):
         stats.append(case(f"nested-mmap {n}", lambda: run_program(gen_nested_mmap(n))))
     for seed in range(200):
-        sugared, _ = random_sugared_dappl_program(seed)
-        case(f"dappl-sugared {seed}", lambda: solve_meu(sugared))
+        meu(f"dappl-sugared {seed}", random_sugared_dappl_program(seed)[0])
     for name in SUMMED:
         print("total", name, sum(s.get(name, 0) for s in stats))
+    print("plans sha256", plan_digest(dappl))
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from optppl.dappl import (
 from optppl.dappl import ast as A
 from optppl.dappl import compile as compile_mod
 from optppl.dappl.ast import number_sites
-from optppl.dappl.compile import Compiler, plan_variables
+from optppl.dappl.compile import Compiler, _Planner, plan_variables
 from optppl.frontend import Lit, Var
 from optppl.gen import gen_bn, gen_dr, gen_gridworld, gen_ladder
 from optppl.oracle import OracleError, dappl_meu_enum, policy_space, util_eu
@@ -255,6 +255,31 @@ class TestScopes:
         )
         assert solve_meu(src)["meu"] == 5.5
 
+    def test_a_pure_binding_reads_the_names_as_they_were_when_bound(self):
+        # the scope is changed in place, so y must not see the later x
+        src = "x <- flip 0.5; y <- return x; x <- flip 0.9; if y then reward 10 else ()"
+        assert solve_meu(src)["meu"] == 5.0
+
+    @pytest.mark.parametrize(
+        "name, src, want",
+        [
+            # a compound guard's name
+            ("_g1", "_g1 <- flip 0.5; x <- flip 0.5; "
+             "if (x || !x) then (if _g1 then reward 10 else ()) else ()", 5.0),
+            # a categorical's chain flip
+            ("_cat1", "_cat1 <- flip 0.5; d <- disc[a: 0.5, b: 0.5]; "
+             "choose d | a -> (if _cat1 then reward 10 else ()) | b -> ()", 2.5),
+            # a loop copy's binding
+            ("_loop1", "_loop1 <- flip 0.5; loop 2 { if _loop1 then reward 10 else () }", 10.0),
+        ],
+        ids=["guard", "categorical", "loop"],
+    )
+    def test_invented_names_never_capture_a_programs_own(self, name, src, want):
+        # the oracle reads the same desugared core, so the judge is the same
+        # program with the user's name spelled otherwise
+        assert solve_meu(src.replace(name, "user"))["meu"] == want
+        assert solve_meu(src)["meu"] == want
+
     def test_a_solve_walks_the_source_once_before_the_planner(self, monkeypatch):
         import importlib
 
@@ -347,10 +372,12 @@ class _ChooseChecker(Compiler):
     checked = 0
 
     def compile(self, e, env):
+        start = len(self.rewards)
         out = super().compile(e, env)
         if isinstance(e, A.Choose):
-            phi, gamma, trace, _, rewards = out
-            eo = env[e.scrutinee.name].site.eo
+            phi, gamma, trace, _ = out
+            rewards = len(self.rewards) > start
+            eo = env[e.scrutinee.name].eo
             # with no reward in any arm the trace is TRUE by design
             for handle in (phi, gamma, trace) if rewards else (phi, gamma):
                 assert self.mgr.apply("and", handle, eo) == handle
@@ -463,8 +490,45 @@ class TestVariableOrder:
             compile_program(core)
 
 
+def _walk_bookkeeping(src):
+    """Entries the planner and the compiler keep in scopes and sets on ``src``.
+
+    A scope dict handed to a walk counts its entries when first seen; a set
+    handed to or returned by a walk counts its size at the end.
+    """
+    held = {}  # id -> object, kept so that no id is reused
+
+    def note(value):
+        if isinstance(value, tuple):
+            for item in value:
+                note(item)
+        elif isinstance(value, (dict, set, frozenset)) and id(value) not in held:
+            held[id(value)] = (value, len(value) if isinstance(value, dict) else None)
+
+    def spy(walk):
+        def wrapped(self, *args):
+            for arg in args:
+                note(arg)
+            out = walk(self, *args)
+            note(out)
+            return out
+
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_Planner, "walk", spy(_Planner.walk))
+        m.setattr(Compiler, "compile", spy(Compiler.compile))
+        prepare(src)
+    return sum(len(v) if first is None else first for v, first in held.values())
+
+
 class TestBuildOnce:
     """Compile and finalize build each diagram once, in linear size."""
+
+    def test_walk_bookkeeping_is_linear_on_dr(self):
+        # each binding copied the scope and each subterm returned the union
+        # of its parts' sets: n=320 kept 1,601,766 entries, 4.2 times n=160
+        assert _walk_bookkeeping(gen_dr(320, seed=0)) < 2.2 * _walk_bookkeeping(gen_dr(160, seed=0))
 
     def test_finalize_allocation_is_linear_on_dr(self):
         # folding each site's eo below the validity built so far rebuilt it
