@@ -11,14 +11,17 @@ assignment and count over the universe without its variables.
 
 :func:`bb` searches the space of total branch assignments, pruning a branch
 whenever its bound is dominated by the incumbent under the lattice order.
-It fixes the branch variables in variable order and carries each diagram
-down as a :class:`~optppl.bdd.Frontier`, so it conditions no formula and
-builds no node; all its counts share one memo per setup in a
-:class:`BoundMemo`, as context caching does in AND/OR branch and bound
-(Marinescu & Dechter, AIJ 2009).  An MEU bound divides an expectation bound
-by probability bounds; one walk over the product semiring ``EV_BOUND``
-computes the numerator and the denominator's lower and upper bounds
-together.
+It is depth-first branch and bound written as one loop over an explicit
+stack of the children still to visit, so its Python depth does not grow
+with the branch variables, and its tie test reads O(1) per call from
+per-depth arrays.  It fixes the branch variables in variable order and
+carries each diagram down as a :class:`~optppl.bdd.Frontier`, so it
+conditions no formula and builds no node; all its counts share one memo
+per setup in a :class:`BoundMemo`, as context caching does in AND/OR branch
+and bound (Marinescu & Dechter, AIJ 2009).  An MEU bound divides an
+expectation bound by probability bounds; one walk over the product
+semiring ``EV_BOUND`` computes the numerator and the denominator's lower
+and upper bounds together.
 
 An optional validity formula over the branch variables restricts which
 branch assignments count as policies (the surface compiler uses it for its
@@ -31,6 +34,7 @@ algorithm.
 from __future__ import annotations
 
 import time
+from itertools import accumulate
 from dataclasses import InitVar, dataclass
 
 from .bdd import FALSE, TRUE, BddManager, CountSetup, Frontier
@@ -458,17 +462,23 @@ def bb(
     and leaf is a count from a frontier with one :class:`BoundMemo`.  Only
     the validity handle is conditioned, one step per literal, since it
     tests branch variables only; an invalid literal is skipped before
-    anything else is done.  A child that fixes the last variable is a total
-    assignment: it is evaluated exactly and never bounded.  Only a child
-    whose sibling literal is valid is bounded.  A forced child (its sibling
-    is invalid) has the valid completions of its parent, whose bound was
-    checked against the same incumbent just before, so it recurses at
-    once.  Of two bounded children the search dives first into the one
-    whose bound is larger under ``total_le`` (equal bounds keep
+    anything else is done.
+
+    It is one loop over a stack of the children still to visit, each with
+    its depth, so it takes no Python frame per branch variable.  Expanding
+    a node pushes its valid children, the one to visit first on top.  A
+    child that fixes the last variable is a total assignment: it is
+    evaluated exactly and never bounded, and since the two leaves go on top
+    they are evaluated at once, in ``literal_order``.  Only a child whose
+    sibling literal is valid is bounded, when its parent is expanded.  A
+    forced child (its sibling is invalid) has the valid completions of its
+    parent, whose bound was checked against the same incumbent just before,
+    so it is expanded at once.  Of two bounded children the one whose bound
+    is larger under ``total_le`` goes first (equal bounds keep
     ``literal_order``), so the first incumbent comes from a bound-guided
-    dive.  Just before its turn a bounded child is pruned when its bound is
+    dive.  When it is popped a bounded child is pruned if its bound is
     dominated by the incumbent in the lattice order; incomparable bounds
-    always recurse.  The root is never bounded, and without pruning no
+    are always expanded.  The root is never bounded, and without pruning no
     bound is computed and children go in ``literal_order``.
 
     Among exact ties the witness is the assignment that comes first in
@@ -476,7 +486,10 @@ def bb(
     visits them in: an equal value replaces the incumbent when its
     assignment comes first, and an equal bound prunes only when the first
     variable along ``branch_vars`` that is open or differs from the
-    incumbent's is fixed to the later literal.
+    incumbent's is fixed to the later literal.  That test reads O(1) per
+    call: per depth the search keeps the first position along
+    ``branch_vars`` where the path leaves the witness, and the first open
+    position is a suffix minimum over the variable order.
     """
     if literal_order not in ((True, False), (False, True)):
         raise BbirError("literal_order must be (True, False) or (False, True)")
@@ -488,98 +501,83 @@ def bb(
     order = sorted(bbir.branch_vars)
     last = len(order) - 1
     memo = BoundMemo(mgr, objective.bound_setups, order)
+    rank = sorted(range(len(order)), key=bbir.branch_vars.__getitem__)  # depth -> position
+    # with k variables fixed, open_from[k] is the first open position
+    open_from = list(accumulate(reversed(rank), min))[::-1] + [len(order)]
+    # with k variables fixed, leave[k] is the first (position, literal)
+    # along branch_vars where the path leaves the witness, or (n, None)
+    leave = [(len(order), None)] * (len(order) + 1)
     partial = {}  # the current path, in variable order
-    state = {"best": None, "witness": None}
+    best = witness = None
+    # (depth, bound or None, literal, frontier ids, validity) per child; the
+    # root fixes nothing and its frontiers are already at depth 0
+    stack = [(-1, None, None, memo.start(objective.roots), bbir.validity)]
 
-    def may_precede():
-        # whether a completion of ``partial`` can come before the incumbent's
-        # witness: the first variable along branch_vars that is open or
-        # differs from the witness decides
-        witness = state["witness"]
-        for var in bbir.branch_vars:
-            value = partial.get(var)
-            if value is None:
-                return True
-            if value != witness[var]:
-                return value == literal_order[0]
-        return False
+    def precedes(depth):
+        # whether a completion of the path can come before the witness: the
+        # first position along branch_vars that is open or leaves it decides
+        # (at a leaf none is open, and the path is not the witness)
+        at, took = leave[depth + 1]
+        return at >= open_from[depth + 1] or took == literal_order[0]
 
-    def consider(value):
-        best = state["best"]
-        if best is None or (
-            sr.total_le(best, value) and (best != value or may_precede())
+    while stack:
+        depth, bound, lit, fids, valid_h = stack.pop()
+        if depth >= 0:
+            var = order[depth]
+            while len(partial) > depth:
+                partial.popitem()
+            partial[var] = lit
+            left = leave[depth]
+            if witness is not None and lit != witness[var] and rank[depth] < left[0]:
+                left = (rank[depth], lit)
+            leave[depth + 1] = left
+        if depth == last:
+            stats.base_cases += 1
+            value = objective.evaluate_conditioned(fids, valid_h, partial, memo)
+            if best is None or (sr.total_le(best, value) and (best != value or precedes(depth))):
+                best, witness = value, {var: partial[var] for var in bbir.branch_vars}
+                leave = [leave[0]] * len(leave)  # the path is the witness
+            continue
+        if bound is not None and best is not None and sr.cmp_le(bound, best) and (
+            bound != best or not precedes(depth)
         ):
-            state["best"] = value
-            state["witness"] = {var: partial[var] for var in bbir.branch_vars}
-
-    def pruned(bound):
-        best = state["best"]
-        return (
-            best is not None
-            and sr.cmp_le(bound, best)
-            and (bound != best or not may_precede())
-        )
-
-    def recurse(fids, valid_h, depth):
+            stats.prunes += 1
+            continue
         stats.interior += 1
+        fids = memo.push(fids, depth + 1) if depth >= 0 else fids
+        depth += 1
         var = order[depth]
         # the validity tests branch variables only, and those above var are
         # fixed, so conditioning it on var takes one step
         valid = []
-        for value in literal_order:
-            child_valid = mgr.condition(valid_h, var, value)
+        for lit in literal_order:
+            child_valid = mgr.condition(valid_h, var, lit)
             if child_valid == FALSE:
                 stats.invalid += 1
             else:
-                valid.append((value, child_valid))
+                valid.append((lit, child_valid))
         # a forced literal keeps every valid completion of this node, whose
         # bound was just checked against the same incumbent
-        choice = prune and len(valid) == 2
+        bounded = prune and len(valid) == 2 and depth < last
         children = []
-        for value, child_valid in valid:
-            fixed = memo.fix(fids, value)
-            partial[var] = value
-            if depth == last:
-                stats.base_cases += 1
-                consider(objective.evaluate_conditioned(fixed, child_valid, partial, memo))
-            elif choice:
+        for lit, child_valid in valid:
+            fixed = memo.fix(fids, lit)
+            bound = None
+            if bounded:
                 stats.bound_calls += 1
+                partial[var] = lit
                 bound = objective.bound_conditioned(fixed, child_valid, partial, memo)
-                children.append((bound, value, fixed, child_valid))
-            else:
-                children.append((None, value, fixed, child_valid))
-            del partial[var]
-        if choice and len(children) == 2:
-            first, second = children[0][0], children[1][0]
+                del partial[var]
+            children.append((depth, bound, lit, fixed, child_valid))
+        if bounded:
+            first, second = children[0][1], children[1][1]
             if sr.total_le(first, second) and first != second:
                 children.reverse()
-        for bound, value, fixed, child_valid in children:
-            partial[var] = value
-            if choice and pruned(bound):
-                stats.prunes += 1
-            else:
-                recurse(memo.push(fixed, depth + 1), child_valid, depth + 1)
-            del partial[var]
-
-    fids = memo.start(objective.roots)
-    try:
-        if order:
-            recurse(fids, bbir.validity, 0)
-        else:
-            stats.base_cases += 1
-            consider(objective.evaluate_conditioned(fids, bbir.validity, partial, memo))
-    finally:
-        recurse = None  # it refers to itself; break the cycle
+        stack.extend(reversed(children))
     stats.bound_memo_entries = memo.entries()
-    if state["best"] is None:
+    if best is None:
         # every branch was invalid; report the bottom element
-        state["best"] = sr.bottom
-        state["witness"] = {}
+        best, witness = sr.bottom, {}
     stats.nodes_created = mgr.num_nodes - nodes_before
     stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return SolveResult(
-        value=state["best"],
-        scalar=objective.scalar(state["best"]),
-        witness=state["witness"],
-        stats=stats,
-    )
+    return SolveResult(value=best, scalar=objective.scalar(best), witness=witness, stats=stats)

@@ -327,15 +327,17 @@ class Compiler:
         ``trace`` mirrors the reward-discharge structure of ``phi`` but sums
         over both return values; a bind conjoins its value's trace so rewards
         discharged inside an unused binding still constrain every model.
+        The pending rewards are a list the caller takes over and extends.
         """
         mgr = self.mgr
         if isinstance(e, A.Return):
-            return compile_term(mgr, e.pure, _reader(mgr, env)), TRUE, TRUE, ()
+            return compile_term(mgr, e.pure, _reader(mgr, env)), TRUE, TRUE, []
         if isinstance(e, A.Flip):
-            return mgr.mk_var(self._fresh_flip(e.theta)), TRUE, TRUE, ()
+            return mgr.mk_var(self._fresh_flip(e.theta)), TRUE, TRUE, []
         if isinstance(e, A.Reward):
             phi, gamma, trace, pending = self.compile(e.body, env)
-            return phi, gamma, trace, pending + (self._fresh_reward(e.amount),)
+            pending.append(self._fresh_reward(e.amount))
+            return phi, gamma, trace, pending
         if isinstance(e, A.Observe):
             guard = compile_term(mgr, e.guard, _reader(mgr, env))
             phi, gamma, trace, pending = self.compile(e.body, env)
@@ -368,7 +370,7 @@ class Compiler:
             phi = mux(t_phi, e_phi)
             trace = mux(t_tr, e_tr) if start < end else TRUE
             gamma = mgr.ite(guard, t_gam, e_gam)
-            return phi, gamma, trace, ()
+            return phi, gamma, trace, []
         if isinstance(e, A.Bind):
             value, head = e.value, None
             if isinstance(value, A.ChoiceIntro):
@@ -386,14 +388,17 @@ class Compiler:
                 return body
             v_phi, v_gam, v_tr, v_pend = head
             b_phi, b_gam, b_tr, b_pend = body
+            # the shorter list joins the longer: a reward moves O(log n) times
+            fewer, pending = sorted((v_pend, b_pend), key=len)
+            pending.extend(fewer)
             return (
                 mgr.apply("and", v_tr, b_phi),
                 mgr.apply("and", v_gam, b_gam),
                 mgr.apply("and", v_tr, b_tr),
-                v_pend + b_pend,
+                pending,
             )
         if isinstance(e, A.ChoiceIntro):
-            return self._fresh_site(e.names).eo, TRUE, TRUE, ()
+            return self._fresh_site(e.names).eo, TRUE, TRUE, []
         if isinstance(e, A.Choose):
             if not isinstance(e.scrutinee, A.ScrutVar):
                 raise DapplCompileError("choose scrutinee not a variable; desugar first")
@@ -430,7 +435,7 @@ class Compiler:
             phi = mgr.disjoin(phi_arms)
             trace = mgr.disjoin(trace_arms) if start < end else TRUE
             gamma = site.eo if quiet else mgr.disjoin(gam_arms)
-            return phi, gamma, trace, ()
+            return phi, gamma, trace, []
         raise DapplCompileError(f"cannot compile {e!r}")
 
 
@@ -453,6 +458,6 @@ def compile_program(core: A.Expr, mgr: BddManager | None = None) -> CompiledDapp
         gamma=gamma,
         trace=trace,
         weights=compiler.weights,
-        pending=pending,
+        pending=tuple(pending),
         sites=compiler.sites,
     )

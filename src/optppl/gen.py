@@ -241,21 +241,18 @@ def gen_dr(n: int, seed: int = 0) -> str:
     if n < 1:
         raise GenError("the chain needs at least one column")
     rng = random.Random(seed)
-
-    def column(i):
+    columns = []
+    for i in range(n):
         k = rng.randint(2, 6)
         utils = [rng.randint(0, 100) for _ in range(k)]
         names = [f"take{i}_{j}" for j in range(k)]
         arms = " ".join(f"| {nm} -> reward {u}" for nm, u in zip(names, utils))
-        pick = f"(choose [{', '.join(names)}] {arms})"
-        if i == n - 1:
-            tail = "()"
-        else:
-            tail = f"({column(i + 1)})"
-        bias = rng.uniform(0.2, 0.8)
-        return f"f{i} <- flip {bias:.6g}; if f{i} then {pick} else {tail}"
-
-    return "// diminishing returns, n=%d seed=%d\n%s" % (n, seed, column(0))
+        columns.append(f"if f{i} then (choose [{', '.join(names)}] {arms}) else ")
+    # the biases are drawn from the last column back to the first
+    for i in range(n - 1, -1, -1):
+        columns[i] = f"f{i} <- flip {rng.uniform(0.2, 0.8):.6g}; {columns[i]}"
+    chain = "(".join(columns) + "()" + ")" * (n - 1)
+    return "// diminishing returns, n=%d seed=%d\n%s" % (n, seed, chain)
 
 
 # ---------------------------------------------------------------------------

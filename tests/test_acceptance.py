@@ -385,14 +385,17 @@ def test_criterion_10_nested_query_scaling_shape():
     # host then costs one round a band of n, not every run of that band.
     # Each solve starts from a collected heap with the cyclic GC off, as
     # timeit does, so no solve pays for garbage that earlier ones left.
+    # A solve takes 1-10 ms, so it is timed in process CPU time: wall time
+    # also counts the time other processes hold the CPU, which decided the
+    # fit on a loaded host.
     for round_ in range(7):
         for n in range(2, 41):
             gc.collect()
             gc.disable()
             try:
-                start = time.perf_counter()
+                start = time.process_time()
                 out = run_program(gen_nested_mmap(n))
-                elapsed = time.perf_counter() - start
+                elapsed = time.process_time() - start
             finally:
                 gc.enable()
             times[n] = min(times.get(n, elapsed), elapsed)

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -469,10 +470,54 @@ class TestSearch:
             entries.append(stats.bound_memo_entries)
         assert entries[1] / entries[0] < 2.5
 
+    def test_search_takes_no_frame_per_branch_variable(self, monkeypatch):
+        # the recursive search was 801 frames deeper at the count on n=200
+        problem = prepare(gen_dr(200, seed=0))[2].finalize()
+        assert len(problem.branch_vars) > 700
+
+        def depth():
+            frame, n = sys._getframe(1), 0
+            while frame is not None:
+                frame, n = frame.f_back, n + 1
+            return n
+
+        deepest = [0]
+        count = BoundMemo.count
+
+        def spy(memo, part, fid, validity):
+            deepest[0] = max(deepest[0], depth())
+            return count(memo, part, fid, validity)
+
+        monkeypatch.setattr(BoundMemo, "count", spy)
+        base = depth()
+        bb(MeuObjective(problem), problem)
+        assert 0 < deepest[0] - base <= 8
+
+    def test_tie_test_reads_branch_vars_in_linear_time(self):
+        # the tie test scanned branch_vars from the start: 48,014 / 202,358
+        # / 831,339 elements read on n=160 / 320 / 640, 4.1x per doubling
+        class Counted(list):
+            reads = 0
+
+            def __iter__(self):
+                for var in super().__iter__():
+                    Counted.reads += 1
+                    yield var
+
+        reads = []
+        for n in (160, 320, 640):
+            problem = prepare(gen_dr(n, seed=0))[2].finalize()
+            problem = dataclasses.replace(problem, branch_vars=Counted(problem.branch_vars))
+            objective = MeuObjective(problem)
+            Counted.reads = 0
+            bb(objective, problem)
+            reads.append(Counted.reads)
+        assert reads[1] <= 2.3 * reads[0] and reads[2] <= 2.3 * reads[1]
+
     def test_a_solve_leaves_no_reference_cycles(self):
-        # the count walk's and the search's recursive closures are cleared
-        # on return; before, one solve left about 15000 objects for the
-        # cycle collector
+        # the count walk's recursive closures are cleared on return, and the
+        # search is one loop; before, one solve left about 15000 objects for
+        # the cycle collector
         src = gen_dr(4, seed=0)
         gc.collect()
         gc.disable()
@@ -510,6 +555,27 @@ class TestTieWitness:
         assert result.value == 0.5 / 1.5
         assert result.witness == bb(objective, inst, prune=False,
                                     literal_order=(False, True)).witness
+
+    def test_an_equal_bound_is_kept_while_an_earlier_variable_is_open(self):
+        # branch_vars name x1 before x0, but the search fixes x0 first.  It
+        # finds x0=T, x1=F; x0=F then leaves that witness at x0 with the
+        # later literal and ties its bound, yet x1, open and earlier along
+        # branch_vars, can still come first, so the branch is searched
+        mgr = BddManager()
+        x0, x1, y = (mgr.new_var(name) for name in ("x0", "x1", "y"))
+        X0, X1, Y = (mgr.mk_var(v) for v in (x0, x1, y))
+        phi = mgr.disjoin([
+            mgr.apply("xor", X0, X1),
+            mgr.conjoin([X0, X1, Y]),
+        ])
+        weights = {x0: (1.0, 1.0), x1: (1.0, 1.0), y: (0.25, 0.75)}
+        inst = Bbir(mgr=mgr, formulas=[phi, mgr.mk_true()], branch_vars=[x1, x0],
+                    weights=weights, semiring=REAL)
+        objective = MmapObjective(inst)
+        result = bb(objective, inst)
+        assert result.witness == {x1: True, x0: False}
+        assert result.stats.prunes == 0
+        assert result.witness == bb(objective, inst, prune=False).witness
 
     def test_pineappl_tie_resolves_to_the_smallest_assignment(self):
         src = (

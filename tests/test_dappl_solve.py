@@ -530,6 +530,31 @@ class TestBuildOnce:
         # of its parts' sets: n=320 kept 1,601,766 entries, 4.2 times n=160
         assert _walk_bookkeeping(gen_dr(320, seed=0)) < 2.2 * _walk_bookkeeping(gen_dr(160, seed=0))
 
+    @pytest.mark.parametrize("shape", ["run", "nested binds"])
+    def test_pending_rewards_are_linear(self, shape, monkeypatch):
+        # each reward and each bind copied the pending tuple: 2,000 rewards
+        # kept 2,001,000 entries in a run and 2,005,001 under nested binds
+        n = 2000
+        if shape == "run":
+            src = "x <- flip 0.5; " + "reward 1 " * n + "()"
+        else:
+            src = "reward 1 ()"
+            for i in range(n):
+                src = f"x{i} <- ({src}); reward 1 ()"
+        held = {}  # id -> pending collection, kept so that no id is reused
+        compile_ = Compiler.compile
+
+        def spy(self, e, env):
+            out = compile_(self, e, env)
+            held[id(out[3])] = out[3]
+            return out
+
+        monkeypatch.setattr(Compiler, "compile", spy)
+        compiled = prepare(src)[2]
+        # no `if` discharges a reward, so every one is pending at the end
+        assert len(compiled.pending) == src.count("reward")
+        assert sum(len(pending) for pending in held.values()) <= 2 * len(compiled.pending) + 1
+
     def test_finalize_allocation_is_linear_on_dr(self):
         # folding each site's eo below the validity built so far rebuilt it
         # per site: n=160 allocated 4.03 times the nodes of n=80

@@ -1,6 +1,7 @@
 """Benchmark generators and the command-line surface."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+import optppl
 from optppl.cli import USAGE_EXIT, _parse_range, main
 from optppl.dappl import prepare, solve_compiled, solve_meu
 from optppl.gen import GenError, gen_bn, gen_dr, gen_gridworld, gen_ladder, gen_nested_mmap, load_bn
@@ -70,6 +72,36 @@ class TestGenerators:
         out = oracle_equal(gen_dr(1, seed=5))
         # one coin then a choice: the best arm's utility is taken when heads
         assert out["stats"]["prunes"] > 0
+
+    @pytest.mark.parametrize("n, seed, digest", [
+        (1, 0, "f91d2cd7b14386ca"),
+        (2, 5, "4c5f55b753c95bb8"),
+        (3, 41, "72bc6e9a5387104b"),
+        (7, 1, "34440133ba29c03e"),
+        (20, 7, "2f66b78a555496b3"),
+        (64, 12345, "c304f740eed0e486"),
+        (257, 3, "1f45ce96f7c21829"),
+        (1000, 0, "f5d556716a9577c9"),
+    ])
+    def test_dr_text_is_unchanged(self, n, seed, digest):
+        # the SHA-256 prefixes of the texts the recursive generator made;
+        # perfbench's reference answers are keyed on the text's digest
+        assert hashlib.sha256(gen_dr(n, seed=seed).encode()).hexdigest()[:16] == digest
+
+    def test_dr_needs_no_frame_per_column(self):
+        # the recursive generator took one frame per column
+        code = (
+            "import sys\n"
+            "from optppl.gen import gen_dr\n"
+            "sys.setrecursionlimit(1000)\n"
+            "print(gen_dr(3000).count('<- flip'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(optppl.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "3000"
 
     def test_ladder_families(self):
         oracle_equal(gen_ladder(2, 1, seed=7))
