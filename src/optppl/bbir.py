@@ -15,10 +15,11 @@ It is depth-first branch and bound written as one loop over an explicit
 stack of the children still to visit, so its Python depth does not grow
 with the branch variables, and its tie test reads O(1) per call from
 per-depth arrays.  It fixes the branch variables in variable order and
-carries each diagram down as a :class:`~optppl.bdd.Frontier`, so it
-conditions no formula and builds no node; all its counts share one memo
-per setup in a :class:`BoundMemo`, as context caching does in AND/OR branch
-and bound (Marinescu & Dechter, AIJ 2009).  An MEU bound divides an
+carries each diagram down as a :class:`~optppl.bdd.Frontier`, split once
+per expanded node (:meth:`~optppl.bdd.BddManager.split`), so it conditions
+no formula and builds no node; its frontier splits and counts are kept per
+setup in a :class:`BoundMemo`, as context caching does in AND/OR branch and
+bound (Marinescu & Dechter, AIJ 2009).  An MEU bound divides an
 expectation bound by probability bounds; one walk over the product
 semiring ``EV_BOUND`` computes the numerator and the denominator's lower
 and upper bounds together.
@@ -99,13 +100,12 @@ class Bbir:
 class _Tables:
     """One bound setup's count memo and frontier tables in a search."""
 
-    __slots__ = ("memo", "counts", "fixed", "pushed", "stops")
+    __slots__ = ("memo", "counts", "splits", "stops")
 
     def __init__(self, setup: CountSetup, order):
         self.memo = {}  # the count memo, keyed on node and validity
         self.counts = {}  # (frontier id, validity) -> the frontier's count
-        self.fixed = {}  # frontier id << 1 | value -> the fixed frontier's id
-        self.pushed = {}  # fixed frontier id -> the id of it pushed down
+        self.splits = {}  # frontier id -> [False side's id, True side's id], None if not taken
         self.stops = [setup.pos_of[v] for v in order]  # the branch positions
 
 
@@ -120,13 +120,13 @@ class BoundMemo:
 
     Many partial policies leave the same frontier, so frontiers are
     interned: the search holds the id of each part's frontier, and per
-    setup the fixed and pushed frontiers and the counts are kept by id.
+    setup the sides each frontier splits into and the counts are kept by
+    id.  Only the roots and the sides the search takes are interned.
     """
 
     def __init__(self, mgr: BddManager, setups, order=()):
         self.mgr = mgr
         self.setups = tuple(setups)
-        self.order = order
         self._frontiers = []  # id -> Frontier
         self._ids = {}  # Frontier -> id
         tables = {}  # a setup shared by two parts shares its tables
@@ -141,35 +141,33 @@ class BoundMemo:
         return fid
 
     def start(self, roots):
-        """The frontier ids of ``roots``, one per part, at the first branch variable."""
-        fids = tuple(
+        """The frontier ids of ``roots``, one per part, at position 0."""
+        return tuple(
             self.intern(Frontier.of(root, setup.semiring.one))
             for root, setup in zip(roots, self.setups)
         )
-        return self.push(fids, 0) if self.order else fids
 
-    def fix(self, fids, value: bool):
-        """The parts' frontiers past their branch variable, fixed to ``value``."""
-        out = []
-        for fid, setup, tables in zip(fids, self.setups, self._tables):
-            key = fid << 1 | value
-            got = tables.fixed.get(key)
-            if got is None:
-                frontier = self.mgr.fix(self._frontiers[fid], setup, value)
-                got = tables.fixed[key] = self.intern(frontier)
-            out.append(got)
-        return tuple(out)
+    def split(self, fids, depth: int, lits):
+        """Per literal of ``lits``, the parts' frontier ids past the
+        ``depth``-th branch variable fixed to it.
 
-    def push(self, fids, depth: int):
-        """Frontiers moved down to the ``depth``-th branch variable."""
-        out = []
+        ``fids`` lie past the variable before it (or are the roots).  A
+        frontier is split once (:meth:`BddManager.split`) and only the sides
+        asked for are interned; one asked for later splits it again.
+        """
+        sides = []
         for fid, setup, tables in zip(fids, self.setups, self._tables):
-            got = tables.pushed.get(fid)
+            got = tables.splits.get(fid)
             if got is None:
-                frontier = self.mgr.push(self._frontiers[fid], setup, tables.stops[depth])
-                got = tables.pushed[fid] = self.intern(frontier)
-            out.append(got)
-        return tuple(out)
+                got = tables.splits[fid] = [None, None]
+            halves = None
+            for lit in lits:
+                if got[lit] is None:
+                    if halves is None:
+                        halves = self.mgr.split(self._frontiers[fid], setup, tables.stops[depth])
+                    got[lit] = self.intern(halves[lit])
+            sides.append(got)
+        return [tuple([got[lit] for got in sides]) for lit in lits]
 
     def count(self, part: int, fid: int, validity: int):
         """The count of frontier ``fid`` under ``validity`` in the part's setup.
@@ -458,11 +456,12 @@ def bb(
     Branch variables are fixed in variable order, so every open position
     above the next branch variable is a chance variable.  The search
     carries one :class:`Frontier` per objective part down that order, the
-    fixed prefix summed out above the next branch variable, and every bound
-    and leaf is a count from a frontier with one :class:`BoundMemo`.  Only
-    the validity handle is conditioned, one step per literal, since it
-    tests branch variables only; an invalid literal is skipped before
-    anything else is done.
+    fixed prefix summed out, and every bound and leaf is a count from a
+    frontier with one :class:`BoundMemo`.  Only the validity handle is
+    conditioned, one step per literal, since it tests branch variables
+    only; an invalid literal is skipped before anything else is done.
+    Expanding a node then splits its frontiers once at the next branch
+    variable, keeping the sides of its valid literals.
 
     It is one loop over a stack of the children still to visit, each with
     its depth, so it takes no Python frame per branch variable.  Expanding
@@ -510,7 +509,7 @@ def bb(
     partial = {}  # the current path, in variable order
     best = witness = None
     # (depth, bound or None, literal, frontier ids, validity) per child; the
-    # root fixes nothing and its frontiers are already at depth 0
+    # root fixes nothing and its frontiers are the roots at position 0
     stack = [(-1, None, None, memo.start(objective.roots), bbir.validity)]
 
     def precedes(depth):
@@ -544,24 +543,23 @@ def bb(
             stats.prunes += 1
             continue
         stats.interior += 1
-        fids = memo.push(fids, depth + 1) if depth >= 0 else fids
         depth += 1
         var = order[depth]
         # the validity tests branch variables only, and those above var are
         # fixed, so conditioning it on var takes one step
-        valid = []
+        lits, valids = [], []
         for lit in literal_order:
             child_valid = mgr.condition(valid_h, var, lit)
             if child_valid == FALSE:
                 stats.invalid += 1
             else:
-                valid.append((lit, child_valid))
+                lits.append(lit)
+                valids.append(child_valid)
         # a forced literal keeps every valid completion of this node, whose
         # bound was just checked against the same incumbent
-        bounded = prune and len(valid) == 2 and depth < last
+        bounded = prune and len(lits) == 2 and depth < last
         children = []
-        for lit, child_valid in valid:
-            fixed = memo.fix(fids, lit)
+        for lit, child_valid, fixed in zip(lits, valids, memo.split(fids, depth, lits)):
             bound = None
             if bounded:
                 stats.bound_calls += 1

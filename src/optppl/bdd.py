@@ -31,12 +31,11 @@ even when a variable's two literal weights do not sum to the unit.  A
 
 The walk is bottom-up and starts from a :class:`Frontier`: weighted nodes
 below a position, each weight the sum over its paths from the root above
-it.  :meth:`BddManager.push` moves a frontier down (a downward, or
-outside, pass) and :meth:`BddManager.fix` moves it past a variable fixed to
-one value, so a search that fixes variables in order conditions no diagram
-and builds no node: its counts all run from frontiers in one setup and one
-memo (Darwiche, *A differential approach to inference in Bayesian
-networks*, JACM 2003).
+it.  :meth:`BddManager.split` moves a frontier down to a variable (a
+downward, or outside, pass) and past it, fixed either way, so a search
+that fixes variables in order conditions no diagram and builds no node:
+its counts all run from frontiers in one setup and one memo (Darwiche, *A
+differential approach to inference in Bayesian networks*, JACM 2003).
 
 The walk does no semiring operation whose result it already knows: it
 multiplies by no unit weight or unit gap (1 (x) x = x) and adds no dead
@@ -593,47 +592,26 @@ class BddManager:
             rec = None  # it refers to itself; break the cycle
         return zero if total is None else total
 
-    def fix(self, frontier: Frontier, setup: CountSetup, value: bool) -> Frontier:
-        """``frontier`` past its start position, whose variable is fixed to ``value``.
+    def split(self, frontier: Frontier, setup: CountSetup, stop: int):
+        """``frontier`` moved down to position ``stop`` and past it, both ways.
 
-        A node that tests the variable hands its weight to its ``value``
-        child (a FALSE child drops it); the other nodes keep theirs, since a
-        fixed position adds the unit.
-        """
-        var_of, start = self._var, frontier.start
-        var = setup.levels[start][0]
-        add = setup.semiring.add
-        child_of = self._hi if value else self._lo
-        out = {}
-        for node, weight in frontier.pairs:
-            if node > TRUE and var_of[node] == var:
-                node = child_of[node]
-                if node == FALSE:
-                    continue
-            out[node] = add(out[node], weight) if node in out else weight
-        return Frontier(start + 1, tuple(out.items()))
-
-    def push(self, frontier: Frontier, setup: CountSetup, stop: int) -> Frontier:
-        """``frontier`` moved down to position ``stop`` (a downward pass).
-
-        Every node above ``stop`` hands its weight to its two children,
-        times the literal weight and the gaps skipped on the way.  A node is
-        made after its children, so handing on in descending node order
-        passes each node the sum over all its paths before it hands it on.
-        No position from the start to ``stop`` may be fixed or at a branch
-        variable.  When no node lies above ``stop`` and every gap skipped is
-        the unit, the pairs are handed on as they are.
+        Returns the two frontiers at ``stop + 1``, with the variable at
+        ``stop`` fixed False and fixed True, indexed by the value.  First
+        every node above ``stop`` hands its weight to its two children,
+        times the literal weight and the gaps skipped on the way (a
+        downward pass).  A node is made after its children, so handing on
+        in descending node order passes each node the sum over all its paths
+        before it hands it on.  No position from the start to ``stop`` may
+        be fixed, nor any above ``stop`` at a branch variable.  Then a node
+        that tests the variable at ``stop`` hands its weight to its child on
+        each side (a FALSE child drops it); the other nodes keep theirs on
+        both, since a fixed position adds the unit.
         """
         start = frontier.start
         var_of, lo_of, hi_of = self._var, self._lo, self._hi
         pos_of, levels, gaps, nonunit = setup.pos_of, setup.levels, setup.gaps, setup.nonunit
         mul, add = setup.semiring.mul, setup.semiring.add
         n = len(levels)
-        pairs = frontier.pairs
-        if nonunit[start] >= stop and all(
-            node == TRUE or pos_of[var_of[node]] >= stop for node, _ in pairs
-        ):
-            return Frontier(stop, pairs)
         weights = {}  # every node reached so far, with the sum over its paths
         above = []  # a heap of the nodes reached above stop, negated: parents first
 
@@ -656,7 +634,7 @@ class BddManager:
                 if j < stop:
                     heappush(above, -node)
 
-        for node, weight in pairs:
+        for node, weight in frontier.pairs:
             land(node, weight, start)
         while above:
             node = -heappop(above)
@@ -668,7 +646,18 @@ class BddManager:
                 land(hi, weight if wpos is None else mul(weight, wpos), j + 1)
             if lo != FALSE:
                 land(lo, weight if wneg is None else mul(weight, wneg), j + 1)
-        return Frontier(stop, tuple(weights.items()))
+        var = levels[stop][0]
+        los, his = {}, {}  # the pairs with the variable fixed False, and True
+        for node, weight in weights.items():
+            if node > TRUE and var_of[node] == var:
+                lo, hi = lo_of[node], hi_of[node]
+            else:
+                lo = hi = node
+            if lo != FALSE:
+                los[lo] = add(los[lo], weight) if lo in los else weight
+            if hi != FALSE:
+                his[hi] = add(his[hi], weight) if hi in his else weight
+        return Frontier(stop + 1, tuple(los.items())), Frontier(stop + 1, tuple(his.items()))
 
     # -- export ----------------------------------------------------------------
 

@@ -190,6 +190,8 @@ def cmd_bench(args) -> int:
         return _fail(USAGE_EXIT, "usage", exc)
     if args.timeout <= 0:
         return _fail(USAGE_EXIT, "usage", f"--timeout must be positive, got {args.timeout}")
+    if args.jobs <= 0:
+        return _fail(USAGE_EXIT, "usage", f"--jobs must be positive, got {args.jobs}")
     try:
         rows = run_bench(
             args.family,

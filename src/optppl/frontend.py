@@ -14,6 +14,7 @@ effectful terms, keyword and symbol tables, and error class.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -253,6 +254,8 @@ class TokenParser:
             value = float(tok[1])
         except ValueError:
             self.error(f"bad number {tok[1]!r}", Span(tok[2], tok[3]))
+        if value == math.inf:  # too many digits for a finite double
+            self.error("number out of range", Span(tok[2], tok[3]))
         return -value if neg else value
 
     def flip_bias(self, sp: Span) -> float:

@@ -493,6 +493,38 @@ class TestSearch:
         bb(MeuObjective(problem), problem)
         assert 0 < deepest[0] - base <= 8
 
+    @pytest.mark.parametrize("source, before", [
+        (gen_dr(40, seed=0), 274),
+        (gen_ladder(2, k=2, seed=0), 29),
+    ], ids=["dr40", "ladder2k2"])
+    def test_search_interns_only_its_roots_and_the_children_it_takes(
+        self, monkeypatch, source, before
+    ):
+        # ``before`` frontiers were interned when each expansion also
+        # interned its frontier pushed down to the next branch variable
+        problem = prepare(source)[2].finalize()
+        taken, memos = set(), []
+        start, split = BoundMemo.start, BoundMemo.split
+
+        def spy_start(memo, roots):
+            memos.append(memo)
+            fids = start(memo, roots)
+            taken.update(fids)
+            return fids
+
+        def spy_split(memo, fids, depth, lits):
+            children = split(memo, fids, depth, lits)
+            for child in children:
+                taken.update(child)
+            return children
+
+        monkeypatch.setattr(BoundMemo, "start", spy_start)
+        monkeypatch.setattr(BoundMemo, "split", spy_split)
+        bb(MeuObjective(problem), problem)
+        [memo] = memos
+        assert taken == set(range(len(memo._frontiers)))
+        assert len(taken) < before
+
     def test_tie_test_reads_branch_vars_in_linear_time(self):
         # the tie test scanned branch_vars from the start: 48,014 / 202,358
         # / 831,339 elements read on n=160 / 320 / 640, 4.1x per doubling
@@ -754,9 +786,9 @@ def recorded_search(objective, inst, **kwargs):
 
 def frontier_bound(objective, partial, method=None):
     """The bound of ``partial``, a prefix of the variable order, computed as
-    ``bb`` computes it but from a fresh memo: the frontiers are fixed on
-    each literal and pushed down in turn, then counted by ``method``
-    (``objective.bound_conditioned`` if None)."""
+    ``bb`` computes it but from a fresh memo: the frontiers are split at
+    each variable in turn and the side of its literal taken, then counted
+    by ``method`` (``objective.bound_conditioned`` if None)."""
     inst = objective.bbir
     order = sorted(inst.branch_vars)
     assert set(partial) == set(order[: len(partial)])
@@ -764,9 +796,7 @@ def frontier_bound(objective, partial, method=None):
     fids = memo.start(objective.roots)
     validity = inst.validity
     for depth, var in enumerate(order[: len(partial)]):
-        if depth:
-            fids = memo.push(fids, depth)
-        fids = memo.fix(fids, partial[var])
+        [fids] = memo.split(fids, depth, [partial[var]])
         validity = inst.mgr.condition(validity, var, partial[var])
     method = method or objective.bound_conditioned
     return method(fids, validity, partial, memo)

@@ -471,14 +471,12 @@ class TestCountShortcuts:
             validity = TRUE  # a frontier's validity tests branch variables only
         universe = sorted(weights)
         setup = CountSetup(universe, weights, semiring, frozenset(branch), combine)
-        # fix the branch variables in variable order, as a search does: push
-        # the frontier down to each, count with it open, then fix it
+        # fix the branch variables in variable order, as a search does:
+        # count the frontier with the next one open, then split it there
         values = {v: rng.random() < 0.5 for v in branch}
         memo = {}
         frontier, v, fixed = Frontier.of(root, semiring.one), validity, {}
         for var in branch + [None]:
-            if var is not None:
-                frontier = mgr.push(frontier, setup, setup.pos_of[var])
             got = mgr.count(frontier, v, setup, memo)
             # one memo serves every frontier: a fresh one gives the same bits
             assert float_hex(got) == float_hex(mgr.count(frontier, v, setup, {}))
@@ -490,9 +488,52 @@ class TestCountShortcuts:
             assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
                        for a, b in zip(_components(got), _components(want))), fixed
             if var is not None:
-                frontier = mgr.fix(frontier, setup, values[var])
+                frontier = mgr.split(frontier, setup, setup.pos_of[var])[values[var]]
                 v = mgr.condition(v, var, values[var])
                 fixed[var] = values[var]
+
+    @pytest.mark.parametrize("semiring", [REAL, EV_BOUND], ids=["real", "ev_bound"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_each_side_of_a_split_counts_as_the_conditioned_diagram(self, semiring, seed):
+        rng = random.Random(seed)
+        mgr, root, _, weights, branch, combine = self.random_problem(rng, semiring)
+        universe = sorted(weights)
+        # weights with non-unit gaps, so the downward pass multiplies them in
+        for v in universe:
+            if semiring is REAL:
+                weights[v] = (rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5))
+            else:
+                weights[v] = tuple(EVBound.lift(EV(rng.uniform(0.1, 1.5), rng.uniform(-10, 10)))
+                                   for _ in range(2))
+        stop = rng.randrange(len(universe))
+        var = universe[stop]
+        above = universe[:stop]
+        # no branch variable may lie above the split; those below stay open
+        branch = frozenset(v for v in branch if v > var)
+        setup = CountSetup(universe, weights, semiring, branch, combine)
+        one = semiring.one
+        g = mgr.condition_all(root, {v: rng.random() < 0.5 for v in above})
+        weight = weights[universe[0]][0]
+        cases = [
+            (Frontier.of(root, one), root, one, set()),
+            (Frontier.of(FALSE, one), FALSE, one, set()),  # the empty frontier
+            (Frontier(stop, () if g == FALSE else ((g, weight),)), g, weight, set(above)),
+        ]
+        for frontier, diagram, w, fixed in cases:
+            sides = mgr.split(frontier, setup, stop)
+            for lit in (False, True):
+                assert sides[lit].start == stop + 1
+                got = mgr.count(sides[lit], TRUE, setup, {})
+                want = semiring.mul(w, textbook_count(
+                    mgr, mgr.condition(diagram, var, lit), TRUE, universe, weights, semiring,
+                    branch, combine, fixed | {var},
+                ))
+                assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+                           for a, b in zip(_components(got), _components(want))), (stop, lit)
+                if frontier.start == stop:
+                    # a frontier already at ``stop`` only follows the variable
+                    child = mgr.condition(diagram, var, lit)
+                    assert sides[lit].pairs == (() if child == FALSE else ((child, w),))
 
     def test_skipped_gaps_mix_unit_and_non_unit_runs(self, mgr):
         xs = fresh_vars(mgr, 9)
@@ -507,24 +548,24 @@ class TestCountShortcuts:
         assert mgr.count(Frontier.of(mgr.mk_var(xs[4]), 1.0), TRUE, setup, {}) == 1.25 ** 3 * 0.375
         assert setup.nonunit == [2, 2, 2, 4, 4, 5, 6, 9, 9, 9]
 
-    def test_push_multiplies_the_skipped_gaps_into_the_weights(self, mgr):
+    def test_split_multiplies_the_skipped_gaps_into_the_weights(self, mgr):
         xs = fresh_vars(mgr, 4)
         weights = {xs[0]: (0.25, 0.75), xs[1]: (0.5, 0.75), xs[2]: (0.5, 0.5), xs[3]: (0.5, 0.5)}
         setup = CountSetup(xs, weights, REAL, frozenset([xs[3]]), REAL.join)
         x0, x2, x3 = (mgr.mk_var(x) for x in (xs[0], xs[2], xs[3]))
         root = mgr.apply("or", mgr.apply("and", x0, x3), mgr.apply("and", mgr.negate(x0), x2))
-        pushed = mgr.push(Frontier.of(root, 1.0), setup, 3)
+        lo, hi = mgr.split(Frontier.of(root, 1.0), setup, 3)
         # x0 = 1 reaches x3 over the gaps 1.25 and 1; x0 = 0 reaches x2's
-        # node, whose high edge reaches TRUE over x3
-        assert pushed.start == 3
-        assert dict(pushed.pairs) == {x3: 0.25 * 1.25, TRUE: 0.75 * 1.25 * 0.5}
-        # a frontier below ``stop`` whose skipped gaps are the unit is kept
-        assert mgr.push(Frontier(2, ((x3, 0.5),)), setup, 3).pairs == ((x3, 0.5),)
-        # x3 is open: its node joins 0.5 with 0, and TRUE has x3's gap 0.5
-        assert mgr.count(pushed, TRUE, setup, {}) == 0.25 * 1.25 * 0.5 + 0.75 * 1.25 * 0.5 * 0.5
-        fixed = mgr.fix(pushed, setup, False)
-        # x3's node drops out on x3 = 0; TRUE keeps its weight
-        assert fixed == Frontier(4, ((TRUE, 0.75 * 1.25 * 0.5),))
+        # node, whose high edge reaches TRUE over x3.  x3's node drops out
+        # on x3 = 0 and hands its weight to TRUE on x3 = 1; TRUE keeps its own
+        assert lo == Frontier(4, ((TRUE, 0.75 * 1.25 * 0.5),))
+        assert hi == Frontier(4, ((TRUE, 0.25 * 1.25 + 0.75 * 1.25 * 0.5),))
+        # a frontier below or at ``stop`` whose skipped gaps are the unit
+        # only follows the variable
+        for start in (2, 3):
+            assert mgr.split(Frontier(start, ((x3, 0.5),)), setup, 3) == (
+                Frontier(4, ()), Frontier(4, ((TRUE, 0.5),))
+            )
 
     def test_dead_formula_child_enters_the_join_as_zero(self, mgr):
         b, c = fresh_vars(mgr, 2)

@@ -215,3 +215,21 @@ def test_a_syntax_error_names_its_line_and_column(parse, source, message, line, 
         parse(source)
     assert str(err.value) == f"{message} (line {line}, column {col})"
     assert (err.value.line, err.value.col) == (line, col)
+
+
+# a literal with more digits than a finite double holds; it parsed as inf,
+# and the program solved to "meu": null
+BIG = "9" * 400
+
+
+@pytest.mark.parametrize("parse, source, col", [
+    (parse_dappl, f"x <- flip 0.5;\nif x then reward {BIG} else reward -{BIG}", 18),
+    (parse_dappl, f"x <- flip 0.5;\nif x then reward 1 else reward -{BIG}", 33),
+    # pineappl has no reward, but a bias or a probability is a number too
+    (parse_pineappl, f"x = flip 0.5;\ny = flip {BIG}; pr(x)", 10),
+    (parse_pineappl, f"x = flip 0.5;\ny = disc[a: 0.5, b: {BIG}]; pr(x)", 21),
+], ids=["dappl-reward", "dappl-negative-reward", "pineappl-flip", "pineappl-disc"])
+def test_an_out_of_range_number_is_a_syntax_error_at_the_literal(parse, source, col):
+    with pytest.raises(SourceSyntaxError) as err:
+        parse(source)
+    assert str(err.value) == f"number out of range (line 2, column {col})"

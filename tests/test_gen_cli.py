@@ -273,12 +273,19 @@ class TestCli:
         assert proc.returncode == 2
         assert "error" in json.loads(proc.stdout)
 
-    def test_malformed_number_exit_code(self, tmp_path):
-        path = tmp_path / "bad.pineappl"
-        path.write_text("x = flip 1.2.3; pr(x)")
+    @pytest.mark.parametrize("name, source, message", [
+        ("bad.pineappl", "x = flip 1.2.3; pr(x)", "bad number '1.2.3' (line 1, column 10)"),
+        # a literal too long for a finite double parsed as inf, and the
+        # solve answered "meu": null
+        ("big.dappl", f"x <- flip 0.5; if x then reward 1 else reward -{'9' * 400}",
+         "number out of range (line 1, column 48)"),
+    ], ids=["malformed", "out-of-range"])
+    def test_malformed_number_exit_code(self, tmp_path, name, source, message):
+        path = tmp_path / name
+        path.write_text(source)
         proc = run_cli("solve", str(path))
         assert proc.returncode == 2
-        assert "line 1, column 10" in json.loads(proc.stdout)["error"]["message"]
+        assert json.loads(proc.stdout)["error"]["message"] == message
 
     def test_usage_error_exit_code(self):
         proc = run_cli("solve")  # missing file argument
@@ -389,6 +396,8 @@ class TestBench:
         ["--params", "5..3"],
         ["--params", "2", "--timeout", "0"],
         ["--params", "2", "--timeout", "-5"],
+        ["--params", "2", "--jobs", "0"],
+        ["--params", "2", "--jobs", "-3"],
     ])
     def test_bench_rejects_a_reversed_range_or_a_timeout_below_one(self, tmp_path, capsys, flags):
         out = tmp_path / "bench.csv"
